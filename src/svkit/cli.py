@@ -151,7 +151,7 @@ def cmd_synth(args) -> int:
     entries = make_synthetic_corpus(
         n_speakers=args.speakers,
         utterances_per_speaker=args.utterances,
-        seed=_seed_of(args),
+        seed=_resolve_config(args).seed,
         out_dir=args.out,
         duration_s=args.duration,
         n_dev_speakers=args.dev_speakers,
@@ -281,17 +281,6 @@ def _parse_zetas(text: str) -> list[int]:
     if not zetas or min(zetas) < 1:
         raise ConfigError(f"--zetas must be positive integers, got {text!r}")
     return zetas
-
-
-def _seed_of(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if os.environ.get("SVKIT_SEED"):
-        try:
-            return int(os.environ["SVKIT_SEED"])
-        except ValueError as exc:
-            raise ConfigError(f"SVKIT_SEED must be an integer: {exc}") from exc
-    return 0
 
 
 # -- parser -------------------------------------------------------------------

@@ -24,9 +24,6 @@ class RunConfig:
     epochs: int = 20
     seed: int = 0
     model: str = "cnn3d"
-    corpus_dir: Path | None = None
-    checkpoint_path: Path | None = None
-    report_dir: Path | None = None
 
     def validate(self) -> "RunConfig":
         if self.zeta < 1:
@@ -64,8 +61,6 @@ def parse_config_file(path) -> dict:
                 values[key] = int(value)
             elif key in _FLOAT_KEYS:
                 values[key] = float(value)
-            elif key in ("corpus_dir", "checkpoint_path", "report_dir"):
-                values[key] = Path(value)
             else:
                 values[key] = value
         except ValueError as exc:

@@ -90,20 +90,23 @@ def load_checkpoint(path) -> Checkpoint:
         raise VersionMismatchError(f"{path}: checkpoint version {version}, expected {_VERSION}")
     if len(data) < 12 + hlen + 4:
         raise TruncatedFileError(f"{path}: header declares {hlen} bytes that are not present")
-    header = json.loads(data[12 : 12 + hlen])
-    payload_len = sum(
-        int(np.prod(shape)) * 8
-        for layer in header["layers"]
-        for shape in layer["arrays"].values()
-    )
+    try:
+        header = json.loads(data[12 : 12 + hlen])
+        payload_len = sum(
+            int(np.prod(shape)) * 8
+            for layer in header["layers"]
+            for shape in layer["arrays"].values()
+        )
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: unreadable header ({exc!r})") from exc
     expected = 12 + hlen + payload_len + 4
     if len(data) < expected:
         raise TruncatedFileError(f"{path}: {len(data)} bytes, expected {expected}")
-    (crc_stored,) = struct.unpack_from("<I", data, expected - 4)
-    if zlib.crc32(data[: expected - 4]) != crc_stored:
-        raise ChecksumError(f"{path}: CRC32 mismatch, file is corrupt")
     if len(data) != expected:
         raise CheckpointError(f"{path}: {len(data) - expected} trailing bytes after checksum")
+    (crc_stored,) = struct.unpack_from("<I", data, len(data) - 4)
+    if zlib.crc32(data[:-4]) != crc_stored:
+        raise ChecksumError(f"{path}: CRC32 mismatch, file is corrupt")
 
     spec = NetworkSpec(
         kind=header["kind"],

@@ -8,6 +8,7 @@ logits (the softmax nonlinearity is fused into the loss for stability), and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from ..nn.layers import (
     batchnorm_forward,
     conv3d_backward,
     conv3d_forward,
+    conv3d_output_shape,
     fully_connected_backward,
     fully_connected_forward,
     locally_connected_backward,
@@ -88,75 +90,44 @@ class Network:
             f"input shape {x.shape} does not match network input {self.spec.input_shape}"
         )
 
-    def _apply(self, layer: LayerParams, x, mode: str, update_running: bool, cache: dict | None):
-        kind = layer.kind
-        if kind == "conv3d":
-            return conv3d_forward(x, layer, cache=cache)
-        if kind == "maxpool_freq":
-            y, idx = maxpool_freq_forward(x, with_indices=True)
-            if cache is not None:
-                cache["indices"] = idx
-            return y
-        if kind == "prelu":
-            return prelu_forward(x, layer.prelu_slope)
-        if kind == "batchnorm":
-            return batchnorm_forward(x, layer, mode=mode, update_running=update_running, cache=cache)
-        if kind == "flatten":
-            return x.reshape(x.shape[0], -1)
-        if kind in ("fully_connected", "softmax"):
-            return fully_connected_forward(x, layer)
-        if kind == "locally_connected":
-            return locally_connected_forward(x, layer)
-        raise ConfigError(f"cannot run layer kind {kind!r}")
+    def _run(self, xb, layers, mode: str, update_running: bool, caches: list | None = None):
+        """Run `layers` in order; with `caches`, append each layer's backward cache to it."""
+        for layer in layers:
+            entry = None
+            if caches is not None:
+                entry = {"x": xb, "mode": mode}
+                caches.append(entry)
+            xb = _KINDS[layer.kind].forward(layer, xb, mode, update_running, entry)
+        return xb
 
     def forward(self, x, mode: str = "infer") -> np.ndarray:
         """Logits of the classifier head; deterministic in infer mode."""
         xb, single = self._promote(x)
-        for layer in self.layers:
-            xb = self._apply(layer, xb, mode, update_running=(mode == "train"), cache=None)
+        xb = self._run(xb, self.layers, mode, update_running=(mode == "train"))
         return xb[0] if single else xb
 
     def forward_with_cache(self, x, mode: str = "train", update_running: bool = True):
         xb, _ = self._promote(x)
         caches: list[dict] = []
-        for layer in self.layers:
-            entry: dict = {"x": xb, "mode": mode}
-            xb = self._apply(layer, xb, mode, update_running, entry)
-            caches.append(entry)
-        return xb, caches
+        return self._run(xb, self.layers, mode, update_running, caches), caches
 
     # -- backward --------------------------------------------------------
 
     def backward(self, caches: list[dict], grad_logits: np.ndarray):
         """Per-layer parameter gradients plus the gradient w.r.t. the input."""
-        grads: list[dict] = [{} for _ in self.layers]
+        grads: list[dict] = []
         g = np.asarray(grad_logits, dtype=np.float64)
-        for i in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[i]
-            x = caches[i]["x"]
-            kind = layer.kind
-            if kind == "conv3d":
-                g, grads[i] = conv3d_backward(x, layer, g, cache=caches[i])
-            elif kind == "maxpool_freq":
-                g = maxpool_freq_backward(x, g, caches[i]["indices"])
-            elif kind == "prelu":
-                g, grads[i] = prelu_backward(x, layer.prelu_slope, g)
-            elif kind == "batchnorm":
-                g, grads[i] = batchnorm_backward(x, layer, g, mode=caches[i]["mode"], cache=caches[i])
-            elif kind == "flatten":
-                g = g.reshape(x.shape)
-            elif kind in ("fully_connected", "softmax"):
-                g, grads[i] = fully_connected_backward(x, layer, g)
-            elif kind == "locally_connected":
-                g, grads[i] = locally_connected_backward(x, layer, g)
-        return g, grads
+        for layer, cache in zip(reversed(self.layers), reversed(caches)):
+            g, layer_grads = _KINDS[layer.kind].backward(layer, cache["x"], g, cache)
+            grads.append(layer_grads)
+        return g, grads[::-1]
 
     # -- losses (training and gradient checking) --------------------------
 
     def loss_only(self, x, labels, update_running: bool = False) -> float:
         xb, _ = self._promote(x)
         lb = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-        logits, _ = self.forward_with_cache(xb, mode="train", update_running=update_running)
+        logits = self._run(xb, self.layers, "train", update_running)
         loss, _ = softmax_xent_batch(logits, lb)
         return loss
 
@@ -175,10 +146,9 @@ class Network:
         inputs = list(inputs)
         rows = []
         for start in range(0, len(inputs), batch_size):
-            xb = np.stack([np.asarray(v, dtype=np.float64) for v in inputs[start : start + batch_size]])
-            for layer in self.layers[:-1]:
-                xb = self._apply(layer, xb, "infer", update_running=False, cache=None)
-            rows.append(xb)
+            batch = [np.asarray(v, dtype=np.float64) for v in inputs[start : start + batch_size]]
+            # pass the stacked batch without holding a name to it, so it is freed after the first layer
+            rows.append(self._run(np.stack(batch), self.layers[:-1], "infer", update_running=False))
         vecs = np.concatenate(rows) if rows else np.zeros((0, 0))
         assert_finite(vecs, "embeddings")
         norms = np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -227,33 +197,78 @@ class Network:
 
 
 def _infer_shape(layer: LayerParams, shape: tuple[int, ...]) -> tuple[int, ...]:
-    kind = layer.kind
-    if kind == "conv3d":
-        kd, kh, kw, cin, cout = layer.weights.shape
-        if shape[-1] != cin:
-            raise DimensionError(f"channel axis: {shape[-1]} channels into a {cin}-channel kernel")
-        d, h, w = shape[:3]
-        if layer.pad_depth:
-            d += kd - 1
-        dims = []
-        for n, k, s, axis in zip((d, h, w), (kd, kh, kw), layer.stride, ("depth", "time", "freq")):
-            if n < k:
-                raise DimensionError(f"{axis} axis: extent {n} smaller than kernel {k}")
-            dims.append((n - k) // s + 1)
-        return (*dims, cout)
-    if kind == "maxpool_freq":
-        return (*shape[:2], shape[2] // 2, shape[3])
-    if kind in ("prelu", "batchnorm"):
-        return shape
-    if kind == "flatten":
-        return (int(np.prod(shape)),)
-    if kind in ("fully_connected", "softmax"):
-        if shape != (layer.weights.shape[0],):
-            raise DimensionError(
-                f"fan-in axis: shape {shape} into weights expecting {layer.weights.shape[0]}"
-            )
-        return (layer.weights.shape[1],)
-    if kind == "locally_connected":
-        gh, gw, units, _, _ = layer.weights.shape
-        return (gh * gw * units,)
-    raise ConfigError(f"cannot infer shape through layer kind {kind!r}")
+    """Per-example output shape of `layer` for a per-example input `shape`."""
+    return _KINDS[layer.kind].shape(layer, shape)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What Network needs to know about one layer kind.
+
+    forward(layer, x, mode, update_running, cache) -> y
+    backward(layer, x, grad_out, cache) -> (grad_in, parameter gradients)
+    shape(layer, per-example input shape) -> per-example output shape
+
+    Entries call the layer functions through this module's globals on every
+    call, so rebinding one of those names (e.g. to wrap it) takes effect.
+    """
+
+    forward: Callable
+    backward: Callable
+    shape: Callable
+
+
+def _maxpool_forward(layer, x, mode, update_running, cache):
+    y, idx = maxpool_freq_forward(x, with_indices=True)
+    if cache is not None:
+        cache["indices"] = idx
+    return y
+
+
+def _dense_shape(layer, shape):
+    if shape != (layer.weights.shape[0],):
+        raise DimensionError(f"fan-in axis: shape {shape} into weights expecting {layer.weights.shape[0]}")
+    return (layer.weights.shape[1],)
+
+
+_DENSE = _Kind(
+    lambda layer, x, mode, update_running, cache: fully_connected_forward(x, layer),
+    lambda layer, x, g, cache: fully_connected_backward(x, layer, g),
+    _dense_shape,
+)
+_KINDS = {
+    "conv3d": _Kind(
+        lambda layer, x, mode, update_running, cache: conv3d_forward(x, layer, cache=cache),
+        lambda layer, x, g, cache: conv3d_backward(x, layer, g, cache=cache),
+        lambda layer, shape: conv3d_output_shape(shape, layer),
+    ),
+    "maxpool_freq": _Kind(
+        _maxpool_forward,
+        lambda layer, x, g, cache: (maxpool_freq_backward(x, g, cache["indices"]), {}),
+        lambda layer, shape: (*shape[:2], shape[2] // 2, shape[3]),
+    ),
+    "prelu": _Kind(
+        lambda layer, x, mode, update_running, cache: prelu_forward(x, layer.prelu_slope),
+        lambda layer, x, g, cache: prelu_backward(x, layer.prelu_slope, g),
+        lambda layer, shape: shape,
+    ),
+    "batchnorm": _Kind(
+        lambda layer, x, mode, update_running, cache: batchnorm_forward(
+            x, layer, mode=mode, update_running=update_running, cache=cache
+        ),
+        lambda layer, x, g, cache: batchnorm_backward(x, layer, g, mode=cache["mode"], cache=cache),
+        lambda layer, shape: shape,
+    ),
+    "flatten": _Kind(
+        lambda layer, x, mode, update_running, cache: x.reshape(x.shape[0], -1),
+        lambda layer, x, g, cache: (g.reshape(x.shape), {}),
+        lambda layer, shape: (int(np.prod(shape)),),
+    ),
+    "fully_connected": _DENSE,
+    "softmax": _DENSE,
+    "locally_connected": _Kind(
+        lambda layer, x, mode, update_running, cache: locally_connected_forward(x, layer),
+        lambda layer, x, g, cache: locally_connected_backward(x, layer, g),
+        lambda layer, shape: (int(np.prod(layer.weights.shape[:3])),),
+    ),
+}

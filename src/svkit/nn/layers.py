@@ -100,30 +100,39 @@ def _conv_extent(n: int, k: int, s: int, axis: str) -> int:
     return (n - k) // s + 1
 
 
-def _conv_prepare(x, params: LayerParams, pad_depth):
+def conv3d_output_shape(shape, params: LayerParams) -> tuple[int, ...]:
+    """Per-example output shape of conv3d_forward for an input of `shape`.
+
+    `shape` is (depth, time, freq, Cin). Each axis gives (n + 2p - k)//s + 1,
+    with p = (kD-1)/2 on the depth axis when `params.pad_depth` is on and 0
+    everywhere else.
+    """
     w = params.weights
     if w is None or w.ndim != 5:
         raise DimensionError("conv3d weights must have 5 axes (kD,kH,kW,Cin,Cout)")
     kd, kh, kw, cin, cout = w.shape
-    xb, single = _as_batch(x, 4, "conv3d input")
-    if xb.shape[-1] != cin:
-        raise DimensionError(
-            f"channel axis: input has {xb.shape[-1]} channels, kernel expects {cin}"
-        )
-    pad = params.pad_depth if pad_depth is None else pad_depth
-    p = 0
-    if pad:
+    if shape[-1] != cin:
+        raise DimensionError(f"channel axis: input has {shape[-1]} channels, kernel expects {cin}")
+    extents = list(shape[:3])
+    if params.pad_depth:
         if kd % 2 == 0:
             raise ConfigError("same-depth padding requires an odd depth kernel extent")
-        p = (kd - 1) // 2
-        xb = np.pad(xb, ((0, 0), (p, p), (0, 0), (0, 0), (0, 0)))
-    sd, sh, sw = params.stride
-    if min(sd, sh, sw) < 1:
+        extents[0] += kd - 1
+    if min(params.stride) < 1:
         raise ConfigError(f"stride components must be >= 1, got {params.stride}")
-    out = tuple(
+    dims = (
         _conv_extent(n, k, s, axis)
-        for n, k, s, axis in zip(xb.shape[1:4], (kd, kh, kw), (sd, sh, sw), _CONV_AXES)
+        for n, k, s, axis in zip(extents, (kd, kh, kw), params.stride, _CONV_AXES)
     )
+    return (*dims, cout)
+
+
+def _conv_prepare(x, params: LayerParams):
+    xb, single = _as_batch(x, 4, "conv3d input")
+    out = conv3d_output_shape(xb.shape[1:], params)[:3]
+    p = (params.weights.shape[0] - 1) // 2 if params.pad_depth else 0
+    if p:
+        xb = np.pad(xb, ((0, 0), (p, p), (0, 0), (0, 0), (0, 0)))
     return xb, single, p, out
 
 
@@ -158,17 +167,13 @@ def _im2col(xb, kext, stride, out):
     return col.reshape(-1, slot)
 
 
-def conv3d_forward(
-    x, params: LayerParams, pad_depth: bool | None = None, cache: dict | None = None
-) -> np.ndarray:
-    """Valid 3D convolution; optionally zero-padded along depth only.
+def conv3d_forward(x, params: LayerParams, cache: dict | None = None) -> np.ndarray:
+    """Valid 3D convolution; zero-padded along depth only when `params.pad_depth`.
 
-    Output extents are (n + 2p - k)//s + 1 per axis, with p = (kD-1)/2 on the
-    depth axis when padding is on and 0 everywhere else. Runs as one matrix
-    product over the gathered patch matrix, which `cache` can retain for the
-    backward pass.
+    Output extents follow conv3d_output_shape. Runs as one matrix product over
+    the gathered patch matrix, which `cache` can retain for the backward pass.
     """
-    xb, single, _, out = _conv_prepare(x, params, pad_depth)
+    xb, single, _, out = _conv_prepare(x, params)
     w = params.weights
     cout = w.shape[4]
     col = _im2col(xb, w.shape[:3], params.stride, out)
@@ -180,11 +185,9 @@ def conv3d_forward(
     return y[0] if single else y
 
 
-def conv3d_backward(
-    x, params: LayerParams, grad_out, pad_depth: bool | None = None, cache: dict | None = None
-):
+def conv3d_backward(x, params: LayerParams, grad_out, cache: dict | None = None):
     """Exact gradients of conv3d_forward w.r.t. input, weights, and bias."""
-    xb, single, p, out = _conv_prepare(x, params, pad_depth)
+    xb, single, p, out = _conv_prepare(x, params)
     w = params.weights
     kd, kh, kw, cin, cout = w.shape
     gb, gsingle = _as_batch(grad_out, 4, "conv3d grad_out")
@@ -227,8 +230,11 @@ def maxpool_freq_forward(x, with_indices: bool = False):
     return y
 
 
-def maxpool_freq_backward(x, grad_out, indices=None):
-    """Route grad_out to each window's argmax (first element on ties)."""
+def maxpool_freq_backward(x, grad_out, indices):
+    """Route grad_out to each window's argmax (first element on ties).
+
+    `indices` are the window argmaxes from maxpool_freq_forward(x, with_indices=True).
+    """
     xb, single = _as_batch(x, 4, "maxpool input")
     gb, _ = _as_batch(grad_out, 4, "maxpool grad_out")
     wo = xb.shape[3] // 2
@@ -236,9 +242,7 @@ def maxpool_freq_backward(x, grad_out, indices=None):
         raise DimensionError(
             f"grad_out shape {gb.shape} does not match pooled shape {xb.shape[:3] + (wo, xb.shape[4])}"
         )
-    if indices is None:
-        _, indices = maxpool_freq_forward(xb, with_indices=True)
-    idx, _ = _as_batch(indices, 4, "maxpool indices") if indices.ndim == 4 else (indices, False)
+    idx = indices[None] if single else indices
     gx = np.zeros_like(xb)
     gview = gx[:, :, :, : 2 * wo, :].reshape(xb.shape[:3] + (wo, 2, xb.shape[4]))
     np.put_along_axis(gview, idx[:, :, :, :, None, :], gb[:, :, :, :, None, :], axis=4)
@@ -428,25 +432,6 @@ def locally_connected_backward(x, params: LayerParams, grad_out):
     return (gx[0] if single else gx), grads
 
 
-def softmax_xent(logits, label: int):
-    """Max-subtracted softmax cross-entropy for one example.
-
-    Returns (loss, probabilities); loss = logsumexp(logits) - logits[label].
-    """
-    l = np.asarray(logits, dtype=np.float64)
-    if l.ndim != 1:
-        raise DimensionError(f"logits must be a vector, got {l.ndim} axes")
-    label = int(label)
-    if not 0 <= label < l.shape[0]:
-        raise ConfigError(f"label {label} out of range for {l.shape[0]} classes")
-    m = l.max()
-    z = np.exp(l - m)
-    s = z.sum()
-    probs = z / s
-    loss = float(np.log(s) + m - l[label])
-    return loss, probs
-
-
 def softmax_xent_batch(logits, labels):
     """Mean cross-entropy over a batch; returns (loss, probabilities)."""
     lb = np.asarray(logits, dtype=np.float64)
@@ -463,12 +448,6 @@ def softmax_xent_batch(logits, labels):
     probs = z / s
     losses = np.log(s[:, 0]) + m[:, 0] - lb[np.arange(lb.shape[0]), labels]
     return float(losses.mean()), probs
-
-
-def softmax_xent_gradient(probs, label: int) -> np.ndarray:
-    g = np.array(probs, dtype=np.float64)
-    g[int(label)] -= 1.0
-    return g
 
 
 def softmax_xent_batch_gradient(probs, labels) -> np.ndarray:

@@ -9,10 +9,6 @@ from ..errors import ConfigError, DimensionError
 
 def sgd_momentum_step(param, grad, velocity, lr: float, momentum: float):
     """One update:  v <- momentum*v - lr*g;  p <- p + v.  Returns (p, v)."""
-    if lr <= 0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
-    if not 0.0 <= momentum < 1.0:
-        raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
     param = np.asarray(param, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     velocity = np.asarray(velocity, dtype=np.float64)

@@ -134,24 +134,27 @@ def load_speaker_models(path) -> list[SpeakerModel]:
     version, count = struct.unpack_from("<II", data, 4)
     if version != _VERSION:
         raise VersionMismatchError(f"{path}: model-file version {version}, expected {_VERSION}")
-    (crc_stored,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(data[:-4]) != crc_stored:
+    body = data[:-4]
+    (crc_stored,) = struct.unpack_from("<I", data, len(body))
+    if zlib.crc32(body) != crc_stored:
         raise ChecksumError(f"{path}: CRC32 mismatch, file is corrupt")
     offset = 12
     models = []
     for _ in range(count):
         try:
-            (idlen,) = struct.unpack_from("<H", data, offset)
+            (idlen,) = struct.unpack_from("<H", body, offset)
             offset += 2
-            ident = data[offset : offset + idlen].decode()
+            ident = body[offset : offset + idlen].decode()
             offset += idlen
-            code, zeta, dim = struct.unpack_from("<BII", data, offset)
+            code, zeta, dim = struct.unpack_from("<BII", body, offset)
             offset += 9
-            vec = np.frombuffer(data, dtype="<f8", count=dim, offset=offset).astype(np.float64)
+            vec = np.frombuffer(body, dtype="<f8", count=dim, offset=offset).astype(np.float64)
             offset += dim * 8
         except (struct.error, ValueError) as exc:
             raise TruncatedFileError(f"{path}: record ends mid-field ({exc})") from exc
         if code not in _CODE_KINDS:
             raise FileFormatError(f"{path}: unknown model kind code {code}")
         models.append(SpeakerModel(ident, vec, zeta, _CODE_KINDS[code]))
+    if offset != len(body):
+        raise FileFormatError(f"{path}: {len(body) - offset} bytes after the last of {count} records")
     return models

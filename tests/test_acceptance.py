@@ -35,8 +35,8 @@ from svkit.nn.layers import (
     maxpool_freq_forward,
     prelu_backward,
     prelu_forward,
-    softmax_xent,
-    softmax_xent_gradient,
+    softmax_xent_batch,
+    softmax_xent_batch_gradient,
 )
 from svkit.protocol.enrollment import SpeakerModel, load_speaker_models, save_speaker_models
 from svkit.protocol.metrics import ScoreSet, Trial, compute_roc
@@ -146,7 +146,11 @@ def test_criterion_3_gradient_checks():
 
     x = r.normal((2, 3, 6, 2))
     errors["maxpool_freq"] = projected(
-        maxpool_freq_forward, lambda x_, g: (maxpool_freq_backward(x_, g), {}), x, {}, r.child(2)
+        maxpool_freq_forward,
+        lambda x_, g: (maxpool_freq_backward(x_, g, maxpool_freq_forward(x_, with_indices=True)[1]), {}),
+        x,
+        {},
+        r.child(2),
     )
 
     slope = np.full(4, 0.25)
@@ -196,11 +200,11 @@ def test_criterion_3_gradient_checks():
         r.child(6),
     )
 
-    logits = r.normal((7,))
-    _, probs = softmax_xent(logits, 2)
+    logits = r.normal((7,))[None]
+    _, probs = softmax_xent_batch(logits, [2])
     errors["softmax"] = max_relative_error(
-        softmax_xent_gradient(probs, 2),
-        numeric_gradient(lambda: softmax_xent(logits, 2)[0], logits, eps),
+        softmax_xent_batch_gradient(probs, [2]),
+        numeric_gradient(lambda: softmax_xent_batch(logits, [2])[0], logits, eps),
     )
 
     for kind, err in errors.items():

@@ -294,6 +294,19 @@ class TestEvaluate:
         )
         assert rc == 3
 
+    def test_corrupt_checkpoint_header_exits_3(self, evaluated, tmp_path, capsys):
+        root, ckpts, models, _ = evaluated
+        raw = bytearray(ckpts["cnn3d"].read_bytes())
+        raw[12] ^= 0xFF
+        bad = tmp_path / "bad.svck"
+        bad.write_bytes(bytes(raw))
+        rc = main(
+            ["evaluate", "--manifest", str(root / "data" / "manifest.csv"), "--checkpoint", str(bad),
+             "--models", str(models), "--seed", SEED, "--out-dir", str(tmp_path)]
+        )
+        assert rc == 3
+        assert "header" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_file_supplies_defaults_flags_override(self, micro_corpus, tmp_path):

@@ -21,8 +21,8 @@ from svkit.nn.layers import (
     maxpool_freq_forward,
     prelu_backward,
     prelu_forward,
-    softmax_xent,
-    softmax_xent_gradient,
+    softmax_xent_batch,
+    softmax_xent_batch_gradient,
 )
 from svkit.nn.optim import SgdMomentum, sgd_momentum_step
 from svkit.nn.init import variance_scaling_init
@@ -94,13 +94,22 @@ def test_maxpool_gradients_and_tie_break(rng):
     def loss():
         return float((maxpool_freq_forward(x) * proj).sum())
 
-    gx = maxpool_freq_backward(x, proj)
+    gx = maxpool_freq_backward(x, proj, maxpool_freq_forward(x, with_indices=True)[1])
     assert max_relative_error(gx, numeric_gradient(loss, x, EPS)) < 1e-6
 
     # exact tie: gradient routes to the first element of the window
     tied = np.zeros((1, 1, 2, 1))
-    g = maxpool_freq_backward(tied, np.ones((1, 1, 1, 1)))
+    g = maxpool_freq_backward(tied, np.ones((1, 1, 1, 1)), maxpool_freq_forward(tied, with_indices=True)[1])
     assert g[0, 0, 0, 0] == 1.0 and g[0, 0, 1, 0] == 0.0
+
+
+def test_maxpool_backward_single_example_equals_batch_of_one(rng):
+    x = rng.normal((2, 3, 6, 2))
+    g = rng.normal((2, 3, 3, 2))
+    _, idx = maxpool_freq_forward(x, with_indices=True)
+    single = maxpool_freq_backward(x, g, idx)
+    batch = maxpool_freq_backward(x[None], g[None], idx[None])
+    np.testing.assert_array_equal(single, batch[0])
 
 
 def test_prelu_gradients_away_from_zero(rng):
@@ -213,12 +222,13 @@ def test_locally_connected_gradients(rng):
 
 
 def test_softmax_gradient_matches_finite_differences(rng):
-    logits = rng.normal((7,))
-    _, probs = softmax_xent(logits, 3)
-    analytic = softmax_xent_gradient(probs, 3)
+    logits = rng.normal((4, 7))
+    labels = np.array([3, 0, 3, 6])  # a repeated label, as in a training batch
+    _, probs = softmax_xent_batch(logits, labels)
+    analytic = softmax_xent_batch_gradient(probs, labels)
 
     def loss():
-        return softmax_xent(logits, 3)[0]
+        return softmax_xent_batch(logits, labels)[0]
 
     assert max_relative_error(analytic, numeric_gradient(loss, logits, EPS)) < 1e-6
 

@@ -16,7 +16,6 @@ from svkit.nn.layers import (
     locally_connected_forward,
     maxpool_freq_forward,
     prelu_forward,
-    softmax_xent,
     softmax_xent_batch,
 )
 from svkit.rng import Rng
@@ -124,7 +123,7 @@ def test_finite_inputs_stay_finite_through_forward_and_backward(seed):
     h4 = maxpool_freq_forward(h3)
     for h in (h1, h2, h3, h4):
         assert np.isfinite(h).all()
-    g = maxpool_freq_backward(h3, np.ones_like(h4))
+    g = maxpool_freq_backward(h3, np.ones_like(h4), maxpool_freq_forward(h3, with_indices=True)[1])
     g, _ = prelu_backward(h2, slope, g)
     g, _ = batchnorm_backward(h1, bn, g, mode="train")
     g, grads = conv3d_backward(x, conv, g)
@@ -247,40 +246,32 @@ class TestLocallyConnected:
 
 class TestSoftmaxXent:
     def test_uniform_logits_511_classes(self):
-        loss, probs = softmax_xent(np.zeros(511), 7)
+        loss, probs = softmax_xent_batch(np.zeros((1, 511)), [7])
         assert loss == pytest.approx(math.log(511), abs=1e-12)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_confident_correct_logit(self):
-        loss, _ = softmax_xent(np.array([100.0, 0.0, 0.0]), 0)
+        loss, _ = softmax_xent_batch(np.array([[100.0, 0.0, 0.0]]), [0])
         assert loss < 1e-10
 
     def test_label_out_of_range(self):
         with pytest.raises(ConfigError, match="label"):
-            softmax_xent(np.zeros(3), 3)
+            softmax_xent_batch(np.zeros((1, 3)), [3])
 
     @given(st.integers(0, 10**6))
     def test_matches_decimal_oracle(self, seed):
         r = Rng(seed)
         logits = r.normal((8,), std=5.0)
         label = int(Rng(seed).child(1).integers(0, 8))
-        loss, probs = softmax_xent(logits, label)
+        loss, probs = softmax_xent_batch(logits[None], [label])
         assert abs(loss - softmax_xent_decimal(logits, label)) < 1e-12
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(probs >= 0.0)
 
     @given(st.integers(0, 10**6), st.floats(-50.0, 50.0))
     def test_invariant_under_constant_shift(self, seed, c):
-        logits = Rng(seed).normal((6,))
-        loss_a, probs_a = softmax_xent(logits, 2)
-        loss_b, probs_b = softmax_xent(logits + c, 2)
+        logits = Rng(seed).normal((1, 6))
+        loss_a, probs_a = softmax_xent_batch(logits, [2])
+        loss_b, probs_b = softmax_xent_batch(logits + c, [2])
         assert abs(loss_a - loss_b) < 1e-12
         np.testing.assert_allclose(probs_a, probs_b, atol=1e-12)
-
-    def test_batch_matches_single(self, rng):
-        logits = rng.normal((4, 6))
-        labels = np.array([0, 5, 2, 2])
-        mean_loss, probs = softmax_xent_batch(logits, labels)
-        singles = [softmax_xent(logits[i], labels[i]) for i in range(4)]
-        assert mean_loss == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-14)
-        np.testing.assert_allclose(probs, np.stack([s[1] for s in singles]), rtol=1e-14)

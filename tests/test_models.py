@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from svkit.errors import ChecksumError, ConfigError, TruncatedFileError, VersionMismatchError
+from svkit.errors import (
+    CheckpointError,
+    ChecksumError,
+    ConfigError,
+    TruncatedFileError,
+    VersionMismatchError,
+)
 from svkit.models.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from svkit.models.network import Embedding
 from svkit.models.zoo import build_3dcnn, build_lcn_baseline, build_network
@@ -153,10 +159,8 @@ class TestForwardAndEmbed:
 
 
 def _pre_norm(net, x):
-    xb = np.asarray(x)[None]
-    for layer in net.layers[:-1]:
-        xb = net._apply(layer, xb, "infer", update_running=False, cache=None)
-    return float(np.linalg.norm(xb[0]))
+    _, caches = net.forward_with_cache(x, mode="infer", update_running=False)
+    return float(np.linalg.norm(caches[-1]["x"][0]))  # the classifier head's input
 
 
 class TestCheckpoints:
@@ -189,6 +193,17 @@ class TestCheckpoints:
         (tmp_path / "c.svck").write_bytes(bytes(raw))
         with pytest.raises(ChecksumError):
             load_checkpoint(tmp_path / "c.svck")
+
+    @pytest.mark.parametrize("offset", [12, 13])
+    def test_corrupt_header_byte_raises_checkpoint_error(self, tmp_path, offset):
+        save_checkpoint(self._checkpoint(), tmp_path / "a.svck")
+        raw = bytearray((tmp_path / "a.svck").read_bytes())
+        for flip in (0x01, 0xFF):  # breaks the JSON syntax / the UTF-8 decoding
+            bad = bytearray(raw)
+            bad[offset] ^= flip
+            (tmp_path / "h.svck").write_bytes(bytes(bad))
+            with pytest.raises(CheckpointError):
+                load_checkpoint(tmp_path / "h.svck")
 
     def test_empty_file_raises_truncation(self, tmp_path):
         (tmp_path / "e.svck").write_bytes(b"")

@@ -1,10 +1,13 @@
 """Enrollment, training behavior, and one-vs-all evaluation."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from svkit.dsp.features import FeatureMap
-from svkit.errors import ChecksumError, ConfigError, MetricError
+from svkit.errors import ChecksumError, ConfigError, FileFormatError, MetricError
 from svkit.models.zoo import build_3dcnn, build_lcn_baseline
 from svkit.protocol.enrollment import (
     D_VECTOR,
@@ -164,6 +167,21 @@ class TestSpeakerModelFile:
         (tmp_path / "bad.svsm").write_bytes(bytes(raw))
         with pytest.raises(ChecksumError):
             load_speaker_models(tmp_path / "bad.svsm")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda body: body + b"junk",  # bytes after the last record
+            lambda body: body[:8] + struct.pack("<I", 0) + body[12:],  # count 0, one record present
+        ],
+        ids=["trailing_bytes", "zero_count"],
+    )
+    def test_bytes_beyond_declared_records_rejected(self, tmp_path, edit):
+        save_speaker_models(self._models()[:1], tmp_path / "m.svsm")
+        body = edit((tmp_path / "m.svsm").read_bytes()[:-4])
+        (tmp_path / "x.svsm").write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FileFormatError, match="after the last"):
+            load_speaker_models(tmp_path / "x.svsm")
 
 
 class TestTraining:
