@@ -286,7 +286,7 @@ def _parse_zetas(text: str) -> list[int]:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common(p, with_model: bool = True):
+def _add_common(p):
     p.add_argument("--manifest", required=True, help="corpus manifest CSV")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--dev-speakers", type=int, default=None, help="development speaker count for split=auto manifests")

@@ -98,19 +98,22 @@ def load_wav(path) -> AudioSignal:
     audio_format, n_channels, sample_rate, _, _, bits = fmt
     if n_channels < 1:
         raise MalformedRiffError(f"{path}: zero channels declared")
-    if (audio_format, bits) == (1, 16):
-        raw = np.frombuffer(payload, dtype="<i2")
-        samples = raw.astype(np.float64) / _INT16_SCALE
-    elif (audio_format, bits) == (3, 32):
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        if not np.isfinite(samples).all():
-            raise NumericError(f"{path}: non-finite float samples")
-        samples = np.clip(samples, -1.0, 1.0)
-    else:
+    if (audio_format, bits) not in ((1, 16), (3, 32)):
         raise UnsupportedEncodingError(
             f"{path}: unsupported encoding (format tag {audio_format}, {bits}-bit); "
             "expected 16-bit PCM or 32-bit float"
         )
+    if len(payload) % (bits // 8):
+        raise MalformedRiffError(
+            f"{path}: data chunk of {len(payload)} bytes is not a whole number of {bits}-bit samples"
+        )
+    if audio_format == 1:
+        samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / _INT16_SCALE
+    else:
+        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        if not np.isfinite(samples).all():
+            raise NumericError(f"{path}: non-finite float samples")
+        samples = np.clip(samples, -1.0, 1.0)
     if samples.size == 0:
         raise EmptyAudioError(f"{path}: empty data payload")
     if samples.size % n_channels:

@@ -10,7 +10,7 @@ network-input cubes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -238,10 +238,7 @@ def read_feature_file(path) -> FeatureMap:
     expected = 16 + rows * cols * 8
     if len(data) < expected:
         raise TruncatedFileError(f"{path}: {len(data)} bytes, expected {expected}")
+    if len(data) > expected:
+        raise FileFormatError(f"{path}: {len(data) - expected} bytes after the {rows}x{cols} payload")
     values = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=16).reshape(rows, cols)
     return FeatureMap(values.copy())
-
-
-def tag(fmap: FeatureMap, speaker_id: str, utterance_id: str) -> FeatureMap:
-    """Attach provenance labels to an untagged map."""
-    return replace(fmap, speaker_id=speaker_id, utterance_id=utterance_id)

@@ -1,10 +1,9 @@
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .network import Embedding, Network, NetworkSpec
+from .network import Network, NetworkSpec
 from .zoo import build_3dcnn, build_lcn_baseline, build_network
 
 __all__ = [
     "Checkpoint",
-    "Embedding",
     "Network",
     "NetworkSpec",
     "build_3dcnn",

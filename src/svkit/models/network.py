@@ -2,7 +2,9 @@
 
 The final layer is always the softmax classifier head; `forward` returns its
 logits (the softmax nonlinearity is fused into the loss for stability), and
-`embed` returns the L2-normalized activations feeding that head.
+`embed_vectors` returns the L2-normalized activations feeding that head.
+`Network` is the one place that turns a single example into a batch; every
+layer below it sees batches only.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from ..nn.layers import (
     softmax_xent_batch_gradient,
 )
 
-EMBED_NORM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -48,26 +48,6 @@ class NetworkSpec:
             raise ConfigError(f"need at least 2 classes, got {self.n_classes}")
         if self.zeta < 1:
             raise ConfigError(f"stack depth must be >= 1, got {self.zeta}")
-
-
-@dataclass(frozen=True, eq=False)
-class Embedding:
-    vector: np.ndarray
-    speaker_id: str = ""
-    utterance_id: str = ""
-    normalized: bool = True
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=np.float64)
-        object.__setattr__(self, "vector", v)
-        if v.ndim != 1:
-            raise DimensionError(f"embedding must be a vector, got {v.ndim} axes")
-        if self.normalized and abs(np.linalg.norm(v) - 1.0) > EMBED_NORM_TOL:
-            raise ConfigError("embedding flagged normalized but its L2 norm is not 1")
-
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[0]
 
 
 class Network:
@@ -155,17 +135,6 @@ class Network:
         if np.any(norms == 0.0):
             raise NumericError("zero-norm embedding cannot be normalized")
         return vecs / norms
-
-    def embed(self, x, speaker_id: str = "", utterance_id: str = "") -> Embedding:
-        """Unit-norm utterance representation (the classifier head's input)."""
-        xb, _ = self._promote(x)
-        vec = self.embed_vectors([xb[0]])[0]
-        return Embedding(vec, speaker_id, utterance_id, normalized=True)
-
-    @property
-    def embedding_dim(self) -> int:
-        """Width of the embedding, i.e. the classifier head's fan-in."""
-        return self.layers[-1].weights.shape[0]
 
     # -- shape bookkeeping -------------------------------------------------
 

@@ -1,9 +1,11 @@
 """Layer forward/backward passes for the speaker networks.
 
 All values are float64 ndarrays, channels last. Convolutional tensors are
-(depth, time, freq, channels); every op accepts either a single example or a
-batch with one extra leading axis. Backward passes are hand-derived and are
-validated against central finite differences in the test suite.
+(depth, time, freq, channels). The conv, pooling, fully-connected and
+locally-connected ops take batches only, with one leading batch axis;
+`Network` promotes a single example before it reaches them. Backward passes
+are hand-derived and are validated against central finite differences in the
+test suite.
 """
 
 from __future__ import annotations
@@ -82,16 +84,12 @@ def assert_finite(arr: np.ndarray, what: str) -> None:
         raise NumericError(f"non-finite values in {what}")
 
 
-def _as_batch(x: np.ndarray, example_ndim: int, what: str):
-    """Promote a single example to a batch of one; report whether we did."""
+def _require_batch(x: np.ndarray, example_ndim: int, what: str) -> np.ndarray:
+    """`x` as float64, which must be a batch: one axis more than an example has."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == example_ndim:
-        return x[None], True
-    if x.ndim == example_ndim + 1:
-        return x, False
-    raise DimensionError(
-        f"{what}: expected {example_ndim} axes (or {example_ndim + 1} with batch), got {x.ndim}"
-    )
+    if x.ndim != example_ndim + 1:
+        raise DimensionError(f"{what}: expected {example_ndim + 1} axes (batch first), got {x.ndim}")
+    return x
 
 
 def _conv_extent(n: int, k: int, s: int, axis: str) -> int:
@@ -128,12 +126,12 @@ def conv3d_output_shape(shape, params: LayerParams) -> tuple[int, ...]:
 
 
 def _conv_prepare(x, params: LayerParams):
-    xb, single = _as_batch(x, 4, "conv3d input")
+    xb = _require_batch(x, 4, "conv3d input")
     out = conv3d_output_shape(xb.shape[1:], params)[:3]
     p = (params.weights.shape[0] - 1) // 2 if params.pad_depth else 0
     if p:
         xb = np.pad(xb, ((0, 0), (p, p), (0, 0), (0, 0), (0, 0)))
-    return xb, single, p, out
+    return xb, p, out
 
 
 def _offset_slice(xb, i, j, k, out, stride):
@@ -173,7 +171,7 @@ def conv3d_forward(x, params: LayerParams, cache: dict | None = None) -> np.ndar
     Output extents follow conv3d_output_shape. Runs as one matrix product over
     the gathered patch matrix, which `cache` can retain for the backward pass.
     """
-    xb, single, _, out = _conv_prepare(x, params)
+    xb, _, out = _conv_prepare(x, params)
     w = params.weights
     cout = w.shape[4]
     col = _im2col(xb, w.shape[:3], params.stride, out)
@@ -182,15 +180,15 @@ def conv3d_forward(x, params: LayerParams, cache: dict | None = None) -> np.ndar
     y = (col @ w.reshape(-1, cout)).reshape((xb.shape[0],) + out + (cout,))
     if params.bias is not None:
         y += params.bias
-    return y[0] if single else y
+    return y
 
 
 def conv3d_backward(x, params: LayerParams, grad_out, cache: dict | None = None):
     """Exact gradients of conv3d_forward w.r.t. input, weights, and bias."""
-    xb, single, p, out = _conv_prepare(x, params)
+    xb, p, out = _conv_prepare(x, params)
     w = params.weights
     kd, kh, kw, cin, cout = w.shape
-    gb, gsingle = _as_batch(grad_out, 4, "conv3d grad_out")
+    gb = _require_batch(grad_out, 4, "conv3d grad_out")
     expected = (xb.shape[0],) + out + (cout,)
     if gb.shape != expected:
         raise DimensionError(f"grad_out shape {gb.shape} does not match output {expected}")
@@ -207,7 +205,7 @@ def conv3d_backward(x, params: LayerParams, grad_out, cache: dict | None = None)
                 xs += (go2 @ w[i, j, k].T).reshape(xs.shape)
     gx = gxp[:, p : gxp.shape[1] - p] if p else gxp
     grads = {"weights": gw, "bias": go2.sum(axis=0)}
-    return (gx[0] if single and gsingle else gx), grads
+    return gx, grads
 
 
 def maxpool_freq_forward(x, with_indices: bool = False):
@@ -216,7 +214,7 @@ def maxpool_freq_forward(x, with_indices: bool = False):
     Depth, time, and channel extents are untouched; an odd trailing frequency
     column is dropped. Ties resolve to the first (lower-index) element.
     """
-    xb, single = _as_batch(x, 4, "maxpool input")
+    xb = _require_batch(x, 4, "maxpool input")
     w = xb.shape[3]
     if w < 2:
         raise DimensionError(f"freq axis: extent {w} below pooling window 2")
@@ -224,10 +222,7 @@ def maxpool_freq_forward(x, with_indices: bool = False):
     windows = xb[:, :, :, : 2 * wo, :].reshape(xb.shape[:3] + (wo, 2, xb.shape[4]))
     idx = np.argmax(windows, axis=4)
     y = np.take_along_axis(windows, idx[:, :, :, :, None, :], axis=4)[:, :, :, :, 0, :]
-    y = y[0] if single else y
-    if with_indices:
-        return y, (idx[0] if single else idx)
-    return y
+    return (y, idx) if with_indices else y
 
 
 def maxpool_freq_backward(x, grad_out, indices):
@@ -235,18 +230,17 @@ def maxpool_freq_backward(x, grad_out, indices):
 
     `indices` are the window argmaxes from maxpool_freq_forward(x, with_indices=True).
     """
-    xb, single = _as_batch(x, 4, "maxpool input")
-    gb, _ = _as_batch(grad_out, 4, "maxpool grad_out")
+    xb = _require_batch(x, 4, "maxpool input")
+    gb = _require_batch(grad_out, 4, "maxpool grad_out")
     wo = xb.shape[3] // 2
     if gb.shape != xb.shape[:3] + (wo, xb.shape[4]):
         raise DimensionError(
             f"grad_out shape {gb.shape} does not match pooled shape {xb.shape[:3] + (wo, xb.shape[4])}"
         )
-    idx = indices[None] if single else indices
     gx = np.zeros_like(xb)
     gview = gx[:, :, :, : 2 * wo, :].reshape(xb.shape[:3] + (wo, 2, xb.shape[4]))
-    np.put_along_axis(gview, idx[:, :, :, :, None, :], gb[:, :, :, :, None, :], axis=4)
-    return gx[0] if single else gx
+    np.put_along_axis(gview, indices[:, :, :, :, None, :], gb[:, :, :, :, None, :], axis=4)
+    return gx
 
 
 def prelu_forward(x, slope) -> np.ndarray:
@@ -356,7 +350,7 @@ def batchnorm_backward(
 
 def fully_connected_forward(x, params: LayerParams) -> np.ndarray:
     """Affine map y = x W + b with weights shaped (fan_in, fan_out)."""
-    xb, single = _as_batch(x, 1, "fully-connected input")
+    xb = _require_batch(x, 1, "fully-connected input")
     w = params.weights
     if xb.shape[1] != w.shape[0]:
         raise DimensionError(
@@ -365,12 +359,12 @@ def fully_connected_forward(x, params: LayerParams) -> np.ndarray:
     y = xb @ w
     if params.bias is not None:
         y = y + params.bias
-    return y[0] if single else y
+    return y
 
 
 def fully_connected_backward(x, params: LayerParams, grad_out):
-    xb, single = _as_batch(x, 1, "fully-connected input")
-    gb, _ = _as_batch(grad_out, 1, "fully-connected grad_out")
+    xb = _require_batch(x, 1, "fully-connected input")
+    gb = _require_batch(grad_out, 1, "fully-connected grad_out")
     w = params.weights
     if gb.shape != (xb.shape[0], w.shape[1]):
         raise DimensionError(
@@ -378,7 +372,7 @@ def fully_connected_backward(x, params: LayerParams, grad_out):
         )
     gx = gb @ w.T
     grads = {"weights": xb.T @ gb, "bias": gb.sum(axis=0)}
-    return (gx[0] if single else gx), grads
+    return gx, grads
 
 
 def _lc_patches(xb, params: LayerParams):
@@ -395,7 +389,7 @@ def _lc_patches(xb, params: LayerParams):
     if pad_h or pad_w:
         xb = np.pad(xb, ((0, 0), (0, pad_h), (0, pad_w)))
     patches = xb.reshape(b, gh, p, gw, p).transpose(0, 1, 3, 2, 4)
-    return patches, (pad_h, pad_w)
+    return patches
 
 
 def locally_connected_forward(x, params: LayerParams) -> np.ndarray:
@@ -405,20 +399,19 @@ def locally_connected_forward(x, params: LayerParams) -> np.ndarray:
     size; each grid cell has its own weight block mapping the patch to `units`
     outputs, and all cell outputs are concatenated row-major.
     """
-    xb, single = _as_batch(x, 2, "locally-connected input")
-    patches, _ = _lc_patches(xb, params)
+    xb = _require_batch(x, 2, "locally-connected input")
+    patches = _lc_patches(xb, params)
     y = np.einsum("bijpq,ijupq->biju", patches, params.weights)
     if params.bias is not None:
         y = y + params.bias
-    y = y.reshape(xb.shape[0], -1)
-    return y[0] if single else y
+    return y.reshape(xb.shape[0], -1)
 
 
 def locally_connected_backward(x, params: LayerParams, grad_out):
-    xb, single = _as_batch(x, 2, "locally-connected input")
-    patches, (pad_h, pad_w) = _lc_patches(xb, params)
+    xb = _require_batch(x, 2, "locally-connected input")
+    patches = _lc_patches(xb, params)
     gh, gw, units, p, _ = params.weights.shape
-    gb, _ = _as_batch(grad_out, 1, "locally-connected grad_out")
+    gb = _require_batch(grad_out, 1, "locally-connected grad_out")
     if gb.shape != (xb.shape[0], gh * gw * units):
         raise DimensionError(
             f"grad_out shape {gb.shape} does not match output ({xb.shape[0]}, {gh * gw * units})"
@@ -429,7 +422,7 @@ def locally_connected_backward(x, params: LayerParams, grad_out):
     gx_pad = gpatch.transpose(0, 1, 3, 2, 4).reshape(xb.shape[0], gh * p, gw * p)
     gx = gx_pad[:, : xb.shape[1], : xb.shape[2]]
     grads = {"weights": gw_arr, "bias": go.sum(axis=0)}
-    return (gx[0] if single else gx), grads
+    return gx, grads
 
 
 def softmax_xent_batch(logits, labels):

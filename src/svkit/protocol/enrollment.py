@@ -30,7 +30,7 @@ from ..errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
-from ..models.network import Embedding, Network, NetworkSpec
+from ..models.network import Network, NetworkSpec
 
 ONE_SHOT = "one_shot_3d"
 D_VECTOR = "d_vector_avg"
@@ -81,8 +81,8 @@ def enroll_one_shot(network: Network, maps) -> SpeakerModel:
             f"(the network's training stack depth), got {len(maps)}"
         )
     cube = build_feature_cube(maps)
-    emb = network.embed(cube.as_network_input(), speaker_id=cube.speaker_id)
-    return SpeakerModel(cube.speaker_id, emb.vector, network.spec.zeta, ONE_SHOT)
+    vec = network.embed_vectors([cube.as_network_input()])[0]
+    return SpeakerModel(cube.speaker_id, vec, network.spec.zeta, ONE_SHOT)
 
 
 def enroll_dvector(network: Network, maps) -> SpeakerModel:
@@ -101,15 +101,13 @@ def enroll_dvector(network: Network, maps) -> SpeakerModel:
     return SpeakerModel(maps[0].speaker_id, mean / norm, network.spec.zeta, D_VECTOR)
 
 
-def score_trial(model: SpeakerModel, test: Embedding) -> float:
+def score_trial(model: SpeakerModel, test: np.ndarray) -> float:
     """Cosine similarity of two unit-norm vectors, clipped into [-1, 1]."""
-    if not test.normalized or abs(np.linalg.norm(test.vector) - 1.0) > _NORM_TOL:
+    if abs(np.linalg.norm(test) - 1.0) > _NORM_TOL:
         raise ConfigError("test embedding is not unit-normalized")
-    if model.embedding.shape != test.vector.shape:
-        raise ConfigError(
-            f"embedding dim {test.vector.shape[0]} does not match model dim {model.embedding.shape[0]}"
-        )
-    return float(np.clip(model.embedding @ test.vector, -1.0, 1.0))
+    if model.embedding.shape != test.shape:
+        raise ConfigError(f"embedding shape {test.shape} does not match model shape {model.embedding.shape}")
+    return float(np.clip(model.embedding @ test, -1.0, 1.0))
 
 
 def save_speaker_models(models, path) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from ..models.network import Embedding, Network
+from ..models.network import Network
 from .enrollment import ONE_SHOT, SpeakerModel, score_trial, utterance_input
 from .metrics import RocSummary, ScoreSet, Trial, compute_roc
 
@@ -36,10 +36,9 @@ def run_evaluation(
     trials: list[Trial] = []
     scores: list[float] = []
     for fmap, vec in zip(test_maps, vecs):
-        emb = Embedding(vec, fmap.speaker_id, fmap.utterance_id)
         for model in models:
             trials.append(Trial(fmap.utterance_id, model.speaker_id, model.speaker_id == fmap.speaker_id))
-            scores.append(score_trial(model, emb))
+            scores.append(score_trial(model, vec))
     score_set = ScoreSet(tuple(trials), np.array(scores))
     return compute_roc(score_set), score_set
 

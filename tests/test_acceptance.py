@@ -104,7 +104,7 @@ def test_criterion_2_convolution_oracle():
         lp = LayerParams(
             kind="conv3d", weights=w, bias=b, stride=stride, kernel_extent=kext, pad_depth=pad
         )
-        got = conv3d_forward(x, lp)
+        got = conv3d_forward(x[None], lp)[0]
         want = conv3d_direct(x, w, b, stride, pad)
         worst = max(worst, np.abs(got - want).max() / max(np.abs(want).max(), 1e-12))
     elapsed = time.time() - t0
@@ -139,12 +139,12 @@ def test_criterion_3_gradient_checks():
     errors["conv3d"] = projected(
         lambda x: conv3d_forward(x, conv),
         lambda x, g: conv3d_backward(x, conv, g),
-        r.normal((4, 5, 6, 2)),
+        r.normal((4, 5, 6, 2))[None],
         {"weights": w, "bias": b},
         r.child(1),
     )
 
-    x = r.normal((2, 3, 6, 2))
+    x = r.normal((2, 3, 6, 2))[None]
     errors["maxpool_freq"] = projected(
         maxpool_freq_forward,
         lambda x_, g: (maxpool_freq_backward(x_, g, maxpool_freq_forward(x_, with_indices=True)[1]), {}),
@@ -184,7 +184,7 @@ def test_criterion_3_gradient_checks():
     errors["fully_connected"] = projected(
         lambda x_: fully_connected_forward(x_, fc),
         lambda x_, g: fully_connected_backward(x_, fc, g),
-        r.normal((6,)),
+        r.normal((6,))[None],
         {"weights": wf, "bias": bf},
         r.child(5),
     )
@@ -195,7 +195,7 @@ def test_criterion_3_gradient_checks():
     errors["locally_connected"] = projected(
         lambda x_: locally_connected_forward(x_, lc),
         lambda x_, g: locally_connected_backward(x_, lc, g),
-        r.normal((11, 13)),
+        r.normal((11, 13))[None],
         {"weights": wl, "bias": bl},
         r.child(6),
     )

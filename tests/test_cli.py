@@ -2,6 +2,8 @@
 
 import json
 import math
+import shutil
+import struct
 
 import pytest
 
@@ -138,6 +140,19 @@ class TestTrain:
         )
         assert rc == 2
         assert "both development and evaluation" in capsys.readouterr().err
+
+    def test_partial_sample_wav_exits_3(self, micro_corpus, tmp_path, capsys):
+        data = shutil.copytree(micro_corpus / "data", tmp_path / "data")
+        fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        body += b"data" + struct.pack("<I", 5) + b"\x01" * 5  # 5 bytes: two and a half 16-bit samples
+        next(data.glob("spk000_*.wav")).write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        rc = main(
+            ["train", "--manifest", str(data / "manifest.csv"), "--model", "lcn_dvector", "--zeta", "2",
+             "--epochs", "0", "--seed", SEED, "--out", str(tmp_path / "x.svck")]
+        )
+        assert rc == 3
+        assert "whole number" in capsys.readouterr().err
 
     def test_zeta_too_deep_for_corpus_exits_2(self, micro_corpus, tmp_path, capsys):
         manifest = str(micro_corpus / "data" / "manifest.csv")

@@ -29,6 +29,7 @@ from svkit.errors import (
     ConfigError,
     DimensionError,
     EmptyAudioError,
+    FileFormatError,
     MalformedRiffError,
     NoSpeechError,
     ProvenanceError,
@@ -84,6 +85,12 @@ class TestWavIo:
         _write_raw_wav(tmp_path / "u.wav", b"\x00" * 8, fmt=1, bits=8)
         with pytest.raises(UnsupportedEncodingError):
             load_wav(tmp_path / "u.wav")
+
+    @pytest.mark.parametrize("fmt,bits,size", [(1, 16, 5), (3, 32, 6)], ids=["pcm16", "float32"])
+    def test_payload_not_whole_samples(self, tmp_path, fmt, bits, size):
+        _write_raw_wav(tmp_path / "p.wav", b"\x01" * size, fmt=fmt, bits=bits)
+        with pytest.raises(MalformedRiffError, match="whole number"):
+            load_wav(tmp_path / "p.wav")
 
     def test_empty_payload(self, tmp_path):
         _write_raw_wav(tmp_path / "e.wav", b"", fmt=1, bits=16)
@@ -317,6 +324,14 @@ def test_feature_file_round_trip(tmp_path, mel_bank):
     raw = (tmp_path / "x.mfec").read_bytes()
     assert raw[:4] == b"MFEC"
     assert struct.unpack_from("<III", raw, 4) == (1, 80, 40)
+
+
+def test_feature_file_trailing_bytes_rejected(tmp_path):
+    write_feature_file(FeatureMap(np.zeros((80, 40))), tmp_path / "x.mfec")
+    with open(tmp_path / "x.mfec", "ab") as fh:
+        fh.write(b"\x00" * 4)
+    with pytest.raises(FileFormatError, match="after"):
+        read_feature_file(tmp_path / "x.mfec")
 
 
 def test_pipeline_contract_voiced_slice(mel_bank):

@@ -48,7 +48,7 @@ def check_layer(forward, backward, x, params, param_arrays, rng, nudge=0.0):
 
 
 def test_conv3d_gradients(rng):
-    x = rng.normal((4, 5, 6, 2))
+    x = rng.normal((4, 5, 6, 2))[None]
     w = rng.normal((3, 2, 3, 2, 3))
     b = rng.normal((3,))
     lp = LayerParams(kind="conv3d", weights=w, bias=b, stride=(1, 2, 1), kernel_extent=(3, 2, 3))
@@ -64,7 +64,7 @@ def test_conv3d_gradients(rng):
 
 
 def test_conv3d_single_element_kernel_gradcheck(rng):
-    x = rng.normal((3, 3, 3, 1))
+    x = rng.normal((3, 3, 3, 1))[None]
     w = rng.normal((1, 1, 1, 1, 1))
     lp = LayerParams(kind="conv3d", weights=w, bias=np.zeros(1), kernel_extent=(1, 1, 1))
     err = check_layer(
@@ -79,7 +79,7 @@ def test_conv3d_single_element_kernel_gradcheck(rng):
 
 
 def test_conv3d_zero_grad_out_gives_zero_gradients(rng):
-    x = rng.normal((4, 4, 4, 2))
+    x = rng.normal((4, 4, 4, 2))[None]
     w = rng.normal((3, 1, 3, 2, 2))
     lp = LayerParams(kind="conv3d", weights=w, bias=np.zeros(2), kernel_extent=(3, 1, 3))
     y = conv3d_forward(x, lp)
@@ -88,8 +88,8 @@ def test_conv3d_zero_grad_out_gives_zero_gradients(rng):
 
 
 def test_maxpool_gradients_and_tie_break(rng):
-    x = rng.normal((2, 3, 6, 2))
-    proj = rng.normal((2, 3, 3, 2))
+    x = rng.normal((2, 3, 6, 2))[None]
+    proj = rng.normal((2, 3, 3, 2))[None]
 
     def loss():
         return float((maxpool_freq_forward(x) * proj).sum())
@@ -98,18 +98,10 @@ def test_maxpool_gradients_and_tie_break(rng):
     assert max_relative_error(gx, numeric_gradient(loss, x, EPS)) < 1e-6
 
     # exact tie: gradient routes to the first element of the window
-    tied = np.zeros((1, 1, 2, 1))
-    g = maxpool_freq_backward(tied, np.ones((1, 1, 1, 1)), maxpool_freq_forward(tied, with_indices=True)[1])
+    tied = np.zeros((1, 1, 1, 2, 1))
+    _, idx = maxpool_freq_forward(tied, with_indices=True)
+    g = maxpool_freq_backward(tied, np.ones((1, 1, 1, 1, 1)), idx)[0]
     assert g[0, 0, 0, 0] == 1.0 and g[0, 0, 1, 0] == 0.0
-
-
-def test_maxpool_backward_single_example_equals_batch_of_one(rng):
-    x = rng.normal((2, 3, 6, 2))
-    g = rng.normal((2, 3, 3, 2))
-    _, idx = maxpool_freq_forward(x, with_indices=True)
-    single = maxpool_freq_backward(x, g, idx)
-    batch = maxpool_freq_backward(x[None], g[None], idx[None])
-    np.testing.assert_array_equal(single, batch[0])
 
 
 def test_prelu_gradients_away_from_zero(rng):
@@ -190,7 +182,7 @@ def test_batchnorm_infer_before_train_raises():
 
 
 def test_fully_connected_gradients(rng):
-    x = rng.normal((5,))
+    x = rng.normal((5,))[None]
     w = rng.normal((5, 3))
     b = rng.normal((3,))
     lp = LayerParams(kind="fully_connected", weights=w, bias=b)
@@ -206,7 +198,7 @@ def test_fully_connected_gradients(rng):
 
 
 def test_locally_connected_gradients(rng):
-    x = rng.normal((11, 13))
+    x = rng.normal((11, 13))[None]
     w = rng.normal((2, 2, 3, 8, 8))
     b = rng.normal((2, 2, 3))
     lp = LayerParams(kind="locally_connected", weights=w, bias=b)

@@ -11,9 +11,13 @@ from oracles import conv3d_direct, locally_connected_direct, maxpool_freq_direct
 from svkit.errors import ConfigError, DimensionError
 from svkit.nn.layers import (
     LayerParams,
+    conv3d_backward,
     conv3d_forward,
+    fully_connected_backward,
     fully_connected_forward,
+    locally_connected_backward,
     locally_connected_forward,
+    maxpool_freq_backward,
     maxpool_freq_forward,
     prelu_forward,
     softmax_xent_batch,
@@ -36,20 +40,20 @@ class TestConv3d:
     def test_first_layer_output_extents(self, rng):
         x = rng.normal((20, 80, 40, 1))
         w = rng.normal((3, 1, 5, 1, 16))
-        y = conv3d_forward(x, conv_params(w))
+        y = conv3d_forward(x[None], conv_params(w))[0]
         assert y.shape == (18, 80, 36, 16)
 
     def test_identity_kernel(self, rng):
         x = rng.normal((4, 5, 6, 1))
         w = np.ones((1, 1, 1, 1, 1))
-        y = conv3d_forward(x, conv_params(w))
+        y = conv3d_forward(x[None], conv_params(w))[0]
         assert np.array_equal(y[..., 0], x[..., 0])
 
     def test_random_case_matches_direct_summation(self, rng):
         x = rng.normal((5, 6, 7, 2))
         w = rng.normal((3, 2, 3, 2, 4))
         b = rng.normal((4,))
-        got = conv3d_forward(x, conv_params(w, b, stride=(1, 2, 2)))
+        got = conv3d_forward(x[None], conv_params(w, b, stride=(1, 2, 2)))[0]
         want = conv3d_direct(x, w, b, (1, 2, 2), False)
         assert got.shape == (3, 3, 3, 4)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
@@ -57,7 +61,7 @@ class TestConv3d:
     def test_same_depth_padding_keeps_depth(self, rng):
         x = rng.normal((5, 9, 9, 2))
         w = rng.normal((3, 2, 2, 2, 3))
-        got = conv3d_forward(x, conv_params(w, pad_depth=True))
+        got = conv3d_forward(x[None], conv_params(w, pad_depth=True))[0]
         want = conv3d_direct(x, w, np.zeros(3), (1, 1, 1), True)
         assert got.shape[0] == 5
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
@@ -66,13 +70,13 @@ class TestConv3d:
         x = rng.normal((4, 4, 4, 1))
         w = rng.normal((3, 5, 1, 1, 2))
         with pytest.raises(DimensionError, match="time"):
-            conv3d_forward(x, conv_params(w))
+            conv3d_forward(x[None], conv_params(w))
 
     def test_channel_mismatch_names_axis(self, rng):
         x = rng.normal((4, 4, 4, 3))
         w = rng.normal((1, 1, 1, 2, 2))
         with pytest.raises(DimensionError, match="channel"):
-            conv3d_forward(x, conv_params(w))
+            conv3d_forward(x[None], conv_params(w))
 
     @settings(max_examples=25)
     @given(st.data())
@@ -88,25 +92,40 @@ class TestConv3d:
         x = r.normal((*dims, cin))
         w = r.normal((*kext, cin, cout))
         b = r.normal((cout,))
-        got = conv3d_forward(x, conv_params(w, b, stride, pad))
+        got = conv3d_forward(x[None], conv_params(w, b, stride, pad))[0]
         want = conv3d_direct(x, w, b, stride, pad)
         scale = max(np.abs(want).max(), 1e-12)
         assert np.abs(got - want).max() / scale < 1e-12
 
 
+_CUBE = np.ones((2, 2, 2, 1))  # one (depth, time, freq, channels) example, no batch axis
+_FC = LayerParams(kind="fully_connected", weights=np.ones((3, 2)), bias=np.zeros(2))
+_LC = LayerParams(kind="locally_connected", weights=np.ones((1, 1, 1, 2, 2)), bias=np.zeros((1, 1, 1)))
+_UNBATCHED_CALLS = (
+    (conv3d_forward, _CUBE, conv_params(np.ones((1, 1, 1, 1, 1)))),
+    (conv3d_backward, _CUBE, conv_params(np.ones((1, 1, 1, 1, 1))), _CUBE),
+    (maxpool_freq_forward, _CUBE),
+    (maxpool_freq_backward, _CUBE, _CUBE[:, :, :1], np.zeros((2, 2, 1, 1), dtype=np.int64)),
+    (fully_connected_forward, np.ones(3), _FC),
+    (fully_connected_backward, np.ones(3), _FC, np.ones(2)),
+    (locally_connected_forward, np.ones((2, 2)), _LC),
+    (locally_connected_backward, np.ones((2, 2)), _LC, np.ones(1)),
+)
+
+
+@pytest.mark.parametrize("fn,args", [pytest.param(fn, args, id=fn.__name__) for fn, *args in _UNBATCHED_CALLS])
+def test_unbatched_example_rejected(fn, args):
+    with pytest.raises(DimensionError, match="batch first"):
+        fn(*args)
+
+
 @given(st.integers(0, 10**6))
 def test_finite_inputs_stay_finite_through_forward_and_backward(seed):
     """No layer may introduce NaN/Inf on finite inputs."""
-    from svkit.nn.layers import (
-        batchnorm_backward,
-        batchnorm_forward,
-        conv3d_backward,
-        maxpool_freq_backward,
-        prelu_backward,
-    )
+    from svkit.nn.layers import batchnorm_backward, batchnorm_forward, prelu_backward
 
     r = Rng(seed)
-    x = r.normal((3, 6, 6, 2), std=3.0)
+    x = r.normal((3, 6, 6, 2), std=3.0)[None]
     w = r.normal((3, 2, 2, 2, 3))
     conv = conv_params(w, r.normal((3,)), pad_depth=True)
     bn = LayerParams(
@@ -134,30 +153,30 @@ def test_finite_inputs_stay_finite_through_forward_and_backward(seed):
 class TestMaxpoolFreq:
     def test_halves_frequency_extent(self, rng):
         x = rng.normal((4, 36, 36, 16))
-        assert maxpool_freq_forward(x).shape == (4, 36, 18, 16)
+        assert maxpool_freq_forward(x[None])[0].shape == (4, 36, 18, 16)
 
     def test_constant_input_unchanged(self):
         x = np.full((2, 3, 4, 2), 1.5)
-        assert np.array_equal(maxpool_freq_forward(x), np.full((2, 3, 2, 2), 1.5))
+        assert np.array_equal(maxpool_freq_forward(x[None])[0], np.full((2, 3, 2, 2), 1.5))
 
     def test_matches_elementwise_oracle(self, rng):
         x = rng.normal((2, 3, 6, 1))
-        np.testing.assert_array_equal(maxpool_freq_forward(x), maxpool_freq_direct(x))
+        np.testing.assert_array_equal(maxpool_freq_forward(x[None])[0], maxpool_freq_direct(x))
 
     def test_odd_width_drops_last_column(self, rng):
         x = rng.normal((2, 2, 15, 3))
-        y = maxpool_freq_forward(x)
+        y = maxpool_freq_forward(x[None])[0]
         assert y.shape[2] == 7
         np.testing.assert_array_equal(y, maxpool_freq_direct(x))
 
     def test_width_below_two_rejected(self, rng):
         with pytest.raises(DimensionError, match="freq"):
-            maxpool_freq_forward(rng.normal((2, 2, 1, 1)))
+            maxpool_freq_forward(rng.normal((2, 2, 1, 1))[None])
 
     @given(st.integers(0, 10**6))
     def test_preserves_other_extents_and_dominates_inputs(self, seed):
         x = Rng(seed).normal((2, 3, 5, 2))
-        y = maxpool_freq_forward(x)
+        y = maxpool_freq_forward(x[None])[0]
         assert y.shape == (2, 3, 2, 2)
         for i in range(2):
             assert np.all(y[:, :, i, :] >= x[:, :, 2 * i, :])
@@ -192,12 +211,12 @@ class TestFullyConnected:
         fan_in = 4 * 3 * 3 * 128
         assert fan_in == 4608
         lp = LayerParams(kind="fully_connected", weights=rng.normal((fan_in, 128)), bias=np.zeros(128))
-        assert fully_connected_forward(rng.normal((fan_in,)), lp).shape == (128,)
+        assert fully_connected_forward(rng.normal((fan_in,))[None], lp)[0].shape == (128,)
 
     def test_identity_weights(self, rng):
         x = rng.normal((7,))
         lp = LayerParams(kind="fully_connected", weights=np.eye(7), bias=np.zeros(7))
-        np.testing.assert_array_equal(fully_connected_forward(x, lp), x)
+        np.testing.assert_array_equal(fully_connected_forward(x[None], lp)[0], x)
 
     def test_matches_dot_product(self, rng):
         x = rng.normal((5,))
@@ -205,13 +224,13 @@ class TestFullyConnected:
         b = rng.normal((3,))
         lp = LayerParams(kind="fully_connected", weights=w, bias=b)
         np.testing.assert_allclose(
-            fully_connected_forward(x, lp), np.array([x @ w[:, o] + b[o] for o in range(3)]), rtol=1e-14
+            fully_connected_forward(x[None], lp)[0], np.array([x @ w[:, o] + b[o] for o in range(3)]), rtol=1e-14
         )
 
     def test_fan_in_mismatch(self, rng):
         lp = LayerParams(kind="fully_connected", weights=rng.normal((5, 3)), bias=np.zeros(3))
         with pytest.raises(DimensionError, match="fan-in"):
-            fully_connected_forward(rng.normal((6,)), lp)
+            fully_connected_forward(rng.normal((6,))[None], lp)
 
 
 class TestLocallyConnected:
@@ -219,12 +238,12 @@ class TestLocallyConnected:
         # 80x40 over 8x8 patches: 10*5 = 50 patches, 16 units each -> 800
         w = rng.normal((10, 5, 16, 8, 8))
         lp = LayerParams(kind="locally_connected", weights=w, bias=np.zeros((10, 5, 16)))
-        assert locally_connected_forward(rng.normal((80, 40)), lp).shape == (800,)
+        assert locally_connected_forward(rng.normal((80, 40))[None], lp)[0].shape == (800,)
 
     def test_zero_input_zero_bias(self, rng):
         w = rng.normal((2, 2, 3, 8, 8))
         lp = LayerParams(kind="locally_connected", weights=w, bias=np.zeros((2, 2, 3)))
-        assert not locally_connected_forward(np.zeros((16, 16)), lp).any()
+        assert not locally_connected_forward(np.zeros((1, 16, 16)), lp)[0].any()
 
     def test_matches_direct_summation_with_padding(self, rng):
         x = rng.normal((11, 13))  # pads up to 16x16
@@ -232,7 +251,7 @@ class TestLocallyConnected:
         b = rng.normal((2, 2, 3))
         lp = LayerParams(kind="locally_connected", weights=w, bias=b)
         np.testing.assert_allclose(
-            locally_connected_forward(x, lp), locally_connected_direct(x, w, b), rtol=1e-12
+            locally_connected_forward(x[None], lp)[0], locally_connected_direct(x, w, b), rtol=1e-12
         )
 
     def test_one_hot_patch_weight_reads_one_cell(self, rng):
@@ -240,7 +259,7 @@ class TestLocallyConnected:
         w = np.zeros((2, 2, 1, 8, 8))
         w[1, 0, 0, 2, 3] = 1.0  # second patch row, first column
         lp = LayerParams(kind="locally_connected", weights=w, bias=np.zeros((2, 2, 1)))
-        y = locally_connected_forward(x, lp)
+        y = locally_connected_forward(x[None], lp)[0]
         assert y[2] == pytest.approx(x[8 + 2, 0 + 3], abs=1e-15)
 
 

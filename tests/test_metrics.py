@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from oracles import roc_brute_force
 from svkit.errors import ConfigError, MetricError, NumericError
-from svkit.models.network import Embedding
 from svkit.protocol.enrollment import SpeakerModel, score_trial
 from svkit.protocol.metrics import ScoreSet, Trial, compute_roc, roc_points
 from svkit.rng import Rng
@@ -100,7 +99,7 @@ class TestScoreTrial:
 
     def _emb(self, vec):
         v = np.asarray(vec, float)
-        return Embedding(v / np.linalg.norm(v))
+        return v / np.linalg.norm(v)
 
     def test_identical_vectors_score_one(self, rng):
         v = rng.normal((128,))
@@ -133,7 +132,7 @@ class TestScoreTrial:
     def test_unnormalized_embedding_rejected(self):
         model = self._model(np.ones(4))
         with pytest.raises(ConfigError):
-            score_trial(model, Embedding(np.ones(4) * 2.0, normalized=False))
+            score_trial(model, np.ones(4) * 2.0)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigError):

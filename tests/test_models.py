@@ -11,7 +11,6 @@ from svkit.errors import (
     VersionMismatchError,
 )
 from svkit.models.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from svkit.models.network import Embedding
 from svkit.models.zoo import build_3dcnn, build_lcn_baseline, build_network
 from svkit.rng import Rng
 
@@ -120,36 +119,31 @@ class TestForwardAndEmbed:
         x = Rng(5).normal((80, 40))
         from svkit.nn.layers import locally_connected_forward
 
-        h = locally_connected_forward(x, net.layers[0])
+        h = locally_connected_forward(x[None], net.layers[0])
         h = prelu_forward(h, net.layers[1].prelu_slope)
         for i in (2, 4, 6):
             h = fully_connected_forward(h, net.layers[i])
             h = prelu_forward(h, net.layers[i + 1].prelu_slope)
         logits = fully_connected_forward(h, net.layers[8])
-        np.testing.assert_allclose(net.forward(x), logits, rtol=1e-14)
+        np.testing.assert_allclose(net.forward(x), logits[0], rtol=1e-14)
 
     def test_embedding_is_normalized_128(self):
         net = build_3dcnn(5, 4, Rng(0))
-        emb = net.embed(Rng(1).normal((5, 80, 40, 1)))
-        assert emb.dim == 128
-        assert emb.normalized
-        assert abs(np.linalg.norm(emb.vector) - 1.0) <= 1e-12
+        emb = net.embed_vectors([Rng(1).normal((5, 80, 40, 1))])[0]
+        assert emb.shape == (128,)
+        assert abs(np.linalg.norm(emb) - 1.0) <= 1e-12
 
     def test_embed_equals_truncated_forward_normalized(self):
         from svkit.nn.layers import fully_connected_forward
 
         net = build_lcn_baseline(4, Rng(6))
         x = Rng(7).normal((80, 40))
-        emb = net.embed(x)
-        assert emb.dim == 256  # last hidden layer width of the baseline
+        emb = net.embed_vectors([x])[0]
+        assert emb.shape == (256,)  # last hidden layer width of the baseline
         head = net.layers[-1]
         full = net.forward(x)
-        reconstructed = fully_connected_forward(emb.vector * _pre_norm(net, x), head)
+        reconstructed = fully_connected_forward((emb * _pre_norm(net, x))[None], head)[0]
         np.testing.assert_allclose(reconstructed, full, rtol=1e-10)
-
-    def test_embedding_flag_validation(self):
-        with pytest.raises(ConfigError):
-            Embedding(np.array([1.0, 1.0]), normalized=True)
 
     def test_build_network_dispatch(self):
         assert build_network("cnn3d", 5, 3, Rng(0)).spec.kind == "cnn3d"

@@ -76,8 +76,8 @@ class TestEnrollment:
         net = self._cube_net()
         maps = [fmap(i, "alice") for i in range(4)]
         model = enroll_one_shot(net, maps)
-        direct = net.embed(build_feature_cube(maps).as_network_input())
-        np.testing.assert_array_equal(model.embedding, direct.vector)
+        direct = net.embed_vectors([build_feature_cube(maps).as_network_input()])[0]
+        np.testing.assert_array_equal(model.embedding, direct)
 
     def test_one_shot_order_sensitivity_documented(self):
         # stacking order changes the cube, so models may legitimately differ;
@@ -93,7 +93,7 @@ class TestEnrollment:
         net = build_lcn_baseline(2, Rng(1), units_per_patch=2, hidden_width=6)
         m = fmap(3, "bob")
         model = enroll_dvector(net, [m])
-        np.testing.assert_allclose(model.embedding, net.embed(m.values).vector, atol=1e-12)
+        np.testing.assert_allclose(model.embedding, net.embed_vectors([m.values])[0], atol=1e-12)
         assert model.kind == D_VECTOR
 
     def test_dvector_identical_maps_equal_one(self):
@@ -135,8 +135,8 @@ class TestEnrollment:
 
         m = fmap(5, "carol")
         model = enroll_dvector(net, [m])
-        direct = net.embed(replicate_for_eval(m, 3).as_network_input())
-        np.testing.assert_allclose(model.embedding, direct.vector, atol=1e-12)
+        direct = net.embed_vectors([replicate_for_eval(m, 3).as_network_input()])[0]
+        np.testing.assert_allclose(model.embedding, direct, atol=1e-12)
 
 
 class TestSpeakerModelFile:
