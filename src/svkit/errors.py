@@ -35,10 +35,6 @@ class MetricError(ConfigError):
     """Score set lacks genuine or impostor trials, so no ROC can be computed."""
 
 
-class UninitializedStatsError(ConfigError):
-    """Batchnorm asked to run in inference mode before any training step."""
-
-
 class FileFormatError(SvkitError):
     """I/O-level failure: unreadable or corrupt file."""
 

@@ -45,7 +45,7 @@ class NetworkSpec:
 
     def __post_init__(self):
         if self.n_classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {self.n_classes}")
+            raise ConfigError(f"need at least 2 development speakers, got {self.n_classes}")
         if self.zeta < 1:
             raise ConfigError(f"stack depth must be >= 1, got {self.zeta}")
 
@@ -54,6 +54,9 @@ class Network:
     def __init__(self, spec: NetworkSpec, layers: list[LayerParams]):
         if not layers or layers[-1].kind != "softmax":
             raise ConfigError("network must end in a softmax classifier layer")
+        for layer in layers:
+            if layer.kind not in _KINDS:
+                raise ConfigError(f"unknown layer kind {layer.kind!r}")
         self.spec = spec
         self.layers = layers
 
@@ -154,7 +157,7 @@ class Network:
         """Human-readable per-layer table: name, kind, output shape, kernel, stride."""
         rows = [("layer", "kind", "output", "kernel", "stride", "params")]
         for layer, (name, shape) in zip(self.layers, self.layer_output_shapes()):
-            kernel = "x".join(map(str, layer.kernel_extent)) if layer.kind == "conv3d" else "-"
+            kernel = "x".join(map(str, layer.weights.shape[:3])) if layer.kind == "conv3d" else "-"
             stride = "x".join(map(str, layer.stride)) if layer.kind in ("conv3d", "maxpool_freq") else "-"
             rows.append(
                 (name, layer.kind, "x".join(map(str, shape)), kernel, stride, str(layer.parameter_count()))

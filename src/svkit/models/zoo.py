@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dsp.features import N_COEFFS, N_FRAMES
 from ..errors import ConfigError
 from ..nn.init import variance_scaling_init
 from ..nn.layers import LayerParams
@@ -40,6 +41,9 @@ MIN_DEPTH_FOR_VALID = 17
 
 PRELU_INIT_SLOPE = 0.25
 
+# Side of the square map patches the baseline's locally connected layer covers.
+LCN_PATCH = 8
+
 
 def _conv_layer(name, kext, cin, cout, stride, pad_depth, rng: Rng) -> LayerParams:
     kd, kh, kw = kext
@@ -50,15 +54,14 @@ def _conv_layer(name, kext, cin, cout, stride, pad_depth, rng: Rng) -> LayerPara
         weights=variance_scaling_init((kd, kh, kw, cin, cout), fan_in, rng),
         bias=np.zeros(cout),
         stride=stride,
-        kernel_extent=kext,
         pad_depth=pad_depth,
     )
 
 
 def _batchnorm_layer(name, channels) -> LayerParams:
-    # Running stats start at (0, 1) and are marked valid so that a freshly
-    # initialized network can already run inference (e.g. zero-epoch smoke
-    # runs); training folds real batch statistics into them.
+    # Running stats start at (0, 1), so a freshly initialized network can
+    # already run inference (e.g. zero-epoch smoke runs); training folds real
+    # batch statistics into them.
     return LayerParams(
         kind="batchnorm",
         name=name,
@@ -66,7 +69,6 @@ def _batchnorm_layer(name, channels) -> LayerParams:
         bn_shift=np.zeros(channels),
         bn_running_mean=np.zeros(channels),
         bn_running_var=np.ones(channels),
-        bn_initialized=True,
     )
 
 
@@ -87,29 +89,24 @@ def build_3dcnn(
     zeta: int,
     n_classes: int,
     rng: Rng,
-    pad_depth: bool | None = None,
     channel_widths: tuple[int, int, int, int] = (16, 32, 64, 128),
     embedding_width: int = 128,
-    input_hw: tuple[int, int] = (80, 40),
 ) -> Network:
     """Stacked-utterance 3D convolutional network over (zeta, 80, 40, 1) cubes.
 
-    `pad_depth=None` resolves automatically: valid depth convolution when the
-    stack is deep enough to survive all eight convolutions, same-padding
-    otherwise (keeping the depth extent at zeta throughout).
+    Depth convolution is valid when the stack is deep enough to survive all
+    eight convolutions, and same-padded otherwise (keeping the depth extent at
+    zeta throughout).
     """
-    if zeta < 1:
-        raise ConfigError(f"stack depth must be >= 1, got {zeta}")
-    if n_classes < 2:
-        raise ConfigError(f"need at least 2 development speakers, got {n_classes}")
-    if pad_depth is None:
-        pad_depth = zeta < MIN_DEPTH_FOR_VALID
-    spec = NetworkSpec(kind="cnn3d", input_shape=(zeta, *input_hw, 1), n_classes=n_classes, zeta=zeta)
+    spec = NetworkSpec(
+        kind="cnn3d", input_shape=(zeta, N_FRAMES, N_COEFFS, 1), n_classes=n_classes, zeta=zeta
+    )
+    pad_depth = zeta < MIN_DEPTH_FOR_VALID
     layers: list[LayerParams] = []
     shape = spec.input_shape  # the running shape chain sets each fan-in
     for entry in _CNN3D_LAYOUT:
         if len(entry) == 1:
-            layer = LayerParams(kind="maxpool_freq", name=entry[0], stride=(1, 1, 2), kernel_extent=(1, 1, 2))
+            layer = LayerParams(kind="maxpool_freq", name=entry[0], stride=(1, 1, 2))
         else:
             name, kext, group, stride = entry
             layer = _conv_layer(name, kext, shape[-1], channel_widths[group], stride, pad_depth, rng)
@@ -131,20 +128,17 @@ def build_lcn_baseline(
     rng: Rng,
     units_per_patch: int = 16,
     hidden_width: int = 256,
-    patch: int = 8,
-    input_hw: tuple[int, int] = (80, 40),
 ) -> Network:
     """Locally connected baseline over single 80x40 maps, d-vector style."""
-    if n_classes < 2:
-        raise ConfigError(f"need at least 2 development speakers, got {n_classes}")
-    h, w = input_hw
-    grid_h = -(-h // patch)
-    grid_w = -(-w // patch)
-    spec = NetworkSpec(kind="lcn_dvector", input_shape=(h, w), n_classes=n_classes, zeta=1)
+    spec = NetworkSpec(kind="lcn_dvector", input_shape=(N_FRAMES, N_COEFFS), n_classes=n_classes, zeta=1)
+    grid_h = -(-N_FRAMES // LCN_PATCH)
+    grid_w = -(-N_COEFFS // LCN_PATCH)
     lc = LayerParams(
         kind="locally_connected",
         name="local1",
-        weights=variance_scaling_init((grid_h, grid_w, units_per_patch, patch, patch), patch * patch, rng),
+        weights=variance_scaling_init(
+            (grid_h, grid_w, units_per_patch, LCN_PATCH, LCN_PATCH), LCN_PATCH * LCN_PATCH, rng
+        ),
         bias=np.zeros((grid_h, grid_w, units_per_patch)),
     )
     lc_out = grid_h * grid_w * units_per_patch

@@ -14,18 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DimensionError, NumericError, UninitializedStatsError
-
-LAYER_KINDS = (
-    "conv3d",
-    "maxpool_freq",
-    "prelu",
-    "batchnorm",
-    "fully_connected",
-    "locally_connected",
-    "flatten",
-    "softmax",
-)
+from ..errors import ConfigError, DimensionError, NumericError
 
 # Learnable arrays, in the order they are serialized and updated.
 PARAM_FIELDS = ("weights", "bias", "prelu_slope", "bn_scale", "bn_shift")
@@ -48,6 +37,9 @@ class LayerParams:
                         fused into the loss, so its forward emits logits
       locally_connected weights (gridH, gridW, units, P, P), bias (gridH, gridW, units)
       maxpool_freq, flatten   no parameters
+
+    A conv layer's kernel extent is `weights.shape[:3]`. Conv reads `stride`
+    and `pad_depth`; the pool's `stride` only feeds `Network.summary`.
     """
 
     kind: str
@@ -59,14 +51,8 @@ class LayerParams:
     bn_shift: np.ndarray | None = None
     bn_running_mean: np.ndarray | None = None
     bn_running_var: np.ndarray | None = None
-    bn_initialized: bool = False
     stride: tuple[int, int, int] = (1, 1, 1)
-    kernel_extent: tuple[int, int, int] = (0, 0, 0)
     pad_depth: bool = False
-
-    def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ConfigError(f"unknown layer kind {self.kind!r}")
 
     def learnable(self):
         """Yield (field_name, array) for every learnable array present."""
@@ -277,10 +263,8 @@ def batchnorm_forward(
     """Per-channel normalization over all leading axes, then affine scale/shift.
 
     Train mode normalizes with the current batch statistics and, unless
-    `update_running` is off, folds them into the running averages (the first
-    training step seeds the averages with the batch statistics directly).
-    Inference mode normalizes with the running statistics and fails if none
-    have been recorded yet.
+    `update_running` is off, folds them into the running averages. Inference
+    mode normalizes with the running statistics.
     """
     if eps <= 0:
         raise ConfigError(f"batchnorm eps must be positive, got {eps}")
@@ -291,23 +275,14 @@ def batchnorm_forward(
     if params.bn_scale is None or params.bn_scale.shape != (c,):
         raise DimensionError(f"channel axis: batchnorm params sized for {params.bn_scale.shape if params.bn_scale is not None else None}, input has {c} channels")
     if mode == "infer":
-        if not params.bn_initialized:
-            raise UninitializedStatsError(
-                "batchnorm inference requested before any training step populated running statistics"
-            )
         inv = 1.0 / np.sqrt(params.bn_running_var + eps)
         return params.bn_scale * (x - params.bn_running_mean) * inv + params.bn_shift
     axes = tuple(range(x.ndim - 1))
     mu = x.mean(axis=axes)
     var = x.var(axis=axes)
     if update_running:
-        if not params.bn_initialized:
-            params.bn_running_mean = mu.copy()
-            params.bn_running_var = var.copy()
-            params.bn_initialized = True
-        else:
-            params.bn_running_mean = momentum * params.bn_running_mean + (1 - momentum) * mu
-            params.bn_running_var = momentum * params.bn_running_var + (1 - momentum) * var
+        params.bn_running_mean = momentum * params.bn_running_mean + (1 - momentum) * mu
+        params.bn_running_var = momentum * params.bn_running_var + (1 - momentum) * var
     inv = 1.0 / np.sqrt(var + eps)
     xh = (x - mu) * inv
     if cache is not None:

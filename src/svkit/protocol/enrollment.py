@@ -55,7 +55,7 @@ class SpeakerModel:
             raise ConfigError(f"unknown speaker-model kind {self.kind!r}")
         if self.zeta < 1:
             raise ConfigError(f"zeta must be >= 1, got {self.zeta}")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:  # written so that NaN fails
             raise ConfigError(f"speaker model for {self.speaker_id!r} is not unit-norm")
 
 
@@ -103,7 +103,7 @@ def enroll_dvector(network: Network, maps) -> SpeakerModel:
 
 def score_trial(model: SpeakerModel, test: np.ndarray) -> float:
     """Cosine similarity of two unit-norm vectors, clipped into [-1, 1]."""
-    if abs(np.linalg.norm(test) - 1.0) > _NORM_TOL:
+    if not abs(np.linalg.norm(test) - 1.0) <= _NORM_TOL:  # written so that NaN fails
         raise ConfigError("test embedding is not unit-normalized")
     if model.embedding.shape != test.shape:
         raise ConfigError(f"embedding shape {test.shape} does not match model shape {model.embedding.shape}")

@@ -101,9 +101,7 @@ def test_criterion_2_convolution_oracle():
         x = r.normal((*dims, cin))
         w = r.normal((*kext, cin, cout))
         b = r.normal((cout,))
-        lp = LayerParams(
-            kind="conv3d", weights=w, bias=b, stride=stride, kernel_extent=kext, pad_depth=pad
-        )
+        lp = LayerParams(kind="conv3d", weights=w, bias=b, stride=stride, pad_depth=pad)
         got = conv3d_forward(x[None], lp)[0]
         want = conv3d_direct(x, w, b, stride, pad)
         worst = max(worst, np.abs(got - want).max() / max(np.abs(want).max(), 1e-12))
@@ -135,7 +133,7 @@ def test_criterion_3_gradient_checks():
     r = Rng(40)
     w = r.normal((3, 2, 3, 2, 3))
     b = r.normal((3,))
-    conv = LayerParams(kind="conv3d", weights=w, bias=b, stride=(1, 2, 1), kernel_extent=(3, 2, 3))
+    conv = LayerParams(kind="conv3d", weights=w, bias=b, stride=(1, 2, 1))
     errors["conv3d"] = projected(
         lambda x: conv3d_forward(x, conv),
         lambda x, g: conv3d_backward(x, conv, g),

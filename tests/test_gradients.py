@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from svkit.errors import ConfigError, UninitializedStatsError
+from svkit.errors import ConfigError
 from svkit.nn.gradcheck import finite_diff_check, max_relative_error, numeric_gradient
 from svkit.nn.layers import (
     LayerParams,
@@ -51,7 +51,7 @@ def test_conv3d_gradients(rng):
     x = rng.normal((4, 5, 6, 2))[None]
     w = rng.normal((3, 2, 3, 2, 3))
     b = rng.normal((3,))
-    lp = LayerParams(kind="conv3d", weights=w, bias=b, stride=(1, 2, 1), kernel_extent=(3, 2, 3))
+    lp = LayerParams(kind="conv3d", weights=w, bias=b, stride=(1, 2, 1))
     err = check_layer(
         lambda x_: conv3d_forward(x_, lp),
         lambda x_, g: conv3d_backward(x_, lp, g),
@@ -66,7 +66,7 @@ def test_conv3d_gradients(rng):
 def test_conv3d_single_element_kernel_gradcheck(rng):
     x = rng.normal((3, 3, 3, 1))[None]
     w = rng.normal((1, 1, 1, 1, 1))
-    lp = LayerParams(kind="conv3d", weights=w, bias=np.zeros(1), kernel_extent=(1, 1, 1))
+    lp = LayerParams(kind="conv3d", weights=w, bias=np.zeros(1))
     err = check_layer(
         lambda x_: conv3d_forward(x_, lp),
         lambda x_, g: conv3d_backward(x_, lp, g),
@@ -81,7 +81,7 @@ def test_conv3d_single_element_kernel_gradcheck(rng):
 def test_conv3d_zero_grad_out_gives_zero_gradients(rng):
     x = rng.normal((4, 4, 4, 2))[None]
     w = rng.normal((3, 1, 3, 2, 2))
-    lp = LayerParams(kind="conv3d", weights=w, bias=np.zeros(2), kernel_extent=(3, 1, 3))
+    lp = LayerParams(kind="conv3d", weights=w, bias=np.zeros(2))
     y = conv3d_forward(x, lp)
     gx, grads = conv3d_backward(x, lp, np.zeros_like(y))
     assert not gx.any() and not grads["weights"].any() and not grads["bias"].any()
@@ -162,23 +162,10 @@ def test_batchnorm_infer_identity_with_unit_stats():
         bn_shift=np.zeros(3),
         bn_running_mean=np.zeros(3),
         bn_running_var=np.ones(3),
-        bn_initialized=True,
     )
     x = np.array([[0.5, -1.0, 2.0]])
     eps = 1e-5
     np.testing.assert_allclose(batchnorm_forward(x, lp, mode="infer"), x / np.sqrt(1 + eps), rtol=1e-12)
-
-
-def test_batchnorm_infer_before_train_raises():
-    lp = LayerParams(
-        kind="batchnorm",
-        bn_scale=np.ones(2),
-        bn_shift=np.zeros(2),
-        bn_running_mean=np.zeros(2),
-        bn_running_var=np.ones(2),
-    )
-    with pytest.raises(UninitializedStatsError):
-        batchnorm_forward(np.ones((2, 2)), lp, mode="infer")
 
 
 def test_fully_connected_gradients(rng):

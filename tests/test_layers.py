@@ -31,7 +31,6 @@ def conv_params(w, b=None, stride=(1, 1, 1), pad_depth=False):
         weights=w,
         bias=b if b is not None else np.zeros(w.shape[-1]),
         stride=stride,
-        kernel_extent=w.shape[:3],
         pad_depth=pad_depth,
     )
 

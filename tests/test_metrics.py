@@ -131,8 +131,14 @@ class TestScoreTrial:
 
     def test_unnormalized_embedding_rejected(self):
         model = self._model(np.ones(4))
-        with pytest.raises(ConfigError):
-            score_trial(model, np.ones(4) * 2.0)
+        for test in (np.ones(4) * 2.0, np.full(4, np.nan)):
+            with pytest.raises(ConfigError):
+                score_trial(model, test)
+
+    @pytest.mark.parametrize("vec", [np.ones(4), np.full(4, np.nan)], ids=["norm_2", "nan"])
+    def test_unnormalized_model_rejected(self, vec):
+        with pytest.raises(ConfigError, match="not unit-norm"):
+            SpeakerModel("spk", vec, zeta=5, kind="one_shot_3d")
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigError):

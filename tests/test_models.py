@@ -1,5 +1,9 @@
 """Network builders, forward conformance, embeddings, and checkpoints."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +15,9 @@ from svkit.errors import (
     VersionMismatchError,
 )
 from svkit.models.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from svkit.models.network import Network
 from svkit.models.zoo import build_3dcnn, build_lcn_baseline, build_network
+from svkit.nn.layers import LayerParams
 from svkit.rng import Rng
 
 # Per-layer (depth, time, freq, channels) outputs of the full-size cube
@@ -68,10 +74,12 @@ class TestBuild3dcnn:
         assert not net.layers[0].pad_depth
 
     def test_bad_arguments(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="stack depth"):
             build_3dcnn(0, 8, Rng(0))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="development speakers"):
             build_3dcnn(20, 1, Rng(0))
+        with pytest.raises(ConfigError, match="development speakers"):
+            build_lcn_baseline(1, Rng(0))
 
 
 class TestBuildLcn:
@@ -101,6 +109,12 @@ class TestBuildLcn:
         prelus = lc_out + 3 * hidden
         head = hidden * n_classes + n_classes
         assert net.parameter_count() == lc + fcs + prelus + head
+
+
+def test_network_rejects_unknown_layer_kind():
+    net = build_lcn_baseline(3, Rng(0))
+    with pytest.raises(ConfigError, match="unknown layer kind 'dropout'"):
+        Network(net.spec, [LayerParams(kind="dropout", name="drop")] + net.layers)
 
 
 class TestForwardAndEmbed:
@@ -214,10 +228,44 @@ class TestCheckpoints:
     def test_version_mismatch(self, tmp_path):
         save_checkpoint(self._checkpoint(), tmp_path / "a.svck")
         raw = bytearray((tmp_path / "a.svck").read_bytes())
-        raw[4] = 99
-        (tmp_path / "v.svck").write_bytes(bytes(raw))
-        with pytest.raises(VersionMismatchError):
-            load_checkpoint(tmp_path / "v.svck")
+        for version in (1, 99):  # 1 is the previous format, which is not read
+            raw[4] = version
+            (tmp_path / "v.svck").write_bytes(bytes(raw))
+            with pytest.raises(VersionMismatchError):
+                load_checkpoint(tmp_path / "v.svck")
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda h: h["layers"][0].pop("stride"),
+            lambda h: h.pop("zeta"),
+            lambda h: h["layers"][0]["arrays"].update(bias=[-1, -2]),
+            lambda h: h["layers"][0]["arrays"].update(bias=[2.0]),
+            lambda h: h.update(input_shape=5),
+            lambda h: h.update(n_classes="3"),
+            lambda h: h["layers"][0]["arrays"].update(bias_x=h["layers"][0]["arrays"].pop("bias")),
+        ],
+        ids=[
+            "no_stride",
+            "no_zeta",
+            "negative_dims",
+            "float_dim",
+            "scalar_input_shape",
+            "string_n_classes",
+            "unknown_array",
+        ],
+    )
+    def test_malformed_header_with_valid_crc_raises_checkpoint_error(self, tmp_path, damage):
+        save_checkpoint(self._checkpoint(), tmp_path / "a.svck")
+        raw = (tmp_path / "a.svck").read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 8)
+        header = json.loads(raw[12 : 12 + hlen])
+        damage(header)
+        hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        body = raw[:8] + struct.pack("<I", len(hjson)) + hjson + raw[12 + hlen : -4]
+        (tmp_path / "m.svck").write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError, match="unreadable header"):
+            load_checkpoint(tmp_path / "m.svck")
 
     def test_loaded_network_forward_identical(self, tmp_path):
         ck = self._checkpoint()
