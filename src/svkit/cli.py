@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import RunConfig, parse_config_file
+from .config import DEFAULT_LR, RunConfig, parse_config_file
 from .corpus.manifest import entries_by_speaker, load_manifest
 from .corpus.slicing import slice_utterances, split_enroll_eval
 from .corpus.synthesis import make_synthetic_corpus
@@ -138,6 +138,8 @@ def _resolve_config(args) -> RunConfig:
             cfg.seed = int(os.environ["SVKIT_SEED"])
         except ValueError as exc:
             raise ConfigError(f"SVKIT_SEED must be an integer: {exc}") from exc
+    if cfg.lr is None and cfg.model in DEFAULT_LR:
+        cfg.lr = DEFAULT_LR[cfg.model]
     return cfg.validate()
 
 
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("cnn3d", "lcn_dvector"), default=None)
     p.add_argument("--zeta", type=int, default=None, help="utterance maps stacked per cube")
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", type=float, default=None, help="default: 0.003 for cnn3d, 0.0003 for lcn_dvector")
     p.add_argument("--momentum", type=float, default=None)
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--out", required=True, help="checkpoint path")

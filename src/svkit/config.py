@@ -12,13 +12,16 @@ from pathlib import Path
 from .errors import ConfigError
 
 MODEL_KINDS = ("cnn3d", "lcn_dvector")
+# Learning rate when neither a flag nor a config file sets one. The baseline
+# has no batchnorm and diverges at the cube network's rate.
+DEFAULT_LR = {"cnn3d": 3e-3, "lcn_dvector": 3e-4}
 
 
 @dataclass
 class RunConfig:
     zeta: int = 20
     n_dev_speakers: int | None = None
-    lr: float = 0.003
+    lr: float | None = None  # None until resolved from DEFAULT_LR of the model
     momentum: float = 0.9
     batch: int = 8
     epochs: int = 20
@@ -28,10 +31,10 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.zeta < 1:
             raise ConfigError(f"zeta must be >= 1, got {self.zeta}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
         return self
 
 

@@ -9,7 +9,7 @@ layer below it sees batches only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -125,13 +125,26 @@ class Network:
     # -- embeddings --------------------------------------------------------
 
     def embed_vectors(self, inputs, batch_size: int = 32) -> np.ndarray:
-        """Unit-norm rows of penultimate activations for a list of inputs."""
+        """Unit-norm rows of penultimate activations for a list of inputs.
+
+        A batch whose every input is a depth-replicated cube (all depth slices
+        equal, as a single test utterance is) runs through the depth-collapsed
+        layers on one slice when the network's depth convolution is valid;
+        any other batch runs through the full layer list.
+        """
         inputs = list(inputs)
+        layers = self.layers[:-1]
+        collapsed = _depth_collapsed(layers, self.spec.input_shape)  # from this call's weights
         rows = []
         for start in range(0, len(inputs), batch_size):
             batch = [np.asarray(v, dtype=np.float64) for v in inputs[start : start + batch_size]]
-            # pass the stacked batch without holding a name to it, so it is freed after the first layer
-            rows.append(self._run(np.stack(batch), self.layers[:-1], "infer", update_running=False))
+            if collapsed is not None and all(
+                v.shape == self.spec.input_shape and (v == v[:1]).all() for v in batch
+            ):
+                rows.append(self._run(np.stack([v[:1] for v in batch]), collapsed, "infer", update_running=False))
+            else:
+                # pass the stacked batch without holding a name to it, so it is freed after the first layer
+                rows.append(self._run(np.stack(batch), layers, "infer", update_running=False))
         vecs = np.concatenate(rows) if rows else np.zeros((0, 0))
         assert_finite(vecs, "embeddings")
         norms = np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -171,6 +184,37 @@ class Network:
 def _infer_shape(layer: LayerParams, shape: tuple[int, ...]) -> tuple[int, ...]:
     """Per-example output shape of `layer` for a per-example input `shape`."""
     return _KINDS[layer.kind].shape(layer, shape)
+
+
+def _depth_collapsed(layers: list[LayerParams], input_shape) -> list[LayerParams] | None:
+    """`layers` rewritten to act on one depth slice of a depth-constant cube, or None.
+
+    With valid depth convolution (no depth padding, depth stride 1), every
+    output slice of a conv fed equal slices is the one slice convolved with
+    the kernel summed over depth, so a depth-1 conv with that kernel gives it.
+    Batchnorm (infer mode), PReLU and the frequency pool act per slice. The
+    dense layer after `flatten` sees the same block repeated once per depth
+    slice, so its weights are summed over those blocks. Later layers see the
+    same vectors as on the full path and are kept. None when `layers` has no
+    such form (same-pad depth, no conv front, or another layer kind).
+    """
+    shape = input_shape
+    out = []
+    for i, layer in enumerate(layers):
+        if layer.kind == "flatten":
+            if i + 1 == len(layers) or layers[i + 1].kind != "fully_connected":
+                return None
+            fc = layers[i + 1]
+            w = fc.weights.reshape(shape[0], -1, fc.weights.shape[1]).sum(axis=0)
+            return out + [layer, replace(fc, weights=w)] + layers[i + 2 :]
+        if layer.kind == "conv3d" and not layer.pad_depth and layer.stride[0] == 1:
+            out.append(replace(layer, weights=layer.weights.sum(axis=0, keepdims=True)))
+        elif out and layer.kind in ("batchnorm", "prelu", "maxpool_freq"):
+            out.append(layer)
+        else:
+            return None
+        shape = _infer_shape(layer, shape)
+    return None
 
 
 @dataclass(frozen=True)

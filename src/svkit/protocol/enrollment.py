@@ -62,8 +62,10 @@ class SpeakerModel:
 def utterance_input(spec: NetworkSpec, fmap: FeatureMap) -> np.ndarray:
     """Network input for a single test utterance.
 
-    The cube network never sees depth-1 inputs, so a lone map is replicated
-    zeta times along depth; the map-level baseline consumes the map directly.
+    The cube network takes zeta-deep cubes, so a lone map is replicated zeta
+    times along depth; the map-level baseline consumes the map directly. At
+    valid depth (zeta >= 17) `Network.embed_vectors` runs a batch of such
+    cubes collapsed to one depth slice, which gives the full cube's embedding.
     """
     if spec.kind == "cnn3d":
         return replicate_for_eval(fmap, spec.zeta).as_network_input()
@@ -152,7 +154,10 @@ def load_speaker_models(path) -> list[SpeakerModel]:
             raise TruncatedFileError(f"{path}: record ends mid-field ({exc})") from exc
         if code not in _CODE_KINDS:
             raise FileFormatError(f"{path}: unknown model kind code {code}")
-        models.append(SpeakerModel(ident, vec, zeta, _CODE_KINDS[code]))
+        try:
+            models.append(SpeakerModel(ident, vec, zeta, _CODE_KINDS[code]))
+        except ConfigError as exc:  # a record the writer cannot have produced
+            raise FileFormatError(f"{path}: record {ident!r}: {exc}") from exc
     if offset != len(body):
         raise FileFormatError(f"{path}: {len(body) - offset} bytes after the last of {count} records")
     return models

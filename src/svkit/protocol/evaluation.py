@@ -17,7 +17,9 @@ def run_evaluation(
 
     Each test map carries its true speaker id; a trial is genuine when the
     claimed model's id matches it. Single test utterances reach the cube
-    network as depth-replicated cubes.
+    network as depth-replicated cubes; at valid depth (zeta >= 17) those run
+    collapsed to one depth slice (see `Network.embed_vectors`), with the same
+    embeddings as the full cube to within 1e-12.
     """
     test_maps = list(test_maps)
     if not models:

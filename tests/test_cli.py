@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 import struct
+import zlib
 
 import pytest
 
@@ -101,6 +102,16 @@ class TestTrain:
         header = text.splitlines()[0].split()
         assert header == ["layer", "kind", "output", "kernel", "stride", "params"]
         assert "conv1_1" in text and "fc5" in text
+
+    def test_lcn_default_lr_is_the_baseline_rate(self, micro_corpus, tmp_path):
+        manifest = str(micro_corpus / "data" / "manifest.csv")
+        common = ["train", "--manifest", manifest, "--model", "lcn_dvector", "--epochs", "1",
+                  "--batch", "4", "--seed", SEED, "--max-slices", "6"]
+        assert main([*common, "--out", str(tmp_path / "default.svck")]) == 0
+        assert main([*common, "--lr", "0.0003", "--out", str(tmp_path / "explicit.svck")]) == 0
+        for suffix in (".svck", ".loss.log"):
+            default = (tmp_path / "default.svck").with_suffix(suffix).read_bytes()
+            assert default == (tmp_path / "explicit.svck").with_suffix(suffix).read_bytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergent_training_exits_4(self, micro_corpus, tmp_path, capsys):
@@ -321,6 +332,19 @@ class TestEvaluate:
         )
         assert rc == 3
         assert "header" in capsys.readouterr().err
+
+    def test_nan_model_record_with_valid_crc_exits_3(self, evaluated, tmp_path, capsys):
+        root, ckpts, models, _ = evaluated
+        body = models.read_bytes()[:-4]
+        body = body[:-8] + struct.pack("<d", math.nan)  # the last model's last float
+        bad = tmp_path / "nan.svsm"
+        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        rc = main(
+            ["evaluate", "--manifest", str(root / "data" / "manifest.csv"), "--checkpoint", str(ckpts["cnn3d"]),
+             "--models", str(bad), "--seed", SEED, "--out-dir", str(tmp_path)]
+        )
+        assert rc == 3
+        assert "unit-norm" in capsys.readouterr().err
 
 
 class TestConfigFile:

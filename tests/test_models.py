@@ -14,6 +14,7 @@ from svkit.errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
+from svkit.models import network as network_module
 from svkit.models.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from svkit.models.network import Network
 from svkit.models.zoo import build_3dcnn, build_lcn_baseline, build_network
@@ -164,6 +165,68 @@ class TestForwardAndEmbed:
         assert build_network("lcn_dvector", 1, 3, Rng(0)).spec.kind == "lcn_dvector"
         with pytest.raises(ConfigError):
             build_network("mystery", 1, 3, Rng(0))
+
+
+def _trained_like_3dcnn(zeta):
+    """A cube network whose biases, PReLU slopes and batchnorm statistics are not at their init values."""
+    net = build_3dcnn(zeta, 4, Rng(10))
+    rng = Rng(11)
+    for layer in net.layers:
+        if layer.bias is not None:
+            layer.bias = rng.normal(layer.bias.shape, std=0.1)
+        if layer.kind == "prelu":
+            layer.prelu_slope = rng.uniform(0.05, 0.5, layer.prelu_slope.shape)
+        if layer.kind == "batchnorm":
+            layer.bn_running_mean = rng.normal(layer.bn_running_mean.shape, std=0.3)
+            layer.bn_running_var = rng.uniform(0.5, 2.0, layer.bn_running_var.shape)
+            layer.bn_scale = rng.uniform(0.5, 1.5, layer.bn_scale.shape)
+            layer.bn_shift = rng.normal(layer.bn_shift.shape, std=0.1)
+    return net
+
+
+def _replicated(zeta, seed):
+    """A test-utterance cube: one map repeated zeta times along depth."""
+    return np.repeat(Rng(seed).normal((1, 80, 40, 1)), zeta, axis=0)
+
+
+def _full_layer_loop(net, cubes):
+    """Reference embeddings: every layer but the head on the whole cubes, then L2-normalized."""
+    acts = net._run(np.stack(cubes), net.layers[:-1], "infer", update_running=False)
+    return acts / np.linalg.norm(acts, axis=1, keepdims=True)
+
+
+class TestDepthCollapse:
+    @pytest.mark.parametrize("zeta", [17, 20])
+    def test_replicated_cubes_match_full_path(self, zeta):
+        net = _trained_like_3dcnn(zeta)
+        cubes = [_replicated(zeta, seed) for seed in (1, 2, 3)]
+        np.testing.assert_allclose(net.embed_vectors(cubes), _full_layer_loop(net, cubes), rtol=0, atol=1e-12)
+
+    def test_mixed_batch_matches_full_path(self):
+        net = _trained_like_3dcnn(20)
+        cubes = [Rng(4).normal((20, 80, 40, 1)), _replicated(20, 5), _replicated(20, 6)]
+        np.testing.assert_allclose(net.embed_vectors(cubes), _full_layer_loop(net, cubes), rtol=0, atol=1e-12)
+
+    def test_same_pad_depth_is_byte_equal_to_full_path(self):
+        net = _trained_like_3dcnn(10)
+        cubes = [_replicated(10, seed) for seed in (7, 8)]
+        np.testing.assert_array_equal(net.embed_vectors(cubes), _full_layer_loop(net, cubes))
+
+    def test_replicated_batch_runs_convs_at_depth_1(self, monkeypatch):
+        depths = []
+        conv = network_module.conv3d_forward
+
+        def recording(x, params, *args, **kwargs):
+            depths.append(x.shape[1])
+            return conv(x, params, *args, **kwargs)
+
+        monkeypatch.setattr(network_module, "conv3d_forward", recording)
+        net = _trained_like_3dcnn(20)
+        net.embed_vectors([_replicated(20, 1), _replicated(20, 2)])
+        assert depths == [1] * 8
+        depths.clear()
+        net.embed_vectors([Rng(3).normal((20, 80, 40, 1))])  # an enrollment cube of distinct maps
+        assert depths[0] == 20 and len(depths) == 8
 
 
 def _pre_norm(net, x):

@@ -183,6 +183,22 @@ class TestSpeakerModelFile:
         with pytest.raises(FileFormatError, match="after the last"):
             load_speaker_models(tmp_path / "x.svsm")
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda body: body[:-8] + struct.pack("<d", float("nan")),  # last float of the embedding
+            lambda body: body[:28] + (np.frombuffer(body[28:], "<f8") * 2).tobytes(),  # norm 2
+            lambda body: body[:20] + struct.pack("<I", 0) + body[24:],  # zeta 0
+        ],
+        ids=["nan", "norm_2", "zeta_0"],
+    )
+    def test_invalid_record_with_valid_crc_rejected(self, tmp_path, edit):
+        save_speaker_models(self._models()[:1], tmp_path / "m.svsm")  # "alice": embedding at offset 28
+        body = edit((tmp_path / "m.svsm").read_bytes()[:-4])
+        (tmp_path / "x.svsm").write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FileFormatError, match="alice"):
+            load_speaker_models(tmp_path / "x.svsm")
+
 
 class TestTraining:
     def test_separable_corpus_reaches_high_accuracy(self):
