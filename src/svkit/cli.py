@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 configuration/validation error, 3 I/O or file-format
 error, 4 numeric failure (NaN/Inf). Every command is deterministic under a
-fixed --seed; the SVKIT_SEED environment variable is the fallback when no
-flag or config-file value is given.
+fixed --seed at an equal BLAS thread count; the SVKIT_SEED environment
+variable is the fallback when no flag or config-file value is given.
 """
 
 from __future__ import annotations

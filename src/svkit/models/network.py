@@ -254,8 +254,8 @@ _DENSE = _Kind(
 )
 _KINDS = {
     "conv3d": _Kind(
-        lambda layer, x, mode, update_running, cache: conv3d_forward(x, layer, cache=cache),
-        lambda layer, x, g, cache: conv3d_backward(x, layer, g, cache=cache),
+        lambda layer, x, mode, update_running, cache: conv3d_forward(x, layer),
+        lambda layer, x, g, cache: conv3d_backward(x, layer, g),
         lambda layer, shape: conv3d_output_shape(shape, layer),
     ),
     "maxpool_freq": _Kind(

@@ -132,45 +132,49 @@ def _offset_slice(xb, i, j, k, out, stride):
     ]
 
 
-def _im2col(xb, kext, stride, out):
-    """Gathered patch matrix: row per output position, (kD,kH,kW,Cin) columns.
+def _patches(xb, kext, stride):
+    """Strided view (B, Do, Ho, Wo, kD, kH, kW, Cin) of each output position's input patch.
 
-    Column order matches the kernel's own memory layout, so the convolution
-    is `col @ weights.reshape(-1, Cout)`.
+    The last four axes follow the kernel's memory layout, so the patch matrix
+    of output slice (b, d) is `patches[b, d].reshape(Ho * Wo, -1)` and its
+    convolution is that matrix times `weights.reshape(-1, Cout)`.
     """
-    kd, kh, kw = kext
-    cin = xb.shape[-1]
-    b = xb.shape[0]
-    col = np.empty((b,) + out + (kd * kh * kw * cin,))
-    slot = 0
-    for i in range(kd):
-        for j in range(kh):
-            for k in range(kw):
-                col[..., slot : slot + cin] = _offset_slice(xb, i, j, k, out, stride)
-                slot += cin
-    return col.reshape(-1, slot)
+    sd, sh, sw = stride
+    windows = np.lib.stride_tricks.sliding_window_view(xb, kext, axis=(1, 2, 3))
+    return windows[:, ::sd, ::sh, ::sw].transpose(0, 1, 2, 3, 5, 6, 7, 4)
 
 
-def conv3d_forward(x, params: LayerParams, cache: dict | None = None) -> np.ndarray:
+def conv3d_forward(x, params: LayerParams) -> np.ndarray:
     """Valid 3D convolution; zero-padded along depth only when `params.pad_depth`.
 
-    Output extents follow conv3d_output_shape. Runs as one matrix product over
-    the gathered patch matrix, which `cache` can retain for the backward pass.
+    Output extents follow conv3d_output_shape. Each (example, output depth
+    slice) is one matrix product of that slice's patch matrix with the kernel,
+    written straight into the output, so only one slice's patches are copied
+    out at a time. Every row is the same dot product, in the same order, that
+    a single product over the whole batch's patch matrix computes.
     """
     xb, _, out = _conv_prepare(x, params)
     w = params.weights
     cout = w.shape[4]
-    col = _im2col(xb, w.shape[:3], params.stride, out)
-    if cache is not None:
-        cache["conv_col"] = col
-    y = (col @ w.reshape(-1, cout)).reshape((xb.shape[0],) + out + (cout,))
+    w2 = w.reshape(-1, cout)
+    patches = _patches(xb, w.shape[:3], params.stride)
+    y = np.empty((xb.shape[0],) + out + (cout,))
+    for b in range(xb.shape[0]):
+        for d in range(out[0]):
+            np.matmul(patches[b, d].reshape(-1, w2.shape[0]), w2, out=y[b, d].reshape(-1, cout))
     if params.bias is not None:
         y += params.bias
     return y
 
 
-def conv3d_backward(x, params: LayerParams, grad_out, cache: dict | None = None):
-    """Exact gradients of conv3d_forward w.r.t. input, weights, and bias."""
+def conv3d_backward(x, params: LayerParams, grad_out):
+    """Exact gradients of conv3d_forward w.r.t. input, weights, and bias.
+
+    One pass over the kernel taps: tap (i, j, k) sees the strided input view
+    it multiplies in the forward pass, so its weight gradient is that view's
+    transpose times grad_out, and grad_out times its weights scatters back
+    into the same view of the input gradient.
+    """
     xb, p, out = _conv_prepare(x, params)
     w = params.weights
     kd, kh, kw, cin, cout = w.shape
@@ -178,15 +182,13 @@ def conv3d_backward(x, params: LayerParams, grad_out, cache: dict | None = None)
     expected = (xb.shape[0],) + out + (cout,)
     if gb.shape != expected:
         raise DimensionError(f"grad_out shape {gb.shape} does not match output {expected}")
-    col = cache.get("conv_col") if cache else None
-    if col is None:
-        col = _im2col(xb, (kd, kh, kw), params.stride, out)
     go2 = np.ascontiguousarray(gb).reshape(-1, cout)
-    gw = (col.T @ go2).reshape(w.shape)
+    gw = np.empty_like(w)
     gxp = np.zeros_like(xb)
     for i in range(kd):
         for j in range(kh):
             for k in range(kw):
+                gw[i, j, k] = _offset_slice(xb, i, j, k, out, params.stride).reshape(-1, cin).T @ go2
                 xs = _offset_slice(gxp, i, j, k, out, params.stride)
                 xs += (go2 @ w[i, j, k].T).reshape(xs.shape)
     gx = gxp[:, p : gxp.shape[1] - p] if p else gxp

@@ -3,7 +3,8 @@
 For the cube network each training example is one stack of `zeta` maps from a
 single speaker (consecutive non-overlapping groups in corpus order); for the
 map-level baseline each example is one 80x40 map. Training is plain SGD with
-momentum over shuffled minibatches, deterministic under a fixed seed.
+momentum over shuffled minibatches, deterministic under a fixed seed at an
+equal BLAS thread count.
 """
 
 from __future__ import annotations

@@ -32,6 +32,68 @@ def conv3d_direct(x, w, b, stride, pad_depth):
     return y
 
 
+def _im2col_batch(xp, kext, stride, out):
+    kd, kh, kw = kext
+    sd, sh, sw = stride
+    do, ho, wo = out
+    cin = xp.shape[-1]
+    col = np.empty((xp.shape[0], do, ho, wo, kd * kh * kw * cin))
+    slot = 0
+    for i in range(kd):
+        for j in range(kh):
+            for k in range(kw):
+                col[..., slot : slot + cin] = xp[
+                    :, i : i + (do - 1) * sd + 1 : sd, j : j + (ho - 1) * sh + 1 : sh, k : k + (wo - 1) * sw + 1 : sw
+                ]
+                slot += cin
+    return col.reshape(-1, slot)
+
+
+def _pad_and_extents(x, w, stride, pad_depth):
+    kd = w.shape[0]
+    p = (kd - 1) // 2 if pad_depth else 0
+    xp = np.pad(x, ((0, 0), (p, p), (0, 0), (0, 0), (0, 0))) if p else x
+    out = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[1:4], w.shape[:3], stride))
+    return xp, p, out
+
+
+def conv3d_im2col(x, w, b, stride, pad_depth):
+    """Batched convolution as one product over the whole batch's patch matrix.
+
+    This is the batch-wide im2col formulation the library's per-slice
+    products must reproduce byte for byte.
+    """
+    xp, _, out = _pad_and_extents(x, w, stride, pad_depth)
+    cout = w.shape[-1]
+    y = (_im2col_batch(xp, w.shape[:3], stride, out) @ w.reshape(-1, cout)).reshape((x.shape[0],) + out + (cout,))
+    y += b
+    return y
+
+
+def conv3d_im2col_backward(x, w, stride, pad_depth, grad_out):
+    """(input, weight, bias) gradients of conv3d_im2col.
+
+    The weight gradient is the patch matrix's transpose times grad_out; the
+    input gradient scatters grad_out times each tap's weights back tap by tap.
+    """
+    xp, p, out = _pad_and_extents(x, w, stride, pad_depth)
+    kd, kh, kw, _, cout = w.shape
+    sd, sh, sw = stride
+    do, ho, wo = out
+    go2 = np.ascontiguousarray(grad_out).reshape(-1, cout)
+    gw = (_im2col_batch(xp, w.shape[:3], stride, out).T @ go2).reshape(w.shape)
+    gxp = np.zeros_like(xp)
+    for i in range(kd):
+        for j in range(kh):
+            for k in range(kw):
+                xs = gxp[
+                    :, i : i + (do - 1) * sd + 1 : sd, j : j + (ho - 1) * sh + 1 : sh, k : k + (wo - 1) * sw + 1 : sw
+                ]
+                xs += (go2 @ w[i, j, k].T).reshape(xs.shape)
+    gx = gxp[:, p : gxp.shape[1] - p] if p else gxp
+    return gx, gw, go2.sum(axis=0)
+
+
 def maxpool_freq_direct(x):
     """Window-by-window max along the frequency axis."""
     d, h, w, c = x.shape

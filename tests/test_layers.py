@@ -1,14 +1,24 @@
 """Layer forward passes against trivial cases and independent oracles."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import conv3d_direct, locally_connected_direct, maxpool_freq_direct, softmax_xent_decimal
+from oracles import (
+    conv3d_direct,
+    conv3d_im2col,
+    conv3d_im2col_backward,
+    locally_connected_direct,
+    maxpool_freq_direct,
+    softmax_xent_decimal,
+)
 from svkit.errors import ConfigError, DimensionError
+from svkit.models.zoo import build_3dcnn
 from svkit.nn.layers import (
     LayerParams,
     conv3d_backward,
@@ -95,6 +105,57 @@ class TestConv3d:
         want = conv3d_direct(x, w, b, stride, pad)
         scale = max(np.abs(want).max(), 1e-12)
         assert np.abs(got - want).max() / scale < 1e-12
+
+
+CNN3D_CONVS = ("conv1_1", "conv1_2", "conv2_1", "conv2_2", "conv3_1", "conv3_2", "conv4_1", "conv4_2")
+
+
+@pytest.fixture(scope="module")
+def cnn3d_convs():
+    """{(zeta, name): (conv layer, per-example input shape)} of the full-size cube network.
+
+    zeta=20 convolves depth validly and zeta=10 same-pads it; conv1_1 has a
+    single input channel and conv1_2 a time stride of 2.
+    """
+    convs = {}
+    for zeta in (20, 10):
+        net = build_3dcnn(zeta, 4, Rng(zeta))
+        shapes = [net.spec.input_shape] + [shape for _, shape in net.layer_output_shapes()]
+        for layer, shape in zip(net.layers, shapes):
+            if layer.kind == "conv3d":
+                convs[zeta, layer.name] = (layer, shape)
+    return convs
+
+
+@pytest.mark.parametrize("name", CNN3D_CONVS)
+@pytest.mark.parametrize("zeta", [20, 10])
+def test_cnn3d_conv_matches_whole_batch_im2col(cnn3d_convs, zeta, name):
+    """Per-slice products give the whole-batch product's bytes; per-tap weight gradients agree to 1e-12."""
+    layer, shape = cnn3d_convs[zeta, name]
+    r = Rng(zeta)
+    layer = replace(layer, bias=r.normal(layer.bias.shape))
+    x = r.normal((2, *shape))
+    y = conv3d_forward(x, layer)
+    assert np.array_equal(y, conv3d_im2col(x, layer.weights, layer.bias, layer.stride, layer.pad_depth))
+    g = r.normal(y.shape)
+    gx, grads = conv3d_backward(x, layer, g)
+    want_gx, want_gw, want_gb = conv3d_im2col_backward(x, layer.weights, layer.stride, layer.pad_depth, g)
+    assert np.array_equal(gx, want_gx)
+    assert np.array_equal(grads["bias"], want_gb)
+    assert np.abs(grads["weights"] - want_gw).max() <= 1e-12 * np.abs(want_gw).max()
+
+
+def test_conv_forward_holds_one_slice_of_patches(cnn3d_convs):
+    """conv1_2 at batch 8: the whole-batch patch matrix alone would be 547 MiB."""
+    layer, shape = cnn3d_convs[20, "conv1_2"]
+    x = Rng(5).normal((8, *shape))
+    tracemalloc.start()
+    try:
+        conv3d_forward(x, layer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 
 _CUBE = np.ones((2, 2, 2, 1))  # one (depth, time, freq, channels) example, no batch axis

@@ -1,12 +1,17 @@
 """Network builders, forward conformance, embeddings, and checkpoints."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import svkit
 from svkit.errors import (
     CheckpointError,
     ChecksumError,
@@ -165,6 +170,63 @@ class TestForwardAndEmbed:
         assert build_network("lcn_dvector", 1, 3, Rng(0)).spec.kind == "lcn_dvector"
         with pytest.raises(ConfigError):
             build_network("mystery", 1, 3, Rng(0))
+
+
+def test_conv_caches_hold_only_the_input():
+    net = build_3dcnn(3, 3, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
+    _, caches = net.forward_with_cache(Rng(1).normal((2, 3, 80, 40, 1)))
+    conv_caches = [cache for layer, cache in zip(net.layers, caches) if layer.kind == "conv3d"]
+    assert len(conv_caches) == 8
+    assert all(set(cache) == {"x", "mode"} for cache in conv_caches)
+
+
+_GRADIENT_STEP = """
+import sys
+import numpy as np
+from svkit.models.zoo import build_3dcnn
+from svkit.rng import Rng
+
+net = build_3dcnn(3, 4, Rng(0))
+loss, gx, grads = net.loss_and_gradients(Rng(1).normal((4, 3, 80, 40, 1)), [0, 1, 2, 3])
+arrays = {"loss": np.array([loss]), "gx": gx}
+arrays.update({f"{i}.{field}": g for i, layer in enumerate(grads) for field, g in layer.items()})
+np.savez(sys.argv[1], **arrays)
+"""
+
+
+def _gradient_step(path, threads):
+    """One cnn3d loss_and_gradients step in a fresh process at `threads` BLAS threads."""
+    env = dict(os.environ, PYTHONPATH=str(Path(svkit.__file__).parents[1]))
+    env.update({var: str(threads) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    subprocess.run([sys.executable, "-c", _GRADIENT_STEP, str(path)], env=env, check=True, timeout=300)
+    with np.load(path) as data:
+        return {name: data[name] for name in data.files}
+
+
+class TestBlasThreadDeterminism:
+    """The README's promise: equal bytes at an equal BLAS thread count, rounding-level agreement across counts."""
+
+    def test_equal_thread_count_is_byte_identical(self, tmp_path):
+        a = _gradient_step(tmp_path / "a.npz", 1)
+        b = _gradient_step(tmp_path / "b.npz", 1)
+        assert a.keys() == b.keys()
+        for name in a:
+            assert a[name].tobytes() == b[name].tobytes(), name
+
+    def test_one_and_two_threads_agree_within_1e_12(self, tmp_path):
+        a = _gradient_step(tmp_path / "one.npz", 1)
+        b = _gradient_step(tmp_path / "two.npz", 2)
+        assert a.keys() == b.keys()
+        # a conv bias feeds train-mode batchnorm, so its exact gradient is 0 and
+        # both runs hold rounding noise there: each layer's arrays are compared
+        # on the scale of that layer's largest gradient
+        layers = {}
+        for name in a:
+            layers.setdefault(name.split(".")[0], []).append(name)
+        for names in layers.values():
+            scale = max(np.abs(a[name]).max() for name in names)
+            for name in names:
+                assert np.abs(a[name] - b[name]).max() <= 1e-12 * scale, name
 
 
 def _trained_like_3dcnn(zeta):
