@@ -45,10 +45,10 @@ def main():
          "--dev-speakers", str(args.dev_speakers)])
     manifest = str(data / "manifest.csv")
     results = {}
-    for tag, model, lr in (("cnn3d", "cnn3d", "0.003"), ("lcn_dvector", "lcn_dvector", "0.0003")):
-        d = args.out / tag
+    for model in ("cnn3d", "lcn_dvector"):  # each at its default learning rate
+        d = args.out / model
         run(["train", "--manifest", manifest, "--model", model, "--zeta", str(args.zeta),
-             "--epochs", str(args.epochs), "--lr", lr, "--batch", "8",
+             "--epochs", str(args.epochs), "--batch", "8",
              "--seed", str(args.seed), "--max-slices", str(args.max_slices),
              "--out", str(d / "checkpoint.svck")])
         run(["enroll", "--manifest", manifest, "--checkpoint", str(d / "checkpoint.svck"),
@@ -57,7 +57,7 @@ def main():
         run(["evaluate", "--manifest", manifest, "--checkpoint", str(d / "checkpoint.svck"),
              "--models", str(d / "models.svsm"), "--seed", str(args.seed),
              "--max-slices", str(args.max_slices), "--out-dir", str(d)])
-        results[tag] = json.loads((d / "metrics.json").read_text())
+        results[model] = json.loads((d / "metrics.json").read_text())
 
     print()
     print(f"{'system':>14}  {'eer':>8}  {'auc':>8}")

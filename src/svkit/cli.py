@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import DEFAULT_LR, RunConfig, parse_config_file
+from .config import RunConfig, parse_config_file
 from .corpus.manifest import entries_by_speaker, load_manifest
 from .corpus.slicing import slice_utterances, split_enroll_eval
 from .corpus.synthesis import make_synthetic_corpus
@@ -33,7 +33,7 @@ from .protocol.enrollment import (
     save_speaker_models,
 )
 from .protocol.evaluation import run_evaluation, write_score_log
-from .protocol.training import TrainingConfig, train_development
+from .protocol.training import train_development
 from .report import format_sweep_table, write_metrics_json, write_roc_csv, write_roc_svg
 from .rng import Rng
 
@@ -43,7 +43,7 @@ from .rng import Rng
 
 def _feature_maps(entries, max_slices: int | None):
     """speaker -> utterance feature maps, in manifest order, capped per speaker."""
-    bank = mel_filterbank(16000)
+    bank = mel_filterbank()
     maps: dict[str, list] = {}
     for entry in entries:
         out = maps.setdefault(entry.speaker_id, [])
@@ -138,8 +138,6 @@ def _resolve_config(args) -> RunConfig:
             cfg.seed = int(os.environ["SVKIT_SEED"])
         except ValueError as exc:
             raise ConfigError(f"SVKIT_SEED must be an integer: {exc}") from exc
-    if cfg.lr is None and cfg.model in DEFAULT_LR:
-        cfg.lr = DEFAULT_LR[cfg.model]
     return cfg.validate()
 
 
@@ -176,11 +174,7 @@ def cmd_train(args) -> int:
             for m in maps[speaker]:
                 write_feature_file(m, dump_dir / f"{m.utterance_id.replace('#', '_')}.mfec")
     network = build_network(cfg.model, cfg.zeta, len(maps), Rng(cfg.seed).child(3))
-    ckpt, history = train_development(
-        network,
-        maps,
-        TrainingConfig(lr=cfg.lr, momentum=cfg.momentum, batch_size=cfg.batch, epochs=cfg.epochs, seed=cfg.seed),
-    )
+    ckpt, history = train_development(network, maps, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, out)

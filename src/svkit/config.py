@@ -1,11 +1,13 @@
-"""Run configuration shared by the CLI commands.
+"""Run configuration shared by the CLI commands and development training.
 
 An optional key=value config file supplies defaults; command-line flags
 override it, and built-in defaults fill the rest (flags > file > defaults).
+`RunConfig.validate` is the one place these settings are checked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -21,7 +23,7 @@ DEFAULT_LR = {"cnn3d": 3e-3, "lcn_dvector": 3e-4}
 class RunConfig:
     zeta: int = 20
     n_dev_speakers: int | None = None
-    lr: float | None = None  # None until resolved from DEFAULT_LR of the model
+    lr: float | None = None  # None until validate fills it from DEFAULT_LR of the model
     momentum: float = 0.9
     batch: int = 8
     epochs: int = 20
@@ -29,12 +31,21 @@ class RunConfig:
     model: str = "cnn3d"
 
     def validate(self) -> "RunConfig":
+        """Fill an unset lr from DEFAULT_LR, then check every setting; returns self."""
         if self.zeta < 1:
             raise ConfigError(f"zeta must be >= 1, got {self.zeta}")
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if self.lr is None:
+            self.lr = DEFAULT_LR[self.model]
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a finite positive number, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.batch < 1:
+            raise ConfigError(f"batch must be >= 1, got {self.batch}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         return self
 
 

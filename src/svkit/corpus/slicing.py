@@ -1,7 +1,7 @@
 """Utterance slicing and the enrollment/evaluation split.
 
 Long voiced recordings are cut into heavily overlapped 0.8 s utterances
-(default 0.1 s hop, so neighbors share 87.5% of their samples). Per speaker,
+(0.1 s hop, so neighbors share 87.5% of their samples). Per speaker,
 the utterances of the non-development phase are shuffled with a seeded
 permutation and halved: enrollment takes the extra one when the count is odd.
 """
@@ -18,14 +18,10 @@ SLICE_SECONDS = 0.8
 SLICE_HOP_SECONDS = 0.1
 
 
-def slice_utterances(
-    signal: AudioSignal,
-    duration_s: float = SLICE_SECONDS,
-    hop_s: float = SLICE_HOP_SECONDS,
-) -> list[AudioSignal]:
-    """Sliding fixed-length windows; count = floor((L - D)/H) + 1."""
-    window = int(round(duration_s * signal.sample_rate))
-    hop = int(round(hop_s * signal.sample_rate))
+def slice_utterances(signal: AudioSignal) -> list[AudioSignal]:
+    """Sliding SLICE_SECONDS windows at a SLICE_HOP_SECONDS hop; count = floor((L - D)/H) + 1."""
+    window = int(round(SLICE_SECONDS * signal.sample_rate))
+    hop = int(round(SLICE_HOP_SECONDS * signal.sample_rate))
     if len(signal) < window:
         raise SignalTooShortError(
             f"signal of {len(signal)} samples is shorter than one {window}-sample utterance"

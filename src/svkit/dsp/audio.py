@@ -53,11 +53,11 @@ class AudioSignal:
         return self.samples.size / self.sample_rate
 
 
-def require_sample_rate(signal: AudioSignal, rate: int = CANONICAL_RATE) -> AudioSignal:
+def require_sample_rate(signal: AudioSignal) -> AudioSignal:
     """Reject signals not at the toolkit's canonical rate (no resampling)."""
-    if signal.sample_rate != rate:
+    if signal.sample_rate != CANONICAL_RATE:
         raise ConfigError(
-            f"expected {rate} Hz audio, got {signal.sample_rate} Hz (resampling is unsupported)"
+            f"expected {CANONICAL_RATE} Hz audio, got {signal.sample_rate} Hz (resampling is unsupported)"
         )
     return signal
 
@@ -98,6 +98,8 @@ def load_wav(path) -> AudioSignal:
     audio_format, n_channels, sample_rate, _, _, bits = fmt
     if n_channels < 1:
         raise MalformedRiffError(f"{path}: zero channels declared")
+    if sample_rate == 0:
+        raise MalformedRiffError(f"{path}: sample rate 0 declared")
     if (audio_format, bits) not in ((1, 16), (3, 32)):
         raise UnsupportedEncodingError(
             f"{path}: unsupported encoding (format tag {audio_format}, {bits}-bit); "

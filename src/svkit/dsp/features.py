@@ -24,11 +24,14 @@ from ..errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
-from .audio import AudioSignal
+from .audio import CANONICAL_RATE, AudioSignal
 
 N_FRAMES = 80
-N_COEFFS = 40
-DEFAULT_N_FFT = 512
+N_COEFFS = 40  # mel filters, one log energy per filter and frame
+N_FFT = 512
+WINDOW_MS = 20.0
+HOP_MS = 10.0
+LOG_FLOOR = 1e-10
 _FEATURE_MAGIC = b"MFEC"
 _FEATURE_VERSION = 1
 
@@ -53,58 +56,37 @@ class FilterBank:
         return self.weights.shape[0]
 
 
-def mel_filterbank(
-    sample_rate: int,
-    n_fft: int = DEFAULT_N_FFT,
-    n_filters: int = N_COEFFS,
-    f_min: float = 0.0,
-    f_max: float | None = None,
-) -> FilterBank:
-    """Triangular filters with centers equally spaced on the mel scale.
+def mel_filterbank() -> FilterBank:
+    """N_COEFFS triangular filters, centers equally spaced on the mel scale over 0-8 kHz.
 
     Triangles are evaluated at the FFT bin frequencies (linear in Hz between
     mel-spaced edges), so every filter peaks at its own center frequency.
     """
-    if n_fft < 2 or n_fft & (n_fft - 1):
-        raise ConfigError(f"n_fft must be a power of two, got {n_fft}")
-    if f_max is None:
-        f_max = sample_rate / 2.0
-    if not 0.0 <= f_min < f_max <= sample_rate / 2.0:
-        raise ConfigError(f"invalid band edges f_min={f_min}, f_max={f_max} at {sample_rate} Hz")
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_filters + 2))
-    bin_hz = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
-    weights = np.zeros((n_filters, bin_hz.size))
-    for k in range(n_filters):
+    nyquist = CANONICAL_RATE / 2.0
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), N_COEFFS + 2))
+    bin_hz = np.arange(N_FFT // 2 + 1) * (CANONICAL_RATE / N_FFT)
+    weights = np.zeros((N_COEFFS, bin_hz.size))
+    for k in range(N_COEFFS):
         left, center, right = edges_hz[k : k + 3]
         rising = (bin_hz - left) / (center - left)
         falling = (right - bin_hz) / (right - center)
         weights[k] = np.maximum(0.0, np.minimum(rising, falling))
-        if not weights[k].any():
-            raise ConfigError(
-                f"filter {k} covers no FFT bin (span {left:.1f}-{right:.1f} Hz); increase n_fft"
-            )
-    return FilterBank(weights, edges_hz[1:-1].copy(), sample_rate, n_fft)
+    return FilterBank(weights, edges_hz[1:-1].copy(), CANONICAL_RATE, N_FFT)
 
 
-def frame_signal(
-    signal: AudioSignal,
-    window_ms: float = 20.0,
-    hop_ms: float = 10.0,
-    pad_tail: bool = True,
-) -> np.ndarray:
-    """Overlapping Hamming-windowed frames, one row per frame.
+def frame_signal(signal: AudioSignal) -> np.ndarray:
+    """Overlapping WINDOW_MS Hamming-windowed frames at a HOP_MS hop, one row per frame.
 
-    With `pad_tail` the signal is reflect-padded by one hop at the end, which
-    gives one frame per hop for hop-aligned lengths (a 0.8 s slice at 16 kHz
-    yields exactly 80 frames); without it the count is floor((L-W)/S) + 1.
+    The signal is reflect-padded by one hop at the end, which gives one frame
+    per hop for hop-aligned lengths (a 0.8 s slice at 16 kHz yields exactly
+    80 frames).
     """
-    window = int(round(signal.sample_rate * window_ms / 1000.0))
-    hop = int(round(signal.sample_rate * hop_ms / 1000.0))
+    window = int(round(signal.sample_rate * WINDOW_MS / 1000.0))
+    hop = int(round(signal.sample_rate * HOP_MS / 1000.0))
     x = signal.samples
     if len(x) < window:
         raise SignalTooShortError(f"signal of {len(x)} samples shorter than one {window}-sample window")
-    if pad_tail:
-        x = np.pad(x, (0, hop), mode="reflect")
+    x = np.pad(x, (0, hop), mode="reflect")
     n = (len(x) - window) // hop + 1
     idx = np.arange(window)[None, :] + hop * np.arange(n)[:, None]
     return x[idx] * np.hamming(window)
@@ -160,7 +142,6 @@ class FeatureCube:
 def mfec(
     frames: np.ndarray,
     filterbank: FilterBank,
-    log_floor: float = 1e-10,
     speaker_id: str = "",
     utterance_id: str = "",
 ) -> FeatureMap:
@@ -180,7 +161,7 @@ def mfec(
     spectrum = np.fft.rfft(frames, n=filterbank.n_fft, axis=1)
     power = (spectrum.real**2 + spectrum.imag**2) / filterbank.n_fft
     energies = power @ filterbank.weights.T
-    values = np.log(np.maximum(energies, log_floor))
+    values = np.log(np.maximum(energies, LOG_FLOOR))
     return FeatureMap(values, speaker_id, utterance_id)
 
 

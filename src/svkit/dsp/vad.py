@@ -1,7 +1,7 @@
 """Energy-based voice activity detection.
 
-Frames the signal into non-overlapping windows, keeps frames whose mean-square
-energy exceeds `threshold_factor` times the median frame energy, and repeats
+Frames the signal into non-overlapping 20 ms windows, keeps frames whose
+mean-square energy exceeds 0.5 times the median frame energy, and repeats
 the pass on the survivors until no frame is removed. Iterating to the fixed
 point is what makes the operation exactly idempotent: re-running the detector
 on its own output changes nothing.
@@ -9,18 +9,13 @@ on its own output changes nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import NoSpeechError, SignalTooShortError
 from .audio import AudioSignal
 
-
-@dataclass(frozen=True)
-class VadConfig:
-    frame_ms: float = 20.0
-    threshold_factor: float = 0.5
+FRAME_MS = 20.0
+THRESHOLD_FACTOR = 0.5  # of the median frame energy
 
 
 def _frames(samples: np.ndarray, frame_len: int) -> list[np.ndarray]:
@@ -32,9 +27,9 @@ def _frames(samples: np.ndarray, frame_len: int) -> list[np.ndarray]:
     return out
 
 
-def detect_voice(signal: AudioSignal, config: VadConfig = VadConfig()) -> AudioSignal:
+def detect_voice(signal: AudioSignal) -> AudioSignal:
     """Concatenation, in order, of frames that survive median-energy thresholding."""
-    frame_len = int(round(signal.sample_rate * config.frame_ms / 1000.0))
+    frame_len = int(round(signal.sample_rate * FRAME_MS / 1000.0))
     if len(signal) <= frame_len:
         raise SignalTooShortError(
             f"signal of {len(signal)} samples is not longer than one {frame_len}-sample VAD frame"
@@ -42,7 +37,7 @@ def detect_voice(signal: AudioSignal, config: VadConfig = VadConfig()) -> AudioS
     frames = _frames(signal.samples, frame_len)
     while True:
         energies = np.array([float(np.mean(f * f)) for f in frames])
-        threshold = config.threshold_factor * float(np.median(energies))
+        threshold = THRESHOLD_FACTOR * float(np.median(energies))
         kept = [f for f, e in zip(frames, energies) if e > threshold]
         if not kept:
             raise NoSpeechError("voice activity detection removed the entire signal")

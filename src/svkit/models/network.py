@@ -35,6 +35,8 @@ from ..nn.layers import (
     softmax_xent_batch_gradient,
 )
 
+EMBED_BATCH = 32  # inputs per forward pass in embed_vectors
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -83,10 +85,10 @@ class Network:
             xb = _KINDS[layer.kind].forward(layer, xb, mode, update_running, entry)
         return xb
 
-    def forward(self, x, mode: str = "infer") -> np.ndarray:
-        """Logits of the classifier head; deterministic in infer mode."""
+    def forward(self, x) -> np.ndarray:
+        """Infer-mode logits of the classifier head."""
         xb, single = self._promote(x)
-        xb = self._run(xb, self.layers, mode, update_running=(mode == "train"))
+        xb = self._run(xb, self.layers, "infer", update_running=False)
         return xb[0] if single else xb
 
     def forward_with_cache(self, x, mode: str = "train", update_running: bool = True):
@@ -107,25 +109,27 @@ class Network:
 
     # -- losses (training and gradient checking) --------------------------
 
-    def loss_only(self, x, labels, update_running: bool = False) -> float:
+    def loss_only(self, x, labels) -> float:
+        """Train-mode loss; leaves the batchnorm running statistics as they are."""
         xb, _ = self._promote(x)
         lb = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-        logits = self._run(xb, self.layers, "train", update_running)
+        logits = self._run(xb, self.layers, "train", update_running=False)
         loss, _ = softmax_xent_batch(logits, lb)
         return loss
 
-    def loss_and_gradients(self, x, labels, update_running: bool = False):
+    def loss_and_gradients(self, x, labels):
+        """Train-mode loss, input gradient and parameter gradients; running statistics kept."""
         xb, single = self._promote(x)
         lb = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-        logits, caches = self.forward_with_cache(xb, mode="train", update_running=update_running)
+        logits, caches = self.forward_with_cache(xb, mode="train", update_running=False)
         loss, probs = softmax_xent_batch(logits, lb)
         grad_x, grads = self.backward(caches, softmax_xent_batch_gradient(probs, lb))
         return loss, (grad_x[0] if single else grad_x), grads
 
     # -- embeddings --------------------------------------------------------
 
-    def embed_vectors(self, inputs, batch_size: int = 32) -> np.ndarray:
-        """Unit-norm rows of penultimate activations for a list of inputs.
+    def embed_vectors(self, inputs) -> np.ndarray:
+        """Unit-norm rows of penultimate activations for a list of inputs, EMBED_BATCH at a time.
 
         A batch whose every input is a depth-replicated cube (all depth slices
         equal, as a single test utterance is) runs through the depth-collapsed
@@ -136,8 +140,8 @@ class Network:
         layers = self.layers[:-1]
         collapsed = _depth_collapsed(layers, self.spec.input_shape)  # from this call's weights
         rows = []
-        for start in range(0, len(inputs), batch_size):
-            batch = [np.asarray(v, dtype=np.float64) for v in inputs[start : start + batch_size]]
+        for start in range(0, len(inputs), EMBED_BATCH):
+            batch = [np.asarray(v, dtype=np.float64) for v in inputs[start : start + EMBED_BATCH]]
             if collapsed is not None and all(
                 v.shape == self.spec.input_shape and (v == v[:1]).all() for v in batch
             ):
@@ -235,7 +239,7 @@ class _Kind:
 
 
 def _maxpool_forward(layer, x, mode, update_running, cache):
-    y, idx = maxpool_freq_forward(x, with_indices=True)
+    y, idx = maxpool_freq_forward(x)
     if cache is not None:
         cache["indices"] = idx
     return y

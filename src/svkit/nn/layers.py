@@ -22,6 +22,8 @@ PARAM_FIELDS = ("weights", "bias", "prelu_slope", "bn_scale", "bn_shift")
 STATE_FIELDS = ("bn_running_mean", "bn_running_var")
 
 _CONV_AXES = ("depth", "time", "freq")
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.99  # weight of the old running statistics in each update
 
 
 @dataclass
@@ -196,11 +198,12 @@ def conv3d_backward(x, params: LayerParams, grad_out):
     return gx, grads
 
 
-def maxpool_freq_forward(x, with_indices: bool = False):
-    """Max over non-overlapping width-2 windows along the frequency axis.
+def maxpool_freq_forward(x):
+    """Max over non-overlapping width-2 windows along the frequency axis; returns (y, indices).
 
     Depth, time, and channel extents are untouched; an odd trailing frequency
-    column is dropped. Ties resolve to the first (lower-index) element.
+    column is dropped. Ties resolve to the first (lower-index) element, and
+    `indices` holds each window's argmax for maxpool_freq_backward.
     """
     xb = _require_batch(x, 4, "maxpool input")
     w = xb.shape[3]
@@ -210,13 +213,13 @@ def maxpool_freq_forward(x, with_indices: bool = False):
     windows = xb[:, :, :, : 2 * wo, :].reshape(xb.shape[:3] + (wo, 2, xb.shape[4]))
     idx = np.argmax(windows, axis=4)
     y = np.take_along_axis(windows, idx[:, :, :, :, None, :], axis=4)[:, :, :, :, 0, :]
-    return (y, idx) if with_indices else y
+    return y, idx
 
 
 def maxpool_freq_backward(x, grad_out, indices):
     """Route grad_out to each window's argmax (first element on ties).
 
-    `indices` are the window argmaxes from maxpool_freq_forward(x, with_indices=True).
+    `indices` are the window argmaxes from maxpool_freq_forward(x).
     """
     xb = _require_batch(x, 4, "maxpool input")
     gb = _require_batch(grad_out, 4, "maxpool grad_out")
@@ -257,8 +260,6 @@ def batchnorm_forward(
     x,
     params: LayerParams,
     mode: str = "train",
-    eps: float = 1e-5,
-    momentum: float = 0.99,
     update_running: bool = True,
     cache: dict | None = None,
 ) -> np.ndarray:
@@ -268,8 +269,6 @@ def batchnorm_forward(
     `update_running` is off, folds them into the running averages. Inference
     mode normalizes with the running statistics.
     """
-    if eps <= 0:
-        raise ConfigError(f"batchnorm eps must be positive, got {eps}")
     if mode not in ("train", "infer"):
         raise ConfigError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
     x = np.asarray(x, dtype=np.float64)
@@ -277,15 +276,15 @@ def batchnorm_forward(
     if params.bn_scale is None or params.bn_scale.shape != (c,):
         raise DimensionError(f"channel axis: batchnorm params sized for {params.bn_scale.shape if params.bn_scale is not None else None}, input has {c} channels")
     if mode == "infer":
-        inv = 1.0 / np.sqrt(params.bn_running_var + eps)
+        inv = 1.0 / np.sqrt(params.bn_running_var + BN_EPS)
         return params.bn_scale * (x - params.bn_running_mean) * inv + params.bn_shift
     axes = tuple(range(x.ndim - 1))
     mu = x.mean(axis=axes)
     var = x.var(axis=axes)
     if update_running:
-        params.bn_running_mean = momentum * params.bn_running_mean + (1 - momentum) * mu
-        params.bn_running_var = momentum * params.bn_running_var + (1 - momentum) * var
-    inv = 1.0 / np.sqrt(var + eps)
+        params.bn_running_mean = BN_MOMENTUM * params.bn_running_mean + (1 - BN_MOMENTUM) * mu
+        params.bn_running_var = BN_MOMENTUM * params.bn_running_var + (1 - BN_MOMENTUM) * var
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xh = (x - mu) * inv
     if cache is not None:
         cache["bn_xh"] = xh
@@ -294,7 +293,7 @@ def batchnorm_forward(
 
 
 def batchnorm_backward(
-    x, params: LayerParams, grad_out, mode: str = "train", eps: float = 1e-5, cache: dict | None = None
+    x, params: LayerParams, grad_out, mode: str = "train", cache: dict | None = None
 ):
     """Gradients of batchnorm_forward w.r.t. input, scale, and shift."""
     x = np.asarray(x, dtype=np.float64)
@@ -303,7 +302,7 @@ def batchnorm_backward(
         raise DimensionError(f"grad_out shape {g.shape} does not match input {x.shape}")
     axes = tuple(range(x.ndim - 1))
     if mode == "infer":
-        inv = 1.0 / np.sqrt(params.bn_running_var + eps)
+        inv = 1.0 / np.sqrt(params.bn_running_var + BN_EPS)
         xh = (x - params.bn_running_mean) * inv
         gx = g * params.bn_scale * inv
     else:
@@ -312,7 +311,7 @@ def batchnorm_backward(
             inv = cache["bn_inv"]
         else:
             mu = x.mean(axis=axes)
-            inv = 1.0 / np.sqrt(x.var(axis=axes) + eps)
+            inv = 1.0 / np.sqrt(x.var(axis=axes) + BN_EPS)
             xh = (x - mu) * inv
         n = x.size // x.shape[-1]
         gsum = g.sum(axis=axes)

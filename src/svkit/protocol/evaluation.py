@@ -10,9 +10,7 @@ from .enrollment import ONE_SHOT, SpeakerModel, score_trial, utterance_input
 from .metrics import RocSummary, ScoreSet, Trial, compute_roc
 
 
-def run_evaluation(
-    models: list[SpeakerModel], test_maps, network: Network, batch_size: int = 32
-) -> tuple[RocSummary, ScoreSet]:
+def run_evaluation(models: list[SpeakerModel], test_maps, network: Network) -> tuple[RocSummary, ScoreSet]:
     """Score all (test utterance, speaker model) pairs and compute the ROC.
 
     Each test map carries its true speaker id; a trial is genuine when the
@@ -32,9 +30,7 @@ def run_evaluation(
                 f"model for {m.speaker_id!r} was enrolled at stack depth {m.zeta}, "
                 f"network runs at {network.spec.zeta}"
             )
-    vecs = network.embed_vectors(
-        [utterance_input(network.spec, m) for m in test_maps], batch_size=batch_size
-    )
+    vecs = network.embed_vectors([utterance_input(network.spec, m) for m in test_maps])
     trials: list[Trial] = []
     scores: list[float] = []
     for fmap, vec in zip(test_maps, vecs):

@@ -10,36 +10,17 @@ equal BLAS thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import RunConfig
 from ..errors import ConfigError, NumericError
-from ..nn.layers import softmax_xent_batch, softmax_xent_batch_gradient
+from ..nn.layers import assert_finite, softmax_xent_batch, softmax_xent_batch_gradient
 from ..nn.optim import SgdMomentum
 from ..models.checkpoint import Checkpoint
 from ..models.network import Network
 from ..dsp.features import build_feature_cube
 from ..rng import Rng
-
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    lr: float = 0.003
-    momentum: float = 0.9
-    batch_size: int = 8
-    epochs: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
 
 def speaker_labels(maps_by_speaker: dict) -> dict[str, int]:
@@ -74,9 +55,14 @@ def training_examples(network: Network, maps_by_speaker: dict) -> list[tuple[np.
 
 
 def train_development(
-    network: Network, maps_by_speaker: dict, cfg: TrainingConfig
+    network: Network, maps_by_speaker: dict, cfg: RunConfig
 ) -> tuple[Checkpoint, list[float]]:
-    """Train the softmax classifier; returns the checkpoint and per-epoch loss."""
+    """Train the softmax classifier with cfg's lr, momentum, batch, epochs and seed.
+
+    Returns the checkpoint and the per-epoch loss; raises NumericError when
+    the loss or a trained weight is not finite.
+    """
+    cfg.validate()
     if len(maps_by_speaker) != network.spec.n_classes:
         raise ConfigError(
             f"network built for {network.spec.n_classes} classes but corpus has {len(maps_by_speaker)} speakers"
@@ -89,8 +75,8 @@ def train_development(
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for start in range(0, n, cfg.batch):
+            idx = order[start : start + cfg.batch]
             xb = np.stack([examples[i][0] for i in idx])
             yb = np.array([examples[i][1] for i in idx], dtype=np.int64)
             logits, caches = network.forward_with_cache(xb, mode="train")
@@ -101,6 +87,9 @@ def train_development(
             optimizer.step(network.layers, grads)
             total += loss * len(idx)
         history.append(total / n)
+    for layer in network.layers:
+        for field, arr in layer.learnable():
+            assert_finite(arr, f"trained {layer.name or layer.kind} {field}")
     return Checkpoint.of(network, epoch=cfg.epochs, seed=cfg.seed), history
 
 
@@ -108,6 +97,6 @@ def classification_accuracy(network: Network, examples) -> float:
     """Infer-mode top-1 accuracy over (input, label) pairs."""
     correct = 0
     for x, label in examples:
-        logits = network.forward(x, mode="infer")
+        logits = network.forward(x)
         correct += int(np.argmax(logits)) == label
     return correct / len(examples)

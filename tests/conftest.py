@@ -22,7 +22,7 @@ def rng():
 def mel_bank():
     from svkit.dsp.features import mel_filterbank
 
-    return mel_filterbank(16000)
+    return mel_filterbank()
 
 
 @pytest.fixture(scope="session")

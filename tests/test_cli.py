@@ -124,6 +124,30 @@ class TestTrain:
         assert rc == 4
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_exits_2(self, micro_corpus, tmp_path, capsys, lr):
+        manifest = str(micro_corpus / "data" / "manifest.csv")
+        out = tmp_path / "x.svck"
+        rc = main(
+            ["train", "--manifest", manifest, "--model", "lcn_dvector", "--epochs", "1",
+             "--lr", lr, "--seed", SEED, "--max-slices", "6", "--out", str(out)]
+        )
+        assert rc == 2
+        assert "finite positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_overflowing_last_step_exits_4(self, micro_corpus, tmp_path, capsys):
+        manifest = str(micro_corpus / "data" / "manifest.csv")
+        out = tmp_path / "x.svck"
+        rc = main(
+            ["train", "--manifest", manifest, "--model", "lcn_dvector", "--epochs", "1",
+             "--batch", "1000", "--lr", "1e308", "--seed", SEED, "--max-slices", "6", "--out", str(out)]
+        )
+        assert rc == 4
+        assert "non-finite values in trained" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dev_speaker_also_in_eval_phase_exits_2(self, micro_corpus, tmp_path, capsys):
         data = micro_corpus / "data"
         manifest = tmp_path / "overlap.csv"

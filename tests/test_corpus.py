@@ -139,7 +139,7 @@ class TestSynthesis:
 
     def test_speakers_have_distinct_average_features(self, tiny_corpus):
         root, entries = tiny_corpus
-        bank = mel_filterbank(16000)
+        bank = mel_filterbank()
         means = {}
         for e in entries:
             voiced = detect_voice(load_wav(e.path))

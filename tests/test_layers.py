@@ -199,10 +199,10 @@ def test_finite_inputs_stay_finite_through_forward_and_backward(seed):
     h1 = conv3d_forward(x, conv)
     h2 = batchnorm_forward(h1, bn, mode="train")
     h3 = prelu_forward(h2, slope)
-    h4 = maxpool_freq_forward(h3)
+    h4, idx = maxpool_freq_forward(h3)
     for h in (h1, h2, h3, h4):
         assert np.isfinite(h).all()
-    g = maxpool_freq_backward(h3, np.ones_like(h4), maxpool_freq_forward(h3, with_indices=True)[1])
+    g = maxpool_freq_backward(h3, np.ones_like(h4), idx)
     g, _ = prelu_backward(h2, slope, g)
     g, _ = batchnorm_backward(h1, bn, g, mode="train")
     g, grads = conv3d_backward(x, conv, g)
@@ -213,19 +213,23 @@ def test_finite_inputs_stay_finite_through_forward_and_backward(seed):
 class TestMaxpoolFreq:
     def test_halves_frequency_extent(self, rng):
         x = rng.normal((4, 36, 36, 16))
-        assert maxpool_freq_forward(x[None])[0].shape == (4, 36, 18, 16)
+        y, _ = maxpool_freq_forward(x[None])
+        assert y[0].shape == (4, 36, 18, 16)
 
     def test_constant_input_unchanged(self):
         x = np.full((2, 3, 4, 2), 1.5)
-        assert np.array_equal(maxpool_freq_forward(x[None])[0], np.full((2, 3, 2, 2), 1.5))
+        y, _ = maxpool_freq_forward(x[None])
+        assert np.array_equal(y[0], np.full((2, 3, 2, 2), 1.5))
 
     def test_matches_elementwise_oracle(self, rng):
         x = rng.normal((2, 3, 6, 1))
-        np.testing.assert_array_equal(maxpool_freq_forward(x[None])[0], maxpool_freq_direct(x))
+        y, _ = maxpool_freq_forward(x[None])
+        np.testing.assert_array_equal(y[0], maxpool_freq_direct(x))
 
     def test_odd_width_drops_last_column(self, rng):
         x = rng.normal((2, 2, 15, 3))
-        y = maxpool_freq_forward(x[None])[0]
+        y, _ = maxpool_freq_forward(x[None])
+        y = y[0]
         assert y.shape[2] == 7
         np.testing.assert_array_equal(y, maxpool_freq_direct(x))
 
@@ -236,7 +240,8 @@ class TestMaxpoolFreq:
     @given(st.integers(0, 10**6))
     def test_preserves_other_extents_and_dominates_inputs(self, seed):
         x = Rng(seed).normal((2, 3, 5, 2))
-        y = maxpool_freq_forward(x[None])[0]
+        y, _ = maxpool_freq_forward(x[None])
+        y = y[0]
         assert y.shape == (2, 3, 2, 2)
         for i in range(2):
             assert np.all(y[:, :, i, :] >= x[:, :, 2 * i, :])

@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from svkit.config import RunConfig
 from svkit.dsp.features import FeatureMap
 from svkit.errors import ChecksumError, ConfigError, FileFormatError, MetricError
 from svkit.models.zoo import build_3dcnn, build_lcn_baseline
@@ -20,7 +21,6 @@ from svkit.protocol.enrollment import (
 )
 from svkit.protocol.evaluation import run_evaluation, score_log_lines
 from svkit.protocol.training import (
-    TrainingConfig,
     classification_accuracy,
     train_development,
     training_examples,
@@ -204,7 +204,7 @@ class TestTraining:
     def test_separable_corpus_reaches_high_accuracy(self):
         maps = separable_maps()
         net = build_lcn_baseline(2, Rng(0), units_per_patch=4, hidden_width=16)
-        _, history = train_development(net, maps, TrainingConfig(lr=3e-4, epochs=12, seed=0))
+        _, history = train_development(net, maps, RunConfig(lr=3e-4, epochs=12, seed=0))
         acc = classification_accuracy(net, training_examples(net, maps))
         assert acc > 0.95
         assert history[-1] < history[0]
@@ -215,7 +215,7 @@ class TestTraining:
         maps = separable_maps()
         net = build_lcn_baseline(2, Rng(7), units_per_patch=2, hidden_width=6)
         before = [arr.copy() for layer in net.layers for _, arr in layer.learnable()]
-        ckpt, history = train_development(net, maps, TrainingConfig(epochs=0, seed=1))
+        ckpt, history = train_development(net, maps, RunConfig(epochs=0, seed=1))
         assert history == []
         after = [arr for layer in net.layers for _, arr in layer.learnable()]
         for a, b in zip(before, after):
@@ -227,7 +227,7 @@ class TestTraining:
         hists = []
         for _ in range(2):
             net = build_lcn_baseline(2, Rng(3), units_per_patch=2, hidden_width=8)
-            _, h = train_development(net, maps, TrainingConfig(lr=3e-4, epochs=4, seed=9))
+            _, h = train_development(net, maps, RunConfig(lr=3e-4, epochs=4, seed=9))
             hists.append(h)
         assert hists[0] == hists[1]
 
