@@ -80,7 +80,7 @@ class Network:
         for layer in layers:
             entry = None
             if caches is not None:
-                entry = {"x": xb, "mode": mode}
+                entry = {"x": xb}
                 caches.append(entry)
             xb = _KINDS[layer.kind].forward(layer, xb, mode, update_running, entry)
         return xb
@@ -91,10 +91,11 @@ class Network:
         xb = self._run(xb, self.layers, "infer", update_running=False)
         return xb[0] if single else xb
 
-    def forward_with_cache(self, x, mode: str = "train", update_running: bool = True):
+    def forward_with_cache(self, x, update_running: bool = True):
+        """Train-mode logits plus each layer's backward cache, in layer order."""
         xb, _ = self._promote(x)
         caches: list[dict] = []
-        return self._run(xb, self.layers, mode, update_running, caches), caches
+        return self._run(xb, self.layers, "train", update_running, caches), caches
 
     # -- backward --------------------------------------------------------
 
@@ -121,7 +122,7 @@ class Network:
         """Train-mode loss, input gradient and parameter gradients; running statistics kept."""
         xb, single = self._promote(x)
         lb = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-        logits, caches = self.forward_with_cache(xb, mode="train", update_running=False)
+        logits, caches = self.forward_with_cache(xb, update_running=False)
         loss, probs = softmax_xent_batch(logits, lb)
         grad_x, grads = self.backward(caches, softmax_xent_batch_gradient(probs, lb))
         return loss, (grad_x[0] if single else grad_x), grads
@@ -276,7 +277,7 @@ _KINDS = {
         lambda layer, x, mode, update_running, cache: batchnorm_forward(
             x, layer, mode=mode, update_running=update_running, cache=cache
         ),
-        lambda layer, x, g, cache: batchnorm_backward(x, layer, g, mode=cache["mode"], cache=cache),
+        lambda layer, x, g, cache: batchnorm_backward(x, layer, g, cache=cache),
         lambda layer, shape: shape,
     ),
     "flatten": _Kind(

@@ -24,6 +24,7 @@ STATE_FIELDS = ("bn_running_mean", "bn_running_var")
 _CONV_AXES = ("depth", "time", "freq")
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.99  # weight of the old running statistics in each update
+_WGRAD_CHUNK_BYTES = 4 << 20  # patches copied per weight-gradient product in conv3d_backward (at least one depth slice)
 
 
 @dataclass
@@ -169,13 +170,44 @@ def conv3d_forward(x, params: LayerParams) -> np.ndarray:
     return y
 
 
+def _conv_weight_grad(xb, w, stride, gb):
+    """Sum over output depth slices of each slice's patch matrix transposed times its grad_out.
+
+    The patch matrices are the ones conv3d_forward multiplies. They are
+    copied into one reused buffer, a run of an example's depth slices at a
+    time up to _WGRAD_CHUNK_BYTES, so that a deep layer with few rows per
+    slice does not pay a full (K, Cout) product per slice.
+    """
+    patches = _patches(xb, w.shape[:3], stride)
+    cout = w.shape[4]
+    rows = patches.shape[2] * patches.shape[3]
+    k = w.size // cout
+    n = max(1, min(gb.shape[1], _WGRAD_CHUNK_BYTES // (rows * k * 8)))
+    col = np.empty((n * rows, k))
+    gw = np.zeros((k, cout))
+    for b in range(gb.shape[0]):
+        for d in range(0, gb.shape[1], n):
+            m = min(n, gb.shape[1] - d)
+            chunk = col[: m * rows]
+            np.copyto(chunk.reshape((m,) + patches.shape[2:]), patches[b, d : d + m])
+            gw += chunk.T @ gb[b, d : d + m].reshape(-1, cout)
+    return gw.reshape(w.shape)
+
+
 def conv3d_backward(x, params: LayerParams, grad_out):
     """Exact gradients of conv3d_forward w.r.t. input, weights, and bias.
 
-    One pass over the kernel taps: tap (i, j, k) sees the strided input view
-    it multiplies in the forward pass, so its weight gradient is that view's
-    transpose times grad_out, and grad_out times its weights scatters back
-    into the same view of the input gradient.
+    The weight gradient is accumulated over each example's output depth
+    slices from the same patch matrices the forward pass multiplies, one
+    slice (or a run of slices up to 4 MiB) at a time, so no whole-batch
+    patch matrix is built; it matches the whole-batch `col.T @ grad_out` to
+    rounding only. The input gradient scatters each
+    tap's whole-batch product `grad_out @ W[i, j, k].T` into the strided
+    view that tap reads, in fixed tap order, and the bias gradient sums
+    grad_out over every position. Both keep the bytes of that whole-batch
+    formulation: they decide everything downstream, and the conv biases,
+    whose exact gradient is 0 under train-mode batchnorm, hold only their
+    rounding noise.
     """
     xb, p, out = _conv_prepare(x, params)
     w = params.weights
@@ -184,15 +216,17 @@ def conv3d_backward(x, params: LayerParams, grad_out):
     expected = (xb.shape[0],) + out + (cout,)
     if gb.shape != expected:
         raise DimensionError(f"grad_out shape {gb.shape} does not match output {expected}")
-    go2 = np.ascontiguousarray(gb).reshape(-1, cout)
-    gw = np.empty_like(w)
+    gb = np.ascontiguousarray(gb)
+    gw = _conv_weight_grad(xb, w, params.stride, gb)
+    go2 = gb.reshape(-1, cout)
+    tap = np.empty((go2.shape[0], cin))  # one tap's input-gradient product, reused
     gxp = np.zeros_like(xb)
     for i in range(kd):
         for j in range(kh):
             for k in range(kw):
-                gw[i, j, k] = _offset_slice(xb, i, j, k, out, params.stride).reshape(-1, cin).T @ go2
+                np.matmul(go2, w[i, j, k].T, out=tap)
                 xs = _offset_slice(gxp, i, j, k, out, params.stride)
-                xs += (go2 @ w[i, j, k].T).reshape(xs.shape)
+                xs += tap.reshape(xs.shape)
     gx = gxp[:, p : gxp.shape[1] - p] if p else gxp
     grads = {"weights": gw, "bias": go2.sum(axis=0)}
     return gx, grads
@@ -246,14 +280,38 @@ def prelu_forward(x, slope) -> np.ndarray:
 
 
 def prelu_backward(x, slope, grad_out):
+    """Gradients of prelu_forward w.r.t. input and slope.
+
+    The input gradient is grad_out with its entries at x < 0 multiplied by
+    their slope, each a single rounding, so its bytes do not depend on how
+    the pass is arranged. The slope gradient sums min(x, 0) * grad_out per
+    channel; it can differ from a sum that skips the x >= 0 terms only in
+    the sign of an all-zero channel's 0.
+    """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != x.shape:
         raise DimensionError(f"grad_out shape {g.shape} does not match input {x.shape}")
-    neg = x < 0.0
-    gx = np.where(neg, slope * g, g)
-    gs = np.where(neg, g * x, 0.0).reshape(-1, x.shape[-1]).sum(axis=0)
-    return gx, {"prelu_slope": gs}
+    gx = g.copy()
+    np.multiply(g, slope, out=gx, where=x < 0.0)
+    gs = np.minimum(x, 0.0)
+    gs *= g
+    return gx, {"prelu_slope": gs.reshape(-1, x.shape[-1]).sum(axis=0)}
+
+
+def _batch_normalize(x, axes):
+    """(mean, variance, 1/sqrt(variance + eps), normalized x) over `axes`.
+
+    The variance is `np.var`'s own arithmetic (the mean of the squared
+    deviations), written out so the deviations double as the normalized
+    output's buffer; its bytes equal `x.var(axis=axes)`.
+    """
+    mu = x.mean(axis=axes)
+    xh = x - mu
+    var = (xh * xh).sum(axis=axes) / (x.size // x.shape[-1])
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xh *= inv
+    return mu, var, inv, xh
 
 
 def batchnorm_forward(
@@ -266,8 +324,12 @@ def batchnorm_forward(
     """Per-channel normalization over all leading axes, then affine scale/shift.
 
     Train mode normalizes with the current batch statistics and, unless
-    `update_running` is off, folds them into the running averages. Inference
-    mode normalizes with the running statistics.
+    `update_running` is off, folds them into the running averages; with
+    `cache`, it keeps the normalized input and 1/sqrt(var + eps) for
+    batchnorm_backward. Inference mode normalizes with the running
+    statistics. Every output is one fixed sequence of elementwise roundings
+    after the per-channel sums, so its bytes do not depend on how many
+    passes compute it.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
@@ -278,50 +340,48 @@ def batchnorm_forward(
     if mode == "infer":
         inv = 1.0 / np.sqrt(params.bn_running_var + BN_EPS)
         return params.bn_scale * (x - params.bn_running_mean) * inv + params.bn_shift
-    axes = tuple(range(x.ndim - 1))
-    mu = x.mean(axis=axes)
-    var = x.var(axis=axes)
+    mu, var, inv, xh = _batch_normalize(x, tuple(range(x.ndim - 1)))
     if update_running:
         params.bn_running_mean = BN_MOMENTUM * params.bn_running_mean + (1 - BN_MOMENTUM) * mu
         params.bn_running_var = BN_MOMENTUM * params.bn_running_var + (1 - BN_MOMENTUM) * var
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    xh = (x - mu) * inv
     if cache is not None:
         cache["bn_xh"] = xh
         cache["bn_inv"] = inv
-    return params.bn_scale * xh + params.bn_shift
+    y = xh * params.bn_scale
+    y += params.bn_shift
+    return y
 
 
-def batchnorm_backward(
-    x, params: LayerParams, grad_out, mode: str = "train", cache: dict | None = None
-):
-    """Gradients of batchnorm_forward w.r.t. input, scale, and shift."""
+def batchnorm_backward(x, params: LayerParams, grad_out, cache: dict | None = None):
+    """Gradients of train-mode batchnorm_forward w.r.t. input, scale, and shift.
+
+    Reads the normalized input from `cache` when batchnorm_forward filled it
+    and recomputes it from `x` otherwise. The scale and shift gradients are
+    the per-channel sums of grad_out * x_hat and grad_out that the input
+    gradient also uses; the input gradient is
+    (scale * inv / n) * (n * g - sum(g) - x_hat * sum(g * x_hat)), rounded
+    in that order, so all three keep their bytes however the passes are
+    arranged.
+    """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != x.shape:
         raise DimensionError(f"grad_out shape {g.shape} does not match input {x.shape}")
     axes = tuple(range(x.ndim - 1))
-    if mode == "infer":
-        inv = 1.0 / np.sqrt(params.bn_running_var + BN_EPS)
-        xh = (x - params.bn_running_mean) * inv
-        gx = g * params.bn_scale * inv
+    if cache is not None and "bn_xh" in cache:
+        xh = cache["bn_xh"]
+        inv = cache["bn_inv"]
     else:
-        if cache is not None and "bn_xh" in cache:
-            xh = cache["bn_xh"]
-            inv = cache["bn_inv"]
-        else:
-            mu = x.mean(axis=axes)
-            inv = 1.0 / np.sqrt(x.var(axis=axes) + BN_EPS)
-            xh = (x - mu) * inv
-        n = x.size // x.shape[-1]
-        gsum = g.sum(axis=axes)
-        gxh_sum = (g * xh).sum(axis=axes)
-        gx = (params.bn_scale * inv / n) * (n * g - gsum - xh * gxh_sum)
-    grads = {
-        "bn_scale": (g * xh).sum(axis=axes),
-        "bn_shift": g.sum(axis=axes),
-    }
-    return gx, grads
+        _, _, inv, xh = _batch_normalize(x, axes)
+    n = x.size // x.shape[-1]
+    gsum = g.sum(axis=axes)
+    tmp = g * xh
+    gxh_sum = tmp.sum(axis=axes)
+    gx = n * g
+    gx -= gsum
+    gx -= np.multiply(xh, gxh_sum, out=tmp)
+    gx *= params.bn_scale * inv / n
+    return gx, {"bn_scale": gxh_sum, "bn_shift": gsum}
 
 
 def fully_connected_forward(x, params: LayerParams) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigError, DimensionError
@@ -24,8 +26,8 @@ class SgdMomentum:
     """Per-array velocity state over a list of LayerParams."""
 
     def __init__(self, lr: float, momentum: float = 0.9):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ConfigError(f"learning rate must be finite and positive, got {lr}")
         if not 0.0 <= momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr

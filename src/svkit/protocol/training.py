@@ -79,7 +79,7 @@ def train_development(
             idx = order[start : start + cfg.batch]
             xb = np.stack([examples[i][0] for i in idx])
             yb = np.array([examples[i][1] for i in idx], dtype=np.int64)
-            logits, caches = network.forward_with_cache(xb, mode="train")
+            logits, caches = network.forward_with_cache(xb)
             loss, probs = softmax_xent_batch(logits, yb)
             if not math.isfinite(loss):
                 raise NumericError(f"training loss became non-finite ({loss})")

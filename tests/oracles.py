@@ -94,6 +94,47 @@ def conv3d_im2col_backward(x, w, stride, pad_depth, grad_out):
     return gx, gw, go2.sum(axis=0)
 
 
+def batchnorm_train_reference(x, scale, shift, eps):
+    """Train-mode batchnorm, one full-size expression per step: (y, x_hat, inv, mean, var).
+
+    The arrangement of passes the library's batchnorm_forward replaces, kept
+    as the reference its output bytes must match.
+    """
+    axes = tuple(range(x.ndim - 1))
+    mu = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    inv = 1.0 / np.sqrt(var + eps)
+    xh = (x - mu) * inv
+    return scale * xh + shift, xh, inv, mu, var
+
+
+def batchnorm_train_backward_reference(x, scale, grad_out, eps):
+    """(input, scale, shift) gradients of batchnorm_train_reference, statistics recomputed from x."""
+    g = grad_out
+    axes = tuple(range(x.ndim - 1))
+    mu = x.mean(axis=axes)
+    inv = 1.0 / np.sqrt(x.var(axis=axes) + eps)
+    xh = (x - mu) * inv
+    n = x.size // x.shape[-1]
+    gsum = g.sum(axis=axes)
+    gxh_sum = (g * xh).sum(axis=axes)
+    gx = (scale * inv / n) * (n * g - gsum - xh * gxh_sum)
+    return gx, (g * xh).sum(axis=axes), g.sum(axis=axes)
+
+
+def prelu_reference(x, slope):
+    return np.where(x >= 0.0, x, slope * x)
+
+
+def prelu_backward_reference(x, slope, grad_out):
+    """(input, slope) gradients of prelu_reference."""
+    g = grad_out
+    neg = x < 0.0
+    gx = np.where(neg, slope * g, g)
+    gs = np.where(neg, g * x, 0.0).reshape(-1, x.shape[-1]).sum(axis=0)
+    return gx, gs
+
+
 def maxpool_freq_direct(x):
     """Window-by-window max along the frequency axis."""
     d, h, w, c = x.shape

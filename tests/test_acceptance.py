@@ -68,7 +68,7 @@ def test_criterion_1_table_shape_conformance():
     t0 = time.time()
     net = build_3dcnn(20, 511, Rng(0))
     x = Rng(1).normal((20, 80, 40, 1))
-    _, caches = net.forward_with_cache(x[None], mode="train")
+    _, caches = net.forward_with_cache(x[None])
     outputs = {
         layer.name: nxt["x"].shape[1:]
         for layer, nxt in zip(net.layers[:-1], caches[1:])
@@ -170,7 +170,7 @@ def test_criterion_3_gradient_checks():
     )
     errors["batchnorm"] = projected(
         lambda x_: batchnorm_forward(x_, bn, mode="train", update_running=False),
-        lambda x_, g: batchnorm_backward(x_, bn, g, mode="train"),
+        lambda x_, g: batchnorm_backward(x_, bn, g),
         r.normal((6, 5)),
         {"bn_scale": bn.bn_scale, "bn_shift": bn.bn_shift},
         r.child(4),

@@ -130,7 +130,7 @@ def test_batchnorm_gradients_full_train_mode(rng):
     )
     err = check_layer(
         lambda x_: batchnorm_forward(x_, lp, mode="train", update_running=False),
-        lambda x_, g: batchnorm_backward(x_, lp, g, mode="train"),
+        lambda x_, g: batchnorm_backward(x_, lp, g),
         x,
         lp,
         {"bn_scale": lp.bn_scale, "bn_shift": lp.bn_shift},
@@ -259,6 +259,12 @@ def test_sgd_hyperparameter_validation():
         SgdMomentum(lr=0.0)
     with pytest.raises(ConfigError):
         SgdMomentum(lr=0.1, momentum=1.0)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_sgd_non_finite_lr_rejected(lr):
+    with pytest.raises(ConfigError, match="finite and positive"):
+        SgdMomentum(lr=lr)
 
 
 def test_numeric_gradient_eps_bounds(rng):

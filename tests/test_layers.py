@@ -10,25 +10,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    batchnorm_train_backward_reference,
+    batchnorm_train_reference,
     conv3d_direct,
     conv3d_im2col,
     conv3d_im2col_backward,
     locally_connected_direct,
     maxpool_freq_direct,
+    prelu_backward_reference,
+    prelu_reference,
     softmax_xent_decimal,
 )
 from svkit.errors import ConfigError, DimensionError
 from svkit.models.zoo import build_3dcnn
 from svkit.nn.layers import (
+    BN_EPS,
+    BN_MOMENTUM,
     LayerParams,
+    batchnorm_backward,
+    batchnorm_forward,
     conv3d_backward,
     conv3d_forward,
+    conv3d_output_shape,
     fully_connected_backward,
     fully_connected_forward,
     locally_connected_backward,
     locally_connected_forward,
     maxpool_freq_backward,
     maxpool_freq_forward,
+    prelu_backward,
     prelu_forward,
     softmax_xent_batch,
 )
@@ -158,6 +168,64 @@ def test_conv_forward_holds_one_slice_of_patches(cnn3d_convs):
     assert peak <= 64 * 2**20
 
 
+def test_conv_backward_holds_one_slice_of_patches(cnn3d_convs):
+    """conv1_2 at batch 8: beyond the input gradient, one tap's product and a slice of patches at a time."""
+    layer, shape = cnn3d_convs[20, "conv1_2"]
+    r = Rng(5)
+    x = r.normal((8, *shape))
+    g = r.normal((8, *conv3d_output_shape(shape, layer)))
+    tracemalloc.start()
+    try:
+        conv3d_backward(x, layer, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.nbytes + 32 * 2**20
+
+
+@pytest.mark.parametrize("name", CNN3D_CONVS)
+@pytest.mark.parametrize("zeta", [20, 10])
+def test_cnn3d_batchnorm_prelu_match_reference(cnn3d_convs, zeta, name):
+    """On each conv's output shape, batch 2: the reference's bytes, the slope gradient to 1e-12."""
+    layer, shape = cnn3d_convs[zeta, name]
+    out_shape = conv3d_output_shape(shape, layer)
+    c = out_shape[-1]
+    r = Rng(zeta + 3)
+    x = r.normal((2, *out_shape), mean=0.5, std=2.0)
+    bn = LayerParams(
+        kind="batchnorm",
+        bn_scale=r.uniform(0.5, 1.5, (c,)),
+        bn_shift=r.normal((c,)),
+        bn_running_mean=r.normal((c,)),
+        bn_running_var=r.uniform(0.5, 2.0, (c,)),
+    )
+    old_mean, old_var = bn.bn_running_mean, bn.bn_running_var
+    want_y, want_xh, want_inv, mu, var = batchnorm_train_reference(x, bn.bn_scale, bn.bn_shift, BN_EPS)
+    cache = {}
+    y = batchnorm_forward(x, bn, cache=cache)
+    assert np.array_equal(y, want_y)
+    assert np.array_equal(cache["bn_xh"], want_xh)
+    assert np.array_equal(cache["bn_inv"], want_inv)
+    assert np.array_equal(bn.bn_running_mean, BN_MOMENTUM * old_mean + (1 - BN_MOMENTUM) * mu)
+    assert np.array_equal(bn.bn_running_var, BN_MOMENTUM * old_var + (1 - BN_MOMENTUM) * var)
+
+    slope = r.uniform(0.05, 0.5, (c,))
+    p = prelu_forward(y, slope)
+    assert np.array_equal(p, prelu_reference(y, slope))
+    gp = r.normal(p.shape)
+    gy, pgrads = prelu_backward(y, slope, gp)
+    want_gy, want_gs = prelu_backward_reference(y, slope, gp)
+    assert np.array_equal(gy, want_gy)
+    assert np.abs(pgrads["prelu_slope"] - want_gs).max() <= 1e-12 * np.abs(want_gs).max()
+
+    want_gx, want_gscale, want_gshift = batchnorm_train_backward_reference(x, bn.bn_scale, gy, BN_EPS)
+    for kwargs in ({"cache": cache}, {}):  # the forward's cache, and statistics recomputed from x
+        gx, grads = batchnorm_backward(x, bn, gy, **kwargs)
+        assert np.array_equal(gx, want_gx)
+        assert np.array_equal(grads["bn_scale"], want_gscale)
+        assert np.array_equal(grads["bn_shift"], want_gshift)
+
+
 _CUBE = np.ones((2, 2, 2, 1))  # one (depth, time, freq, channels) example, no batch axis
 _FC = LayerParams(kind="fully_connected", weights=np.ones((3, 2)), bias=np.zeros(2))
 _LC = LayerParams(kind="locally_connected", weights=np.ones((1, 1, 1, 2, 2)), bias=np.zeros((1, 1, 1)))
@@ -182,8 +250,6 @@ def test_unbatched_example_rejected(fn, args):
 @given(st.integers(0, 10**6))
 def test_finite_inputs_stay_finite_through_forward_and_backward(seed):
     """No layer may introduce NaN/Inf on finite inputs."""
-    from svkit.nn.layers import batchnorm_backward, batchnorm_forward, prelu_backward
-
     r = Rng(seed)
     x = r.normal((3, 6, 6, 2), std=3.0)[None]
     w = r.normal((3, 2, 2, 2, 3))
@@ -204,7 +270,7 @@ def test_finite_inputs_stay_finite_through_forward_and_backward(seed):
         assert np.isfinite(h).all()
     g = maxpool_freq_backward(h3, np.ones_like(h4), idx)
     g, _ = prelu_backward(h2, slope, g)
-    g, _ = batchnorm_backward(h1, bn, g, mode="train")
+    g, _ = batchnorm_backward(h1, bn, g)
     g, grads = conv3d_backward(x, conv, g)
     assert np.isfinite(g).all()
     assert all(np.isfinite(arr).all() for arr in grads.values())

@@ -12,6 +12,14 @@ import numpy as np
 import pytest
 
 import svkit
+from oracles import (
+    batchnorm_train_backward_reference,
+    batchnorm_train_reference,
+    conv3d_im2col,
+    conv3d_im2col_backward,
+    prelu_backward_reference,
+    prelu_reference,
+)
 from svkit.errors import (
     CheckpointError,
     ChecksumError,
@@ -23,7 +31,7 @@ from svkit.models import network as network_module
 from svkit.models.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from svkit.models.network import Network
 from svkit.models.zoo import build_3dcnn, build_lcn_baseline, build_network
-from svkit.nn.layers import LayerParams
+from svkit.nn.layers import BN_EPS, LayerParams, softmax_xent_batch, softmax_xent_batch_gradient
 from svkit.rng import Rng
 
 # Per-layer (depth, time, freq, channels) outputs of the full-size cube
@@ -55,7 +63,7 @@ class TestBuild3dcnn:
     def test_forward_pass_shapes_at_depth_20(self):
         net = build_3dcnn(20, 8, Rng(0))
         x = Rng(1).normal((20, 80, 40, 1))
-        _, caches = net.forward_with_cache(x[None], mode="train")
+        _, caches = net.forward_with_cache(x[None])
         by_name = {}
         for layer, nxt in zip(net.layers, caches[1:] + [None]):
             if nxt is not None:
@@ -177,7 +185,7 @@ def test_conv_caches_hold_only_the_input():
     _, caches = net.forward_with_cache(Rng(1).normal((2, 3, 80, 40, 1)))
     conv_caches = [cache for layer, cache in zip(net.layers, caches) if layer.kind == "conv3d"]
     assert len(conv_caches) == 8
-    assert all(set(cache) == {"x", "mode"} for cache in conv_caches)
+    assert all(set(cache) == {"x"} for cache in conv_caches)
 
 
 _GRADIENT_STEP = """
@@ -291,9 +299,71 @@ class TestDepthCollapse:
         assert depths[0] == 20 and len(depths) == 8
 
 
+def _reference_forward(layer, x):
+    """Whole-batch im2col conv and the one-expression-per-step batchnorm/PReLU; the library elsewhere."""
+    if layer.kind == "conv3d":
+        return conv3d_im2col(x, layer.weights, layer.bias, layer.stride, layer.pad_depth)
+    if layer.kind == "batchnorm":
+        return batchnorm_train_reference(x, layer.bn_scale, layer.bn_shift, BN_EPS)[0]
+    if layer.kind == "prelu":
+        return prelu_reference(x, layer.prelu_slope)
+    return network_module._KINDS[layer.kind].forward(layer, x, "train", False, {})
+
+
+def _reference_backward(layer, x, g):
+    if layer.kind == "conv3d":
+        gx, gw, gb = conv3d_im2col_backward(x, layer.weights, layer.stride, layer.pad_depth, g)
+        return gx, {"weights": gw, "bias": gb}
+    if layer.kind == "batchnorm":
+        gx, gscale, gshift = batchnorm_train_backward_reference(x, layer.bn_scale, g, BN_EPS)
+        return gx, {"bn_scale": gscale, "bn_shift": gshift}
+    if layer.kind == "prelu":
+        gx, gs = prelu_backward_reference(x, layer.prelu_slope, g)
+        return gx, {"prelu_slope": gs}
+    cache = {}
+    if layer.kind == "maxpool_freq":
+        network_module._KINDS[layer.kind].forward(layer, x, "train", False, cache)
+    return network_module._KINDS[layer.kind].backward(layer, x, g, cache)
+
+
+def test_cnn3d_training_step_matches_reference_bytes():
+    """One zeta=20, batch-2 training step against the whole-batch references, layer by layer.
+
+    Activations, every layer's input gradient and the conv bias, bn_shift and
+    bn_scale gradients must keep the reference's bytes; conv weight and PReLU
+    slope gradients may differ by rounding only (1e-12 of the largest entry).
+    """
+    net = _trained_like_3dcnn(20)
+    x = Rng(12).normal((2, *net.spec.input_shape))
+    labels = np.array([0, 3])
+    logits, caches = net.forward_with_cache(x, update_running=False)
+    acts = [x]
+    for layer in net.layers:
+        acts.append(_reference_forward(layer, acts[-1]))
+    for layer, cache, want in zip(net.layers, caches, acts):
+        assert np.array_equal(cache["x"], want), layer.name
+    assert np.array_equal(logits, acts[-1])
+
+    _, probs = softmax_xent_batch(logits, labels)
+    g_lib = g_ref = softmax_xent_batch_gradient(probs, labels)
+    grad_x, grads = net.backward(caches, g_lib)
+    for layer, cache, a, got in reversed(list(zip(net.layers, caches, acts, grads))):
+        g_lib, lib_grads = network_module._KINDS[layer.kind].backward(layer, cache["x"], g_lib, cache)
+        g_ref, want = _reference_backward(layer, a, g_ref)
+        assert np.array_equal(g_lib, g_ref), layer.name  # this layer's input gradient
+        assert set(got) == set(lib_grads) == set(want), layer.name
+        for field, arr in want.items():
+            assert np.array_equal(got[field], lib_grads[field]), (layer.name, field)
+            if field == "prelu_slope" or (field == "weights" and layer.kind == "conv3d"):
+                assert np.abs(got[field] - arr).max() <= 1e-12 * np.abs(arr).max(), (layer.name, field)
+            else:
+                assert np.array_equal(got[field], arr), (layer.name, field)
+    assert np.array_equal(grad_x, g_lib)
+
+
 def _pre_norm(net, x):
-    _, caches = net.forward_with_cache(x, mode="infer", update_running=False)
-    return float(np.linalg.norm(caches[-1]["x"][0]))  # the classifier head's input
+    head_input = net._run(x[None], net.layers[:-1], "infer", update_running=False)
+    return float(np.linalg.norm(head_input[0]))
 
 
 class TestCheckpoints:
