@@ -46,10 +46,8 @@ def mel_to_hz(m):
 
 @dataclass(frozen=True, eq=False)
 class FilterBank:
-    weights: np.ndarray  # (n_filters, n_fft//2 + 1), nonnegative
+    weights: np.ndarray  # (n_filters, N_FFT//2 + 1), nonnegative
     center_freqs: np.ndarray  # ascending Hz
-    sample_rate: int
-    n_fft: int
 
     @property
     def n_filters(self) -> int:
@@ -71,7 +69,7 @@ def mel_filterbank() -> FilterBank:
         rising = (bin_hz - left) / (center - left)
         falling = (right - bin_hz) / (right - center)
         weights[k] = np.maximum(0.0, np.minimum(rising, falling))
-    return FilterBank(weights, edges_hz[1:-1].copy(), CANONICAL_RATE, N_FFT)
+    return FilterBank(weights, edges_hz[1:-1].copy())
 
 
 def frame_signal(signal: AudioSignal) -> np.ndarray:
@@ -154,12 +152,10 @@ def mfec(
             f"frame axis: got {frames.shape[0]} frames, need exactly {N_FRAMES} "
             "(slice the signal into 0.8 s segments first)"
         )
-    if frames.shape[1] > filterbank.n_fft:
-        raise DimensionError(
-            f"frame length {frames.shape[1]} exceeds filterbank n_fft {filterbank.n_fft}"
-        )
-    spectrum = np.fft.rfft(frames, n=filterbank.n_fft, axis=1)
-    power = (spectrum.real**2 + spectrum.imag**2) / filterbank.n_fft
+    if frames.shape[1] > N_FFT:
+        raise DimensionError(f"frame length {frames.shape[1]} exceeds the FFT length {N_FFT}")
+    spectrum = np.fft.rfft(frames, n=N_FFT, axis=1)
+    power = (spectrum.real**2 + spectrum.imag**2) / N_FFT
     energies = power @ filterbank.weights.T
     values = np.log(np.maximum(energies, LOG_FLOOR))
     return FeatureMap(values, speaker_id, utterance_id)

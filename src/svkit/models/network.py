@@ -78,11 +78,12 @@ class Network:
     def _run(self, xb, layers, mode: str, update_running: bool, caches: list | None = None):
         """Run `layers` in order; with `caches`, append each layer's backward cache to it."""
         for layer in layers:
+            kind = _KINDS[layer.kind]
             entry = None
             if caches is not None:
-                entry = {"x": xb}
+                entry = {"x": xb} if kind.reads_input else {}
                 caches.append(entry)
-            xb = _KINDS[layer.kind].forward(layer, xb, mode, update_running, entry)
+            xb = kind.forward(layer, xb, mode, update_running, entry)
         return xb
 
     def forward(self, x) -> np.ndarray:
@@ -92,21 +93,43 @@ class Network:
         return xb[0] if single else xb
 
     def forward_with_cache(self, x, update_running: bool = True):
-        """Train-mode logits plus each layer's backward cache, in layer order."""
+        """Train-mode logits plus each layer's backward cache, in layer order.
+
+        A cache holds only what that layer's backward reads: the layer input
+        for most kinds, the normalized input and 1/sqrt(var + eps) (not the
+        input) for batchnorm. `backward` consumes the list and computes the
+        first layer's input gradient only on request.
+        """
         xb, _ = self._promote(x)
         caches: list[dict] = []
         return self._run(xb, self.layers, "train", update_running, caches), caches
 
     # -- backward --------------------------------------------------------
 
-    def backward(self, caches: list[dict], grad_logits: np.ndarray):
-        """Per-layer parameter gradients plus the gradient w.r.t. the input."""
+    def backward(self, caches: list[dict], grad_logits: np.ndarray, input_grad: bool = True):
+        """Per-layer parameter gradients plus the gradient w.r.t. the input.
+
+        Consumes `caches` from forward_with_cache: each layer's entry is taken
+        off the list and released once that layer's backward has run, so the
+        list is empty afterwards and a step holds only what is still to be
+        read; a second backward over it raises ConfigError. The first layer's
+        input gradient is computed only on request: with `input_grad` off
+        (training, which discards it) the input gradient is None, and a conv
+        first layer skips its products.
+        """
+        if len(caches) != len(self.layers):
+            raise ConfigError(
+                f"backward needs one cache per layer ({len(self.layers)}), got {len(caches)}; "
+                "each forward_with_cache result can be used by one backward only"
+            )
         grads: list[dict] = []
         g = np.asarray(grad_logits, dtype=np.float64)
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            g, layer_grads = _KINDS[layer.kind].backward(layer, cache["x"], g, cache)
+        for i in reversed(range(len(self.layers))):
+            layer = self.layers[i]
+            cache = caches.pop()
+            g, layer_grads = _KINDS[layer.kind].backward(layer, g, cache, input_grad or i > 0)
             grads.append(layer_grads)
-        return g, grads[::-1]
+        return (g if input_grad else None), grads[::-1]
 
     # -- losses (training and gradient checking) --------------------------
 
@@ -227,8 +250,11 @@ class _Kind:
     """What Network needs to know about one layer kind.
 
     forward(layer, x, mode, update_running, cache) -> y
-    backward(layer, x, grad_out, cache) -> (grad_in, parameter gradients)
+    backward(layer, grad_out, cache, input_grad) -> (grad_in, parameter gradients)
     shape(layer, per-example input shape) -> per-example output shape
+    reads_input: whether backward reads the layer input, cache["x"]
+
+    `input_grad` off allows, but does not require, grad_in to be skipped.
 
     Entries call the layer functions through this module's globals on every
     call, so rebinding one of those names (e.g. to wrap it) takes effect.
@@ -237,6 +263,7 @@ class _Kind:
     forward: Callable
     backward: Callable
     shape: Callable
+    reads_input: bool = True
 
 
 def _maxpool_forward(layer, x, mode, update_running, cache):
@@ -254,42 +281,43 @@ def _dense_shape(layer, shape):
 
 _DENSE = _Kind(
     lambda layer, x, mode, update_running, cache: fully_connected_forward(x, layer),
-    lambda layer, x, g, cache: fully_connected_backward(x, layer, g),
+    lambda layer, g, cache, input_grad: fully_connected_backward(cache["x"], layer, g),
     _dense_shape,
 )
 _KINDS = {
     "conv3d": _Kind(
         lambda layer, x, mode, update_running, cache: conv3d_forward(x, layer),
-        lambda layer, x, g, cache: conv3d_backward(x, layer, g),
+        lambda layer, g, cache, input_grad: conv3d_backward(cache["x"], layer, g, input_grad=input_grad),
         lambda layer, shape: conv3d_output_shape(shape, layer),
     ),
     "maxpool_freq": _Kind(
         _maxpool_forward,
-        lambda layer, x, g, cache: (maxpool_freq_backward(x, g, cache["indices"]), {}),
+        lambda layer, g, cache, input_grad: (maxpool_freq_backward(cache["x"], g, cache["indices"]), {}),
         lambda layer, shape: (*shape[:2], shape[2] // 2, shape[3]),
     ),
     "prelu": _Kind(
         lambda layer, x, mode, update_running, cache: prelu_forward(x, layer.prelu_slope),
-        lambda layer, x, g, cache: prelu_backward(x, layer.prelu_slope, g),
+        lambda layer, g, cache, input_grad: prelu_backward(cache["x"], layer.prelu_slope, g),
         lambda layer, shape: shape,
     ),
     "batchnorm": _Kind(
         lambda layer, x, mode, update_running, cache: batchnorm_forward(
             x, layer, mode=mode, update_running=update_running, cache=cache
         ),
-        lambda layer, x, g, cache: batchnorm_backward(x, layer, g, cache=cache),
+        lambda layer, g, cache, input_grad: batchnorm_backward(None, layer, g, cache=cache),
         lambda layer, shape: shape,
+        reads_input=False,
     ),
     "flatten": _Kind(
         lambda layer, x, mode, update_running, cache: x.reshape(x.shape[0], -1),
-        lambda layer, x, g, cache: (g.reshape(x.shape), {}),
+        lambda layer, g, cache, input_grad: (g.reshape(cache["x"].shape), {}),
         lambda layer, shape: (int(np.prod(shape)),),
     ),
     "fully_connected": _DENSE,
     "softmax": _DENSE,
     "locally_connected": _Kind(
         lambda layer, x, mode, update_running, cache: locally_connected_forward(x, layer),
-        lambda layer, x, g, cache: locally_connected_backward(x, layer, g),
+        lambda layer, g, cache, input_grad: locally_connected_backward(cache["x"], layer, g),
         lambda layer, shape: (int(np.prod(layer.weights.shape[:3])),),
     ),
 }

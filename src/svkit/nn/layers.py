@@ -123,11 +123,12 @@ def _conv_prepare(x, params: LayerParams):
     return xb, p, out
 
 
-def _offset_slice(xb, i, j, k, out, stride):
+def _offset_slice(x, i, j, k, out, stride):
+    """View of the positions tap (i, j, k) reads; `x` ends in (depth, time, freq, channels) axes."""
     do, ho, wo = out
     sd, sh, sw = stride
-    return xb[
-        :,
+    return x[
+        ...,
         i : i + (do - 1) * sd + 1 : sd,
         j : j + (ho - 1) * sh + 1 : sh,
         k : k + (wo - 1) * sw + 1 : sw,
@@ -194,20 +195,25 @@ def _conv_weight_grad(xb, w, stride, gb):
     return gw.reshape(w.shape)
 
 
-def conv3d_backward(x, params: LayerParams, grad_out):
+def conv3d_backward(x, params: LayerParams, grad_out, input_grad: bool = True):
     """Exact gradients of conv3d_forward w.r.t. input, weights, and bias.
 
     The weight gradient is accumulated over each example's output depth
     slices from the same patch matrices the forward pass multiplies, one
     slice (or a run of slices up to 4 MiB) at a time, so no whole-batch
     patch matrix is built; it matches the whole-batch `col.T @ grad_out` to
-    rounding only. The input gradient scatters each
-    tap's whole-batch product `grad_out @ W[i, j, k].T` into the strided
-    view that tap reads, in fixed tap order, and the bias gradient sums
-    grad_out over every position. Both keep the bytes of that whole-batch
-    formulation: they decide everything downstream, and the conv biases,
-    whose exact gradient is 0 under train-mode batchnorm, hold only their
-    rounding noise.
+    rounding only. The bias gradient sums grad_out over every position.
+
+    The input gradient is computed one example at a time: each tap's
+    product `grad_out[b] @ W[i, j, k].T` goes into one reused per-example
+    buffer and is added into the strided view of example b that the tap
+    reads, taps in (i, j, k) order. Every row of that product is the same
+    dot product a whole-batch `grad_out @ W[i, j, k].T` computes, and each
+    input element receives its taps in the same order, so the input and
+    bias gradients keep the bytes of the whole-batch formulation: they
+    decide everything downstream, and the conv biases, whose exact gradient
+    is 0 under train-mode batchnorm, hold only their rounding noise. With
+    `input_grad` off the input gradient is not computed and is None.
     """
     xb, p, out = _conv_prepare(x, params)
     w = params.weights
@@ -217,18 +223,20 @@ def conv3d_backward(x, params: LayerParams, grad_out):
     if gb.shape != expected:
         raise DimensionError(f"grad_out shape {gb.shape} does not match output {expected}")
     gb = np.ascontiguousarray(gb)
-    gw = _conv_weight_grad(xb, w, params.stride, gb)
-    go2 = gb.reshape(-1, cout)
-    tap = np.empty((go2.shape[0], cin))  # one tap's input-gradient product, reused
+    grads = {"weights": _conv_weight_grad(xb, w, params.stride, gb), "bias": gb.reshape(-1, cout).sum(axis=0)}
+    if not input_grad:
+        return None, grads
+    tap = np.empty((int(np.prod(out)), cin))  # one tap's product for one example, reused
     gxp = np.zeros_like(xb)
-    for i in range(kd):
-        for j in range(kh):
-            for k in range(kw):
-                np.matmul(go2, w[i, j, k].T, out=tap)
-                xs = _offset_slice(gxp, i, j, k, out, params.stride)
-                xs += tap.reshape(xs.shape)
+    for b in range(xb.shape[0]):
+        go2 = gb[b].reshape(-1, cout)
+        for i in range(kd):
+            for j in range(kh):
+                for k in range(kw):
+                    np.matmul(go2, w[i, j, k].T, out=tap)
+                    xs = _offset_slice(gxp[b], i, j, k, out, params.stride)
+                    xs += tap.reshape(xs.shape)
     gx = gxp[:, p : gxp.shape[1] - p] if p else gxp
-    grads = {"weights": gw, "bias": go2.sum(axis=0)}
     return gx, grads
 
 
@@ -355,25 +363,26 @@ def batchnorm_forward(
 def batchnorm_backward(x, params: LayerParams, grad_out, cache: dict | None = None):
     """Gradients of train-mode batchnorm_forward w.r.t. input, scale, and shift.
 
-    Reads the normalized input from `cache` when batchnorm_forward filled it
-    and recomputes it from `x` otherwise. The scale and shift gradients are
+    With the `cache` batchnorm_forward filled, reads the normalized input
+    and 1/sqrt(var + eps) from it and does not read `x`, which may be None;
+    without one, recomputes both from `x`. The scale and shift gradients are
     the per-channel sums of grad_out * x_hat and grad_out that the input
     gradient also uses; the input gradient is
     (scale * inv / n) * (n * g - sum(g) - x_hat * sum(g * x_hat)), rounded
     in that order, so all three keep their bytes however the passes are
     arranged.
     """
-    x = np.asarray(x, dtype=np.float64)
     g = np.asarray(grad_out, dtype=np.float64)
-    if g.shape != x.shape:
-        raise DimensionError(f"grad_out shape {g.shape} does not match input {x.shape}")
-    axes = tuple(range(x.ndim - 1))
-    if cache is not None and "bn_xh" in cache:
+    if cache is not None:
         xh = cache["bn_xh"]
         inv = cache["bn_inv"]
     else:
-        _, _, inv, xh = _batch_normalize(x, axes)
-    n = x.size // x.shape[-1]
+        x = np.asarray(x, dtype=np.float64)
+        _, _, inv, xh = _batch_normalize(x, tuple(range(x.ndim - 1)))
+    if g.shape != xh.shape:
+        raise DimensionError(f"grad_out shape {g.shape} does not match input {xh.shape}")
+    axes = tuple(range(g.ndim - 1))
+    n = g.size // g.shape[-1]
     gsum = g.sum(axis=axes)
     tmp = g * xh
     gxh_sum = tmp.sum(axis=axes)

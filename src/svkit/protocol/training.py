@@ -83,7 +83,7 @@ def train_development(
             loss, probs = softmax_xent_batch(logits, yb)
             if not math.isfinite(loss):
                 raise NumericError(f"training loss became non-finite ({loss})")
-            _, grads = network.backward(caches, softmax_xent_batch_gradient(probs, yb))
+            _, grads = network.backward(caches, softmax_xent_batch_gradient(probs, yb), input_grad=False)
             optimizer.step(network.layers, grads)
             total += loss * len(idx)
         history.append(total / n)

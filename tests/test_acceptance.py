@@ -16,7 +16,7 @@ import pytest
 from oracles import conv3d_direct, dft_power_spectrum, roc_brute_force
 from svkit.cli import main
 from svkit.dsp.audio import AudioSignal
-from svkit.dsp.features import frame_signal, mel_filterbank, mfec, signal_to_feature_map
+from svkit.dsp.features import N_FFT, frame_signal, mel_filterbank, mfec, signal_to_feature_map
 from svkit.errors import ChecksumError
 from svkit.models.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from svkit.models.zoo import build_3dcnn
@@ -67,12 +67,11 @@ def report(n, text):
 def test_criterion_1_table_shape_conformance():
     t0 = time.time()
     net = build_3dcnn(20, 511, Rng(0))
-    x = Rng(1).normal((20, 80, 40, 1))
-    _, caches = net.forward_with_cache(x[None])
-    outputs = {
-        layer.name: nxt["x"].shape[1:]
-        for layer, nxt in zip(net.layers[:-1], caches[1:])
-    }
+    xb = Rng(1).normal((1, 20, 80, 40, 1))
+    outputs = {}
+    for layer in net.layers[:-1]:
+        xb = net._run(xb, [layer], "train", update_running=False)
+        outputs[layer.name] = xb.shape[1:]
     depth_trace = []
     for name, expected_tfc in EXPECTED_TABLE_CHAIN.items():
         got = outputs[name]  # (depth, time, freq, channels)
@@ -272,7 +271,7 @@ def test_criterion_5_feature_contract():
     frame_t = np.arange(320) / SR
     for k in range(bank.n_filters):
         frame = np.cos(2 * np.pi * bank.center_freqs[k] * frame_t) * window
-        energies = bank.weights @ dft_power_spectrum(frame, bank.n_fft)
+        energies = bank.weights @ dft_power_spectrum(frame, N_FFT)
         assert int(np.argmax(energies)) == k, f"filter {k} not maximal for its own center"
     report(5, "80x40 map from 0.8 s audio; log-floor map; all 40 center tones maximal")
 

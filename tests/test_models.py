@@ -5,7 +5,9 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from svkit.errors import (
     CheckpointError,
     ChecksumError,
     ConfigError,
+    SvkitError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -62,12 +65,11 @@ class TestBuild3dcnn:
 
     def test_forward_pass_shapes_at_depth_20(self):
         net = build_3dcnn(20, 8, Rng(0))
-        x = Rng(1).normal((20, 80, 40, 1))
-        _, caches = net.forward_with_cache(x[None])
+        xb = Rng(1).normal((1, 20, 80, 40, 1))
         by_name = {}
-        for layer, nxt in zip(net.layers, caches[1:] + [None]):
-            if nxt is not None:
-                by_name[layer.name] = nxt["x"].shape[1:]
+        for layer in net.layers:
+            xb = net._run(xb, [layer], "train", update_running=False)
+            by_name[layer.name] = xb.shape[1:]
         for name, expected in EXPECTED_CHAIN_20.items():
             assert by_name[name] == expected, name
 
@@ -320,35 +322,61 @@ def _reference_backward(layer, x, g):
     if layer.kind == "prelu":
         gx, gs = prelu_backward_reference(x, layer.prelu_slope, g)
         return gx, {"prelu_slope": gs}
-    cache = {}
+    cache = {"x": x}
     if layer.kind == "maxpool_freq":
         network_module._KINDS[layer.kind].forward(layer, x, "train", False, cache)
-    return network_module._KINDS[layer.kind].backward(layer, x, g, cache)
+    return network_module._KINDS[layer.kind].backward(layer, g, cache, True)
 
 
-def test_cnn3d_training_step_matches_reference_bytes():
+def _recording_kinds(forwards, backwards):
+    """network._KINDS with every forward call's (layer, input) and backward call's (layer, result) recorded."""
+
+    def kind(k):
+        def forward(layer, x, *args):
+            forwards.append((layer, x))
+            return k.forward(layer, x, *args)
+
+        def backward(layer, *args):
+            out = k.backward(layer, *args)
+            backwards.append((layer, out))
+            return out
+
+        return replace(k, forward=forward, backward=backward)
+
+    return {name: kind(k) for name, k in network_module._KINDS.items()}
+
+
+def test_cnn3d_training_step_matches_reference_bytes(monkeypatch):
     """One zeta=20, batch-2 training step against the whole-batch references, layer by layer.
 
     Activations, every layer's input gradient and the conv bias, bn_shift and
     bn_scale gradients must keep the reference's bytes; conv weight and PReLU
     slope gradients may differ by rounding only (1e-12 of the largest entry).
+    Each layer's input and backward result are recorded as Network passes
+    them, since backward consumes the caches.
     """
     net = _trained_like_3dcnn(20)
     x = Rng(12).normal((2, *net.spec.input_shape))
     labels = np.array([0, 3])
-    logits, caches = net.forward_with_cache(x, update_running=False)
+    forwards, backwards = [], []
+    with monkeypatch.context() as m:
+        m.setattr(network_module, "_KINDS", _recording_kinds(forwards, backwards))
+        logits, caches = net.forward_with_cache(x, update_running=False)
+        _, probs = softmax_xent_batch(logits, labels)
+        g_ref = softmax_xent_batch_gradient(probs, labels)
+        grad_x, grads = net.backward(caches, g_ref)
+    assert caches == []
     acts = [x]
     for layer in net.layers:
         acts.append(_reference_forward(layer, acts[-1]))
-    for layer, cache, want in zip(net.layers, caches, acts):
-        assert np.array_equal(cache["x"], want), layer.name
+    assert [layer for layer, _ in forwards] == net.layers
+    for (layer, got_x), want in zip(forwards, acts):
+        assert np.array_equal(got_x, want), layer.name
     assert np.array_equal(logits, acts[-1])
 
-    _, probs = softmax_xent_batch(logits, labels)
-    g_lib = g_ref = softmax_xent_batch_gradient(probs, labels)
-    grad_x, grads = net.backward(caches, g_lib)
-    for layer, cache, a, got in reversed(list(zip(net.layers, caches, acts, grads))):
-        g_lib, lib_grads = network_module._KINDS[layer.kind].backward(layer, cache["x"], g_lib, cache)
+    assert [layer for layer, _ in backwards] == net.layers[::-1]
+    compared = 0
+    for (layer, (g_lib, lib_grads)), a, got in zip(backwards, acts[-2::-1], grads[::-1]):
         g_ref, want = _reference_backward(layer, a, g_ref)
         assert np.array_equal(g_lib, g_ref), layer.name  # this layer's input gradient
         assert set(got) == set(lib_grads) == set(want), layer.name
@@ -358,7 +386,53 @@ def test_cnn3d_training_step_matches_reference_bytes():
                 assert np.abs(got[field] - arr).max() <= 1e-12 * np.abs(arr).max(), (layer.name, field)
             else:
                 assert np.array_equal(got[field], arr), (layer.name, field)
+        compared += 1
+    assert compared == len(net.layers)
     assert np.array_equal(grad_x, g_lib)
+
+
+def _training_step(net, x, labels, input_grad):
+    """One forward_with_cache and backward as train_development runs them; (input gradient, gradients, caches)."""
+    logits, caches = net.forward_with_cache(x)
+    _, probs = softmax_xent_batch(logits, labels)
+    grad_x, grads = net.backward(caches, softmax_xent_batch_gradient(probs, labels), input_grad=input_grad)
+    return grad_x, grads, caches
+
+
+def test_training_step_consumes_caches_and_keeps_gradient_bytes():
+    """Skipping the input gradient changes no parameter gradient byte; backward empties the caches."""
+    x = Rng(13).normal((2, 20, 80, 40, 1))
+    labels = np.array([1, 2])
+    grad_x, full, caches = _training_step(_trained_like_3dcnn(20), x, labels, input_grad=True)
+    assert caches == [] and grad_x.shape == x.shape
+    grad_x, skipped, caches = _training_step(_trained_like_3dcnn(20), x, labels, input_grad=False)
+    assert caches == [] and grad_x is None
+    assert len(full) == len(skipped)
+    for a, b in zip(full, skipped):
+        assert set(a) == set(b)
+        for field in a:
+            assert np.array_equal(a[field], b[field]), field
+
+
+def test_training_step_peak_memory():
+    """One zeta=20, batch-2 step holds at most 110 MiB of Python-allocated arrays at its peak."""
+    net = build_3dcnn(20, 4, Rng(0))
+    x = Rng(1).normal((2, *net.spec.input_shape))
+    tracemalloc.start()
+    try:
+        _training_step(net, x, np.array([0, 3]), input_grad=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 110 * 2**20
+
+
+def test_backward_twice_over_one_cache_list_raises():
+    net = build_3dcnn(3, 3, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
+    logits, caches = net.forward_with_cache(Rng(1).normal((2, 3, 80, 40, 1)))
+    net.backward(caches, np.ones_like(logits))
+    with pytest.raises(SvkitError):
+        net.backward(caches, np.ones_like(logits))
 
 
 def _pre_norm(net, x):
