@@ -4,7 +4,7 @@ The pipeline per 0.8 s slice: 20 ms Hamming frames at a 10 ms hop (tail
 reflect-padded by one hop so a slice yields exactly 80 frames), power
 spectrum, 40 triangular mel filters, natural log with a floor. Each slice
 becomes one 80x40 feature map; maps of one speaker stack along depth into the
-network-input cubes.
+network-input cubes, plain (depth, 80, 40, 1) arrays.
 """
 
 from __future__ import annotations
@@ -107,36 +107,6 @@ class FeatureMap:
             raise DimensionError("feature map contains non-finite values")
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureCube:
-    """Feature maps of one speaker stacked along depth: shape (depth, 80, 40)."""
-
-    values: np.ndarray
-    speaker_id: str
-    utterance_ids: tuple[str, ...]
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 3 or v.shape[1:] != (N_FRAMES, N_COEFFS):
-            raise DimensionError(f"feature cube must be depth x {N_FRAMES} x {N_COEFFS}, got {v.shape}")
-        if v.shape[0] != len(self.utterance_ids):
-            raise DimensionError(
-                f"depth {v.shape[0]} does not match {len(self.utterance_ids)} utterance ids"
-            )
-
-    @property
-    def depth(self) -> int:
-        return self.values.shape[0]
-
-    def slice_map(self, d: int) -> FeatureMap:
-        return FeatureMap(self.values[d], self.speaker_id, self.utterance_ids[d])
-
-    def as_network_input(self) -> np.ndarray:
-        """Append the singleton channel axis the convolutional stack expects."""
-        return self.values[..., None]
-
-
 def mfec(
     frames: np.ndarray,
     filterbank: FilterBank,
@@ -171,30 +141,22 @@ def signal_to_feature_map(
     return mfec(frame_signal(signal), filterbank, speaker_id=speaker_id, utterance_id=utterance_id)
 
 
-def build_feature_cube(maps) -> FeatureCube:
-    """Depth-stack feature maps of one speaker, preserving order."""
+def build_feature_cube(maps) -> np.ndarray:
+    """Depth-stack feature maps of one speaker, in order, as a (depth, 80, 40, 1) network input."""
     maps = list(maps)
     if not maps:
         raise ConfigError("cannot build a feature cube from zero maps")
     speakers = {m.speaker_id for m in maps}
     if len(speakers) > 1:
         raise ProvenanceError(f"feature cube mixes speakers {sorted(speakers)}")
-    return FeatureCube(
-        np.stack([m.values for m in maps]),
-        maps[0].speaker_id,
-        tuple(m.utterance_id for m in maps),
-    )
+    return np.stack([m.values for m in maps])[..., None]
 
 
-def replicate_for_eval(fmap: FeatureMap, depth: int) -> FeatureCube:
-    """Copy one test-utterance map `depth` times along the cube's depth axis."""
+def replicate_for_eval(fmap: FeatureMap, depth: int) -> np.ndarray:
+    """One test-utterance map seen `depth` times along depth: a read-only (depth, 80, 40, 1) view, no copy."""
     if depth < 1:
         raise ConfigError(f"replication depth must be >= 1, got {depth}")
-    return FeatureCube(
-        np.repeat(fmap.values[None], depth, axis=0),
-        fmap.speaker_id,
-        (fmap.utterance_id,) * depth,
-    )
+    return np.broadcast_to(fmap.values[None, :, :, None], (depth, N_FRAMES, N_COEFFS, 1))
 
 
 def write_feature_file(fmap: FeatureMap, path) -> None:

@@ -97,7 +97,8 @@ class Network:
 
         A cache holds only what that layer's backward reads: the layer input
         for most kinds, the normalized input and 1/sqrt(var + eps) (not the
-        input) for batchnorm. `backward` consumes the list and computes the
+        input) for batchnorm, the window argmaxes and input width for the
+        frequency pool. `backward` consumes the list and computes the
         first layer's input gradient only on request.
         """
         xb, _ = self._promote(x)
@@ -270,6 +271,7 @@ def _maxpool_forward(layer, x, mode, update_running, cache):
     y, idx = maxpool_freq_forward(x)
     if cache is not None:
         cache["indices"] = idx
+        cache["width"] = x.shape[3]
     return y
 
 
@@ -292,8 +294,9 @@ _KINDS = {
     ),
     "maxpool_freq": _Kind(
         _maxpool_forward,
-        lambda layer, g, cache, input_grad: (maxpool_freq_backward(cache["x"], g, cache["indices"]), {}),
+        lambda layer, g, cache, input_grad: (maxpool_freq_backward(g, cache["indices"], cache["width"]), {}),
         lambda layer, shape: (*shape[:2], shape[2] // 2, shape[3]),
+        reads_input=False,
     ),
     "prelu": _Kind(
         lambda layer, x, mode, update_running, cache: prelu_forward(x, layer.prelu_slope),

@@ -245,7 +245,8 @@ def maxpool_freq_forward(x):
 
     Depth, time, and channel extents are untouched; an odd trailing frequency
     column is dropped. Ties resolve to the first (lower-index) element, and
-    `indices` holds each window's argmax for maxpool_freq_backward.
+    `indices` holds each window's argmax (0 or 1, as uint8) for
+    maxpool_freq_backward.
     """
     xb = _require_batch(x, 4, "maxpool input")
     w = xb.shape[3]
@@ -253,25 +254,25 @@ def maxpool_freq_forward(x):
         raise DimensionError(f"freq axis: extent {w} below pooling window 2")
     wo = w // 2
     windows = xb[:, :, :, : 2 * wo, :].reshape(xb.shape[:3] + (wo, 2, xb.shape[4]))
-    idx = np.argmax(windows, axis=4)
+    idx = np.argmax(windows, axis=4).astype(np.uint8)
     y = np.take_along_axis(windows, idx[:, :, :, :, None, :], axis=4)[:, :, :, :, 0, :]
     return y, idx
 
 
-def maxpool_freq_backward(x, grad_out, indices):
+def maxpool_freq_backward(grad_out, indices, width):
     """Route grad_out to each window's argmax (first element on ties).
 
-    `indices` are the window argmaxes from maxpool_freq_forward(x).
+    `indices` are the window argmaxes from maxpool_freq_forward and `width`
+    is the frequency extent of its input; a dropped odd column gets zero.
     """
-    xb = _require_batch(x, 4, "maxpool input")
     gb = _require_batch(grad_out, 4, "maxpool grad_out")
-    wo = xb.shape[3] // 2
-    if gb.shape != xb.shape[:3] + (wo, xb.shape[4]):
+    wo = width // 2
+    if gb.shape[3] != wo or np.shape(indices) != gb.shape:
         raise DimensionError(
-            f"grad_out shape {gb.shape} does not match pooled shape {xb.shape[:3] + (wo, xb.shape[4])}"
+            f"grad_out shape {gb.shape} does not match indices {np.shape(indices)} pooled from width {width}"
         )
-    gx = np.zeros_like(xb)
-    gview = gx[:, :, :, : 2 * wo, :].reshape(xb.shape[:3] + (wo, 2, xb.shape[4]))
+    gx = np.zeros(gb.shape[:3] + (width, gb.shape[4]))
+    gview = gx[:, :, :, : 2 * wo, :].reshape(gb.shape[:3] + (wo, 2, gb.shape[4]))
     np.put_along_axis(gview, indices[:, :, :, :, None, :], gb[:, :, :, :, None, :], axis=4)
     return gx
 

@@ -15,7 +15,6 @@ from .metrics import (
     IMPOSTOR,
     RocSummary,
     ScoreSet,
-    Trial,
     compute_roc,
     interpolate_eer,
     roc_points,
@@ -35,7 +34,6 @@ __all__ = [
     "RocSummary",
     "ScoreSet",
     "SpeakerModel",
-    "Trial",
     "classification_accuracy",
     "compute_roc",
     "enroll_dvector",

@@ -9,7 +9,7 @@ similarity.
 Model files: magic "SVSM", u32 version, u32 record count, then per record a
 length-prefixed speaker id, a kind byte, u32 zeta, u32 dimension, and the
 little-endian float64 embedding; a CRC32 over all preceding bytes trails the
-file.
+file. A speaker id has at most one record.
 """
 
 from __future__ import annotations
@@ -62,13 +62,14 @@ class SpeakerModel:
 def utterance_input(spec: NetworkSpec, fmap: FeatureMap) -> np.ndarray:
     """Network input for a single test utterance.
 
-    The cube network takes zeta-deep cubes, so a lone map is replicated zeta
-    times along depth; the map-level baseline consumes the map directly. At
-    valid depth (zeta >= 17) `Network.embed_vectors` runs a batch of such
-    cubes collapsed to one depth slice, which gives the full cube's embedding.
+    The cube network takes zeta-deep cubes, so a lone map is seen zeta times
+    along depth, as a view of the map that copies nothing; the map-level
+    baseline consumes the map directly. At valid depth (zeta >= 17)
+    `Network.embed_vectors` runs a batch of such cubes collapsed to one depth
+    slice, which gives the full cube's embedding.
     """
     if spec.kind == "cnn3d":
-        return replicate_for_eval(fmap, spec.zeta).as_network_input()
+        return replicate_for_eval(fmap, spec.zeta)
     return fmap.values
 
 
@@ -82,9 +83,8 @@ def enroll_one_shot(network: Network, maps) -> SpeakerModel:
             f"one-shot enrollment needs exactly {network.spec.zeta} maps "
             f"(the network's training stack depth), got {len(maps)}"
         )
-    cube = build_feature_cube(maps)
-    vec = network.embed_vectors([cube.as_network_input()])[0]
-    return SpeakerModel(cube.speaker_id, vec, network.spec.zeta, ONE_SHOT)
+    vec = network.embed_vectors([build_feature_cube(maps)])[0]
+    return SpeakerModel(maps[0].speaker_id, vec, network.spec.zeta, ONE_SHOT)
 
 
 def enroll_dvector(network: Network, maps) -> SpeakerModel:
@@ -139,7 +139,7 @@ def load_speaker_models(path) -> list[SpeakerModel]:
     if zlib.crc32(body) != crc_stored:
         raise ChecksumError(f"{path}: CRC32 mismatch, file is corrupt")
     offset = 12
-    models = []
+    models: dict[str, SpeakerModel] = {}
     for _ in range(count):
         try:
             (idlen,) = struct.unpack_from("<H", body, offset)
@@ -154,10 +154,12 @@ def load_speaker_models(path) -> list[SpeakerModel]:
             raise TruncatedFileError(f"{path}: record ends mid-field ({exc})") from exc
         if code not in _CODE_KINDS:
             raise FileFormatError(f"{path}: unknown model kind code {code}")
+        if ident in models:
+            raise FileFormatError(f"{path}: speaker {ident!r} has more than one record")
         try:
-            models.append(SpeakerModel(ident, vec, zeta, _CODE_KINDS[code]))
+            models[ident] = SpeakerModel(ident, vec, zeta, _CODE_KINDS[code])
         except ConfigError as exc:  # a record the writer cannot have produced
             raise FileFormatError(f"{path}: record {ident!r}: {exc}") from exc
     if offset != len(body):
         raise FileFormatError(f"{path}: {len(body) - offset} bytes after the last of {count} records")
-    return models
+    return list(models.values())

@@ -7,7 +7,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..models.network import Network
 from .enrollment import ONE_SHOT, SpeakerModel, score_trial, utterance_input
-from .metrics import RocSummary, ScoreSet, Trial, compute_roc
+from .metrics import GENUINE, IMPOSTOR, RocSummary, ScoreSet, compute_roc
 
 
 def run_evaluation(models: list[SpeakerModel], test_maps, network: Network) -> tuple[RocSummary, ScoreSet]:
@@ -15,9 +15,11 @@ def run_evaluation(models: list[SpeakerModel], test_maps, network: Network) -> t
 
     Each test map carries its true speaker id; a trial is genuine when the
     claimed model's id matches it. Single test utterances reach the cube
-    network as depth-replicated cubes; at valid depth (zeta >= 17) those run
-    collapsed to one depth slice (see `Network.embed_vectors`), with the same
-    embeddings as the full cube to within 1e-12.
+    network as depth-replicated views of their maps; at valid depth
+    (zeta >= 17) those run collapsed to one depth slice (see
+    `Network.embed_vectors`), with the same embeddings as the full cube to
+    within 1e-12. Scores fill the (utterances x models) matrix row by row,
+    one `score_trial` call per trial.
     """
     test_maps = list(test_maps)
     if not models:
@@ -31,21 +33,22 @@ def run_evaluation(models: list[SpeakerModel], test_maps, network: Network) -> t
                 f"network runs at {network.spec.zeta}"
             )
     vecs = network.embed_vectors([utterance_input(network.spec, m) for m in test_maps])
-    trials: list[Trial] = []
-    scores: list[float] = []
-    for fmap, vec in zip(test_maps, vecs):
-        for model in models:
-            trials.append(Trial(fmap.utterance_id, model.speaker_id, model.speaker_id == fmap.speaker_id))
-            scores.append(score_trial(model, vec))
-    score_set = ScoreSet(tuple(trials), np.array(scores))
-    return compute_roc(score_set), score_set
+    model_ids = tuple(m.speaker_id for m in models)
+    score_set = ScoreSet(
+        tuple(m.utterance_id for m in test_maps),
+        model_ids,
+        [[claimed == m.speaker_id for claimed in model_ids] for m in test_maps],
+        np.array([[score_trial(model, vec) for model in models] for vec in vecs]),
+    )
+    return compute_roc(score_set.genuine_scores, score_set.impostor_scores), score_set
 
 
 def score_log_lines(score_set: ScoreSet) -> list[str]:
-    """One line per trial: utterance_id,claimed_id,label,score (full precision)."""
+    """One line per trial, row by row: utterance_id,claimed_id,label,score (full precision)."""
     return [
-        f"{t.utterance_id},{t.claimed_id},{t.label},{float(s)!r}"
-        for t, s in zip(score_set.trials, score_set.scores)
+        f"{utt},{claimed},{GENUINE if genuine else IMPOSTOR},{float(s)!r}"
+        for utt, genuine_row, score_row in zip(score_set.utterance_ids, score_set.genuine, score_set.scores)
+        for claimed, genuine, s in zip(score_set.model_ids, genuine_row, score_row)
     ]
 
 

@@ -1,4 +1,4 @@
-"""Trials, score sets, and ROC / EER / AUC / precision-recall computation.
+"""Score sets and ROC / EER / AUC / precision-recall computation.
 
 Scores are cosine similarities; a trial is accepted when its score is >= the
 threshold. The sweep visits every distinct score plus -inf/+inf sentinels,
@@ -19,41 +19,38 @@ GENUINE = "genuine"
 IMPOSTOR = "impostor"
 
 
-@dataclass(frozen=True)
-class Trial:
-    utterance_id: str
-    claimed_id: str
-    genuine: bool
-
-    @property
-    def label(self) -> str:
-        return GENUINE if self.genuine else IMPOSTOR
-
-
 @dataclass(frozen=True, eq=False)
 class ScoreSet:
-    trials: tuple[Trial, ...]
-    scores: np.ndarray
+    """One-vs-all trial scores: row u scores test utterance u against every model.
+
+    `genuine[u, m]` marks a trial whose claimed model is the utterance's own
+    speaker. Trials in row-major order are the scoring order.
+    """
+
+    utterance_ids: tuple[str, ...]
+    model_ids: tuple[str, ...]
+    genuine: np.ndarray  # (U, M) bool
+    scores: np.ndarray  # (U, M)
 
     def __post_init__(self):
         s = np.asarray(self.scores, dtype=np.float64)
+        g = np.asarray(self.genuine, dtype=bool)
         object.__setattr__(self, "scores", s)
-        object.__setattr__(self, "trials", tuple(self.trials))
-        if s.shape != (len(self.trials),):
-            raise MetricError(f"{len(self.trials)} trials but {s.shape} scores")
-        if not np.isfinite(s).all():
-            raise NumericError("non-finite trial scores")
+        object.__setattr__(self, "genuine", g)
+        shape = (len(self.utterance_ids), len(self.model_ids))
+        if s.shape != shape or g.shape != shape:
+            raise MetricError(f"{shape[0]} utterances x {shape[1]} models but scores {s.shape}, mask {g.shape}")
 
     @property
     def genuine_scores(self) -> np.ndarray:
-        return self.scores[[t.genuine for t in self.trials]]
+        return self.scores[self.genuine]
 
     @property
     def impostor_scores(self) -> np.ndarray:
-        return self.scores[[not t.genuine for t in self.trials]]
+        return self.scores[~self.genuine]
 
     def __len__(self) -> int:
-        return len(self.trials)
+        return self.scores.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +89,12 @@ def interpolate_eer(tpr: np.ndarray, far: np.ndarray) -> float:
     return float(far[k - 1] + t * (far[k] - far[k - 1]))
 
 
-def compute_roc(scores: ScoreSet) -> RocSummary:
-    """Full sweep plus EER (interpolated), AUC (trapezoidal), and PR points."""
-    g = scores.genuine_scores
-    i = scores.impostor_scores
+def compute_roc(genuine, impostor) -> RocSummary:
+    """Full sweep plus EER (interpolated), AUC (trapezoidal), and PR points from the two score arrays."""
+    g = np.asarray(genuine, dtype=np.float64)
+    i = np.asarray(impostor, dtype=np.float64)
+    if not (np.isfinite(g).all() and np.isfinite(i).all()):
+        raise NumericError("non-finite trial scores")
     if g.size == 0 or i.size == 0:
         raise MetricError(
             f"need at least one genuine and one impostor trial, got {g.size} genuine / {i.size} impostor"

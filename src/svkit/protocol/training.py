@@ -43,8 +43,7 @@ def training_examples(network: Network, maps_by_speaker: dict) -> list[tuple[np.
                     f"speaker {sid!r} has {len(maps)} utterance maps, fewer than the stack depth {zeta}"
                 )
             for start in range(0, len(maps) - zeta + 1, zeta):
-                cube = build_feature_cube(maps[start : start + zeta])
-                examples.append((cube.as_network_input(), labels[sid]))
+                examples.append((build_feature_cube(maps[start : start + zeta]), labels[sid]))
     else:
         for sid in sorted(maps_by_speaker):
             if not maps_by_speaker[sid]:

@@ -200,6 +200,22 @@ def roc_brute_force(genuine, impostor):
     return points, eer, auc
 
 
+def one_vs_all_trials(models, test_maps, vecs):
+    """The per-trial scoring loop: one (utterance_id, claimed_id, label, score) row per trial.
+
+    Test utterances in order, each against every model in order; `vecs` are
+    the test embeddings, one row per map, and a score is the clipped dot
+    product of two unit vectors.
+    """
+    rows = []
+    for fmap, vec in zip(test_maps, vecs):
+        for model in models:
+            label = "genuine" if model.speaker_id == fmap.speaker_id else "impostor"
+            score = float(np.clip(model.embedding @ vec, -1.0, 1.0))
+            rows.append((fmap.utterance_id, model.speaker_id, label, score))
+    return rows
+
+
 def dft_power_spectrum(frame, n_fft):
     """Power spectrum by explicit complex summation (no FFT)."""
     frame = np.asarray(frame, dtype=np.float64)

@@ -39,7 +39,7 @@ from svkit.nn.layers import (
     softmax_xent_batch_gradient,
 )
 from svkit.protocol.enrollment import SpeakerModel, load_speaker_models, save_speaker_models
-from svkit.protocol.metrics import ScoreSet, Trial, compute_roc
+from svkit.protocol.metrics import compute_roc
 from svkit.rng import Rng
 
 SEED = 2026
@@ -144,7 +144,7 @@ def test_criterion_3_gradient_checks():
     x = r.normal((2, 3, 6, 2))[None]
     errors["maxpool_freq"] = projected(
         lambda x_: maxpool_freq_forward(x_)[0],
-        lambda x_, g: (maxpool_freq_backward(x_, g, maxpool_freq_forward(x_)[1]), {}),
+        lambda x_, g: (maxpool_freq_backward(g, maxpool_freq_forward(x_)[1], x_.shape[3]), {}),
         x,
         {},
         r.child(2),
@@ -227,27 +227,18 @@ def test_criterion_4_metric_oracle():
         i = r.normal((n_i,), std=0.6)
         if case % 3 == 0:
             g, i = np.round(g, 1), np.round(i, 1)  # heavy ties
-        trials = tuple(Trial(f"g{k}", "s", True) for k in range(n_g))
-        trials += tuple(Trial(f"i{k}", "s", False) for k in range(n_i))
-        summary = compute_roc(ScoreSet(trials, np.concatenate([g, i])))
+        summary = compute_roc(g, i)
         _, eer, auc = roc_brute_force(g, i)
         worst_eer = max(worst_eer, abs(summary.eer - eer))
         worst_auc = max(worst_auc, abs(summary.auc - auc))
     assert worst_eer < 1e-9 and worst_auc < 1e-9
 
-    perfect = compute_roc(
-        ScoreSet(
-            (Trial("a", "s", True), Trial("b", "s", True), Trial("c", "s", False), Trial("d", "s", False)),
-            np.array([0.9, 0.8, 0.1, 0.2]),
-        )
-    )
+    perfect = compute_roc(np.array([0.9, 0.8]), np.array([0.1, 0.2]))
     assert perfect.eer == 0.0 and perfect.auc == 1.0
 
     r = Rng(123_456)
     same = r.normal((2 * 10**4,))
-    trials = tuple(Trial(f"g{k}", "s", True) for k in range(10**4))
-    trials += tuple(Trial(f"i{k}", "s", False) for k in range(10**4))
-    chance = compute_roc(ScoreSet(trials, same))
+    chance = compute_roc(same[: 10**4], same[10**4 :])
     assert abs(chance.eer - 0.5) < 0.02
     elapsed = time.time() - t0
     report(

@@ -278,19 +278,16 @@ class TestFeatureCubes:
 
     def test_stacks_in_order(self):
         cube = build_feature_cube(self._maps(20))
-        assert cube.values.shape == (20, 80, 40)
-        assert cube.depth == 20
+        assert cube.shape == (20, 80, 40, 1)
 
     def test_single_map_cube(self):
-        assert build_feature_cube(self._maps(1)).values.shape == (1, 80, 40)
+        assert build_feature_cube(self._maps(1)).shape == (1, 80, 40, 1)
 
     def test_round_trip_slice(self):
         maps = self._maps(4)
         cube = build_feature_cube(maps)
         for d in range(4):
-            got = cube.slice_map(d)
-            assert np.array_equal(got.values, maps[d].values)
-            assert got.utterance_id == maps[d].utterance_id
+            assert np.array_equal(cube[d, :, :, 0], maps[d].values)
 
     def test_mixed_speakers_rejected(self):
         maps = self._maps(2) + self._maps(1, speaker="other")
@@ -300,18 +297,19 @@ class TestFeatureCubes:
     def test_replicate_for_eval(self):
         fmap = self._maps(1)[0]
         cube = replicate_for_eval(fmap, 20)
-        assert cube.values.shape == (20, 80, 40)
+        assert cube.shape == (20, 80, 40, 1)
         for d in range(20):
-            assert np.array_equal(cube.values[d], fmap.values)
+            assert np.array_equal(cube[d, :, :, 0], fmap.values)
+        # a read-only view of the map: no copy per depth slice
+        assert np.shares_memory(cube, fmap.values) and not cube.flags.writeable
 
     def test_replicate_depth_one_is_identity(self):
         fmap = self._maps(1)[0]
         cube = replicate_for_eval(fmap, 1)
-        assert np.array_equal(cube.values[0], fmap.values)
+        assert np.array_equal(cube[0, :, :, 0], fmap.values)
 
     def test_network_input_has_channel_axis(self):
-        cube = build_feature_cube(self._maps(3))
-        assert cube.as_network_input().shape == (3, 80, 40, 1)
+        assert build_feature_cube(self._maps(3)).shape == (3, 80, 40, 1)
 
 
 def test_feature_file_round_trip(tmp_path, mel_bank):

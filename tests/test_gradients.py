@@ -94,13 +94,13 @@ def test_maxpool_gradients_and_tie_break(rng):
     def loss():
         return float((maxpool_freq_forward(x)[0] * proj).sum())
 
-    gx = maxpool_freq_backward(x, proj, maxpool_freq_forward(x)[1])
+    gx = maxpool_freq_backward(proj, maxpool_freq_forward(x)[1], x.shape[3])
     assert max_relative_error(gx, numeric_gradient(loss, x, EPS)) < 1e-6
 
     # exact tie: gradient routes to the first element of the window
     tied = np.zeros((1, 1, 1, 2, 1))
     _, idx = maxpool_freq_forward(tied)
-    g = maxpool_freq_backward(tied, np.ones((1, 1, 1, 1, 1)), idx)[0]
+    g = maxpool_freq_backward(np.ones((1, 1, 1, 1, 1)), idx, tied.shape[3])[0]
     assert g[0, 0, 0, 0] == 1.0 and g[0, 0, 1, 0] == 0.0
 
 

@@ -233,7 +233,7 @@ _UNBATCHED_CALLS = (
     (conv3d_forward, _CUBE, conv_params(np.ones((1, 1, 1, 1, 1)))),
     (conv3d_backward, _CUBE, conv_params(np.ones((1, 1, 1, 1, 1))), _CUBE),
     (maxpool_freq_forward, _CUBE),
-    (maxpool_freq_backward, _CUBE, _CUBE[:, :, :1], np.zeros((2, 2, 1, 1), dtype=np.int64)),
+    (maxpool_freq_backward, _CUBE[:, :, :1], np.zeros((2, 2, 1, 1), dtype=np.uint8), 2),
     (fully_connected_forward, np.ones(3), _FC),
     (fully_connected_backward, np.ones(3), _FC, np.ones(2)),
     (locally_connected_forward, np.ones((2, 2)), _LC),
@@ -268,7 +268,7 @@ def test_finite_inputs_stay_finite_through_forward_and_backward(seed):
     h4, idx = maxpool_freq_forward(h3)
     for h in (h1, h2, h3, h4):
         assert np.isfinite(h).all()
-    g = maxpool_freq_backward(h3, np.ones_like(h4), idx)
+    g = maxpool_freq_backward(np.ones_like(h4), idx, h3.shape[3])
     g, _ = prelu_backward(h2, slope, g)
     g, _ = batchnorm_backward(h1, bn, g)
     g, grads = conv3d_backward(x, conv, g)

@@ -8,37 +8,31 @@ from hypothesis import strategies as st
 from oracles import roc_brute_force
 from svkit.errors import ConfigError, MetricError, NumericError
 from svkit.protocol.enrollment import SpeakerModel, score_trial
-from svkit.protocol.metrics import ScoreSet, Trial, compute_roc, roc_points
+from svkit.protocol.metrics import ScoreSet, compute_roc, roc_points
 from svkit.rng import Rng
-
-
-def make_score_set(genuine, impostor):
-    trials = tuple(Trial(f"g{i}", "s", True) for i in range(len(genuine)))
-    trials += tuple(Trial(f"i{i}", "s", False) for i in range(len(impostor)))
-    return ScoreSet(trials, np.concatenate([np.asarray(genuine, float), np.asarray(impostor, float)]))
 
 
 class TestComputeRoc:
     def test_perfect_separation(self):
-        s = compute_roc(make_score_set([0.9, 0.8], [0.1, 0.2]))
+        s = compute_roc([0.9, 0.8], [0.1, 0.2])
         assert s.eer == 0.0
         assert s.auc == 1.0
 
     def test_identical_score_lists_are_chance(self):
-        s = compute_roc(make_score_set([0.3, 0.5], [0.3, 0.5]))
+        s = compute_roc([0.3, 0.5], [0.3, 0.5])
         assert s.eer == pytest.approx(0.5, abs=1e-12)
         assert s.auc == pytest.approx(0.5, abs=1e-12)
 
     def test_missing_class_rejected(self):
         with pytest.raises(MetricError):
-            compute_roc(make_score_set([0.5], []))
+            compute_roc([0.5], [])
 
     def test_non_finite_scores_rejected(self):
         with pytest.raises(NumericError):
-            make_score_set([np.nan], [0.1])
+            compute_roc([np.nan], [0.1])
 
     def test_sweep_is_monotone_and_sentineled(self, rng):
-        s = compute_roc(make_score_set(rng.normal((50,)), rng.normal((60,))))
+        s = compute_roc(rng.normal((50,)), rng.normal((60,)))
         assert s.thresholds[0] == -np.inf and s.thresholds[-1] == np.inf
         assert (s.tpr[0], s.far[0]) == (1.0, 1.0)
         assert (s.tpr[-1], s.far[-1]) == (0.0, 0.0)
@@ -46,7 +40,7 @@ class TestComputeRoc:
         assert np.all(np.diff(s.far) <= 0)
 
     def test_eer_between_bracketing_rates(self, rng):
-        s = compute_roc(make_score_set(rng.normal((30,), mean=0.5), rng.normal((40,))))
+        s = compute_roc(rng.normal((30,), mean=0.5), rng.normal((40,)))
         frr = 1.0 - s.tpr
         d = s.far - frr
         k = int(np.argmax(d <= 0.0))
@@ -62,7 +56,7 @@ class TestComputeRoc:
         if quantize:  # force score ties within and across classes
             g = np.round(g, 1)
             i = np.round(i, 1)
-        s = compute_roc(make_score_set(g, i))
+        s = compute_roc(g, i)
         _, eer, auc = roc_brute_force(g, i)
         assert abs(s.eer - eer) < 1e-9
         assert abs(s.auc - auc) < 1e-9
@@ -72,13 +66,13 @@ class TestComputeRoc:
         r = Rng(seed)
         g = r.normal((25,), mean=0.4)
         i = r.normal((30,))
-        base = compute_roc(make_score_set(g, i))
-        warped = compute_roc(make_score_set(np.tanh(g) * 3 + 1, np.tanh(i) * 3 + 1))
+        base = compute_roc(g, i)
+        warped = compute_roc(np.tanh(g) * 3 + 1, np.tanh(i) * 3 + 1)
         assert warped.auc == pytest.approx(base.auc, abs=1e-12)
         assert warped.eer == pytest.approx(base.eer, abs=1e-12)
 
     def test_precision_recall_points(self):
-        s = compute_roc(make_score_set([0.9, 0.7], [0.8, 0.1]))
+        s = compute_roc([0.9, 0.7], [0.8, 0.1])
         assert s.precision[-1] == 1.0  # zero predictions convention
         assert s.recall[0] == 1.0
         # at tau = 0.7: tp = 2, fp = 1
@@ -146,12 +140,18 @@ class TestScoreTrial:
 
 
 class TestScoreSet:
+    def _score_set(self, scores):
+        # utterance u0 is spk_b's, u1 spk_a's; models in file order spk_a, spk_b
+        return ScoreSet(("u0", "u1"), ("spk_a", "spk_b"), [[False, True], [True, False]], scores)
+
     def test_partitions_by_label(self):
-        s = make_score_set([0.9], [0.1, 0.2])
-        np.testing.assert_array_equal(s.genuine_scores, [0.9])
+        s = self._score_set([[0.1, 0.9], [0.8, 0.2]])
+        np.testing.assert_array_equal(s.genuine_scores, [0.9, 0.8])
         np.testing.assert_array_equal(s.impostor_scores, [0.1, 0.2])
-        assert len(s) == 3
+        assert len(s) == 4
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(MetricError):
-            ScoreSet((Trial("u", "s", True),), np.array([0.1, 0.2]))
+            self._score_set(np.array([0.1, 0.2]))
+        with pytest.raises(MetricError):
+            ScoreSet(("u0",), ("spk_a", "spk_b"), [[True]], [[0.1, 0.2]])

@@ -190,6 +190,16 @@ def test_conv_caches_hold_only_the_input():
     assert all(set(cache) == {"x"} for cache in conv_caches)
 
 
+def test_pool_caches_hold_uint8_indices_and_no_float_array():
+    net = build_3dcnn(3, 3, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
+    _, caches = net.forward_with_cache(Rng(1).normal((2, 3, 80, 40, 1)))
+    pool_caches = [cache for layer, cache in zip(net.layers, caches) if layer.kind == "maxpool_freq"]
+    assert len(pool_caches) == 2
+    for cache in pool_caches:
+        assert cache["indices"].dtype == np.uint8
+        assert not any(isinstance(v, np.ndarray) and v.dtype.kind == "f" for v in cache.values())
+
+
 _GRADIENT_STEP = """
 import sys
 import numpy as np

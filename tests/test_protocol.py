@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from oracles import one_vs_all_trials
 from svkit.config import RunConfig
 from svkit.dsp.features import FeatureMap
 from svkit.errors import ChecksumError, ConfigError, FileFormatError, MetricError
@@ -18,6 +19,7 @@ from svkit.protocol.enrollment import (
     enroll_one_shot,
     load_speaker_models,
     save_speaker_models,
+    utterance_input,
 )
 from svkit.protocol.evaluation import run_evaluation, score_log_lines
 from svkit.protocol.training import (
@@ -76,7 +78,7 @@ class TestEnrollment:
         net = self._cube_net()
         maps = [fmap(i, "alice") for i in range(4)]
         model = enroll_one_shot(net, maps)
-        direct = net.embed_vectors([build_feature_cube(maps).as_network_input()])[0]
+        direct = net.embed_vectors([build_feature_cube(maps)])[0]
         np.testing.assert_array_equal(model.embedding, direct)
 
     def test_one_shot_order_sensitivity_documented(self):
@@ -135,8 +137,22 @@ class TestEnrollment:
 
         m = fmap(5, "carol")
         model = enroll_dvector(net, [m])
-        direct = net.embed_vectors([replicate_for_eval(m, 3).as_network_input()])[0]
+        direct = net.embed_vectors([replicate_for_eval(m, 3)])[0]
         np.testing.assert_allclose(model.embedding, direct, atol=1e-12)
+
+    def test_cube_test_input_is_a_view_of_the_map(self):
+        net = build_3dcnn(20, 2, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=8)
+        m = fmap(6, "carol")
+        cube = utterance_input(net.spec, m)
+        assert cube.shape == (20, 80, 40, 1)
+        assert np.shares_memory(cube, m.values)
+
+
+def _resigned(path, edit):
+    """`path`'s payload passed through `edit`, written back under a fresh CRC32, so only the edit is wrong."""
+    body = edit(path.read_bytes()[:-4])
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return path
 
 
 class TestSpeakerModelFile:
@@ -178,10 +194,8 @@ class TestSpeakerModelFile:
     )
     def test_bytes_beyond_declared_records_rejected(self, tmp_path, edit):
         save_speaker_models(self._models()[:1], tmp_path / "m.svsm")
-        body = edit((tmp_path / "m.svsm").read_bytes()[:-4])
-        (tmp_path / "x.svsm").write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(FileFormatError, match="after the last"):
-            load_speaker_models(tmp_path / "x.svsm")
+            load_speaker_models(_resigned(tmp_path / "m.svsm", edit))
 
     @pytest.mark.parametrize(
         "edit",
@@ -194,10 +208,18 @@ class TestSpeakerModelFile:
     )
     def test_invalid_record_with_valid_crc_rejected(self, tmp_path, edit):
         save_speaker_models(self._models()[:1], tmp_path / "m.svsm")  # "alice": embedding at offset 28
-        body = edit((tmp_path / "m.svsm").read_bytes()[:-4])
-        (tmp_path / "x.svsm").write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(FileFormatError, match="alice"):
-            load_speaker_models(tmp_path / "x.svsm")
+            load_speaker_models(_resigned(tmp_path / "m.svsm", edit))
+
+    def test_repeated_speaker_id_rejected(self, tmp_path):
+        # a second "alice" record would give one model two columns of the score matrix
+        save_speaker_models(self._models(), tmp_path / "m.svsm")
+        path = _resigned(
+            tmp_path / "m.svsm",
+            lambda body: body.replace(struct.pack("<H", 3) + b"bob", struct.pack("<H", 5) + b"alice"),
+        )
+        with pytest.raises(FileFormatError, match="'alice' has more than one record"):
+            load_speaker_models(path)
 
 
 class TestTraining:
@@ -290,3 +312,18 @@ class TestRunEvaluation:
         assert first[0] == "utt-1" and first[1] == "alice" and first[2] == "genuine"
         assert -1.0 <= float(first[3]) <= 1.0
         assert any(",impostor," in line for line in lines[1:])
+
+    @pytest.mark.parametrize("kind", ["cnn3d", "lcn_dvector"])
+    def test_score_log_matches_per_trial_loop(self, kind):
+        if kind == "cnn3d":
+            net = build_3dcnn(20, 3, Rng(2), channel_widths=(2, 2, 2, 2), embedding_width=8)
+            models = [
+                enroll_one_shot(net, [fmap(20 * k + i, spk) for i in range(20)]) for k, spk in enumerate("abc")
+            ]
+        else:
+            net, models = self._setup()
+        tests = [fmap(70 + i, spk, f"t{i}") for i, spk in enumerate(["b", "alice", "c", "bob", "a"])]
+        _, score_set = run_evaluation(models, tests, net)
+        vecs = net.embed_vectors([utterance_input(net.spec, m) for m in tests])
+        want = [f"{u},{c},{label},{score!r}" for u, c, label, score in one_vs_all_trials(models, tests, vecs)]
+        assert score_log_lines(score_set) == want
