@@ -6,8 +6,3 @@ models -> cosine-scored one-vs-all trials -> ROC / EER / AUC reports.
 """
 
 __version__ = "0.1.0"
-
-from .errors import SvkitError
-from .rng import Rng
-
-__all__ = ["Rng", "SvkitError", "__version__"]

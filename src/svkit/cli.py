@@ -43,6 +43,8 @@ from .rng import Rng
 
 def _feature_maps(entries, max_slices: int | None):
     """speaker -> utterance feature maps, in manifest order, capped per speaker."""
+    if max_slices is not None and max_slices < 1:
+        raise ConfigError(f"--max-slices must be at least 1, got {max_slices}")
     bank = mel_filterbank()
     maps: dict[str, list] = {}
     for entry in entries:

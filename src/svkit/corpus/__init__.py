@@ -1,21 +1,1 @@
-from .manifest import HEADER, SPLITS, ManifestEntry, entries_by_speaker, load_manifest, write_manifest
-from .slicing import SLICE_HOP_SECONDS, SLICE_SECONDS, SplitPlan, slice_utterances, split_enroll_eval
-from .synthesis import SynthSpeakerParams, make_synthetic_corpus, speaker_params, synth_utterance
-
-__all__ = [
-    "HEADER",
-    "ManifestEntry",
-    "SLICE_HOP_SECONDS",
-    "SLICE_SECONDS",
-    "SPLITS",
-    "SplitPlan",
-    "SynthSpeakerParams",
-    "entries_by_speaker",
-    "load_manifest",
-    "make_synthetic_corpus",
-    "slice_utterances",
-    "speaker_params",
-    "split_enroll_eval",
-    "synth_utterance",
-    "write_manifest",
-]
+"""Corpus manifests, utterance slicing and enrollment/evaluation splits, synthetic speakers."""

@@ -9,6 +9,7 @@ index, utterance index), so regeneration is byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,6 +113,8 @@ def make_synthetic_corpus(
         raise ConfigError(f"need at least 2 speakers, got {n_speakers}")
     if utterances_per_speaker < 1:
         raise ConfigError(f"need at least 1 utterance per speaker, got {utterances_per_speaker}")
+    if not (math.isfinite(duration_s) and round(duration_s * CANONICAL_RATE) >= 1):
+        raise ConfigError(f"utterance duration must be finite and give at least one sample, got {duration_s} s")
     if n_dev_speakers is not None and not 0 < n_dev_speakers < n_speakers:
         raise ConfigError(
             f"n_dev_speakers must leave at least one enrollment speaker, got {n_dev_speakers}/{n_speakers}"

@@ -1,43 +1,1 @@
-from .audio import CANONICAL_RATE, AudioSignal, load_wav, require_sample_rate, write_wav
-from .features import (
-    N_COEFFS,
-    N_FFT,
-    N_FRAMES,
-    FeatureMap,
-    FilterBank,
-    build_feature_cube,
-    frame_signal,
-    hz_to_mel,
-    mel_filterbank,
-    mel_to_hz,
-    mfec,
-    read_feature_file,
-    replicate_for_eval,
-    signal_to_feature_map,
-    write_feature_file,
-)
-from .vad import detect_voice
-
-__all__ = [
-    "AudioSignal",
-    "CANONICAL_RATE",
-    "FeatureMap",
-    "FilterBank",
-    "N_COEFFS",
-    "N_FFT",
-    "N_FRAMES",
-    "build_feature_cube",
-    "detect_voice",
-    "frame_signal",
-    "hz_to_mel",
-    "load_wav",
-    "mel_filterbank",
-    "mel_to_hz",
-    "mfec",
-    "read_feature_file",
-    "replicate_for_eval",
-    "require_sample_rate",
-    "signal_to_feature_map",
-    "write_feature_file",
-    "write_wav",
-]
+"""WAV I/O, voice activity detection, MFEC feature maps and cubes."""

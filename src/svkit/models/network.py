@@ -1,10 +1,9 @@
 """Network container: an ordered layer list with forward, backward, and embed.
 
-The final layer is always the softmax classifier head; `forward` returns its
-logits (the softmax nonlinearity is fused into the loss for stability), and
-`embed_vectors` returns the L2-normalized activations feeding that head.
-`Network` is the one place that turns a single example into a batch; every
-layer below it sees batches only.
+The final layer is always the softmax classifier head; `forward_with_cache`
+returns its logits (the softmax nonlinearity is fused into the loss for
+stability), and `embed_vectors` returns the L2-normalized activations feeding
+that head. Every entry point takes batches, with one leading batch axis.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ from ..nn.layers import (
     maxpool_freq_forward,
     prelu_backward,
     prelu_forward,
-    softmax_xent_batch,
-    softmax_xent_batch_gradient,
 )
 
 EMBED_BATCH = 32  # inputs per forward pass in embed_vectors
@@ -64,17 +61,6 @@ class Network:
 
     # -- forward ---------------------------------------------------------
 
-    def _promote(self, x) -> tuple[np.ndarray, bool]:
-        x = np.asarray(x, dtype=np.float64)
-        rank = len(self.spec.input_shape)
-        if x.shape == self.spec.input_shape:
-            return x[None], True
-        if x.ndim == rank + 1 and x.shape[1:] == self.spec.input_shape:
-            return x, False
-        raise DimensionError(
-            f"input shape {x.shape} does not match network input {self.spec.input_shape}"
-        )
-
     def _run(self, xb, layers, mode: str, update_running: bool, caches: list | None = None):
         """Run `layers` in order; with `caches`, append each layer's backward cache to it."""
         for layer in layers:
@@ -86,22 +72,18 @@ class Network:
             xb = kind.forward(layer, xb, mode, update_running, entry)
         return xb
 
-    def forward(self, x) -> np.ndarray:
-        """Infer-mode logits of the classifier head."""
-        xb, single = self._promote(x)
-        xb = self._run(xb, self.layers, "infer", update_running=False)
-        return xb[0] if single else xb
-
     def forward_with_cache(self, x, update_running: bool = True):
         """Train-mode logits plus each layer's backward cache, in layer order.
 
         A cache holds only what that layer's backward reads: the layer input
         for most kinds, the normalized input and 1/sqrt(var + eps) (not the
         input) for batchnorm, the window argmaxes and input width for the
-        frequency pool. `backward` consumes the list and computes the
-        first layer's input gradient only on request.
+        frequency pool, the input shape for flatten. `backward` consumes the
+        list and computes the first layer's input gradient only on request.
         """
-        xb, _ = self._promote(x)
+        xb = np.asarray(x, dtype=np.float64)
+        if xb.shape[1:] != self.spec.input_shape:
+            raise DimensionError(f"input shape {xb.shape} is not a batch of network inputs {self.spec.input_shape}")
         caches: list[dict] = []
         return self._run(xb, self.layers, "train", update_running, caches), caches
 
@@ -131,25 +113,6 @@ class Network:
             g, layer_grads = _KINDS[layer.kind].backward(layer, g, cache, input_grad or i > 0)
             grads.append(layer_grads)
         return (g if input_grad else None), grads[::-1]
-
-    # -- losses (training and gradient checking) --------------------------
-
-    def loss_only(self, x, labels) -> float:
-        """Train-mode loss; leaves the batchnorm running statistics as they are."""
-        xb, _ = self._promote(x)
-        lb = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-        logits = self._run(xb, self.layers, "train", update_running=False)
-        loss, _ = softmax_xent_batch(logits, lb)
-        return loss
-
-    def loss_and_gradients(self, x, labels):
-        """Train-mode loss, input gradient and parameter gradients; running statistics kept."""
-        xb, single = self._promote(x)
-        lb = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-        logits, caches = self.forward_with_cache(xb, update_running=False)
-        loss, probs = softmax_xent_batch(logits, lb)
-        grad_x, grads = self.backward(caches, softmax_xent_batch_gradient(probs, lb))
-        return loss, (grad_x[0] if single else grad_x), grads
 
     # -- embeddings --------------------------------------------------------
 
@@ -275,6 +238,12 @@ def _maxpool_forward(layer, x, mode, update_running, cache):
     return y
 
 
+def _flatten_forward(layer, x, mode, update_running, cache):
+    if cache is not None:
+        cache["shape"] = x.shape
+    return x.reshape(x.shape[0], -1)
+
+
 def _dense_shape(layer, shape):
     if shape != (layer.weights.shape[0],):
         raise DimensionError(f"fan-in axis: shape {shape} into weights expecting {layer.weights.shape[0]}")
@@ -307,14 +276,15 @@ _KINDS = {
         lambda layer, x, mode, update_running, cache: batchnorm_forward(
             x, layer, mode=mode, update_running=update_running, cache=cache
         ),
-        lambda layer, g, cache, input_grad: batchnorm_backward(None, layer, g, cache=cache),
+        lambda layer, g, cache, input_grad: batchnorm_backward(layer, g, cache),
         lambda layer, shape: shape,
         reads_input=False,
     ),
     "flatten": _Kind(
-        lambda layer, x, mode, update_running, cache: x.reshape(x.shape[0], -1),
-        lambda layer, g, cache, input_grad: (g.reshape(cache["x"].shape), {}),
+        _flatten_forward,
+        lambda layer, g, cache, input_grad: (g.reshape(cache["shape"]), {}),
         lambda layer, shape: (int(np.prod(shape)),),
+        reads_input=False,
     ),
     "fully_connected": _DENSE,
     "softmax": _DENSE,

@@ -1,52 +1,1 @@
-from .gradcheck import finite_diff_check, max_relative_error, numeric_gradient
-from .init import variance_scaling_init
-from .layers import (
-    PARAM_FIELDS,
-    STATE_FIELDS,
-    LayerParams,
-    assert_finite,
-    batchnorm_backward,
-    batchnorm_forward,
-    conv3d_backward,
-    conv3d_forward,
-    conv3d_output_shape,
-    fully_connected_backward,
-    fully_connected_forward,
-    locally_connected_backward,
-    locally_connected_forward,
-    maxpool_freq_backward,
-    maxpool_freq_forward,
-    prelu_backward,
-    prelu_forward,
-    softmax_xent_batch,
-    softmax_xent_batch_gradient,
-)
-from .optim import SgdMomentum, sgd_momentum_step
-
-__all__ = [
-    "PARAM_FIELDS",
-    "STATE_FIELDS",
-    "LayerParams",
-    "SgdMomentum",
-    "assert_finite",
-    "batchnorm_backward",
-    "batchnorm_forward",
-    "conv3d_backward",
-    "conv3d_forward",
-    "conv3d_output_shape",
-    "finite_diff_check",
-    "fully_connected_backward",
-    "fully_connected_forward",
-    "locally_connected_backward",
-    "locally_connected_forward",
-    "max_relative_error",
-    "maxpool_freq_backward",
-    "maxpool_freq_forward",
-    "numeric_gradient",
-    "prelu_backward",
-    "prelu_forward",
-    "sgd_momentum_step",
-    "softmax_xent_batch",
-    "softmax_xent_batch_gradient",
-    "variance_scaling_init",
-]
+"""Layer forward/backward passes, initialization, SGD with momentum."""

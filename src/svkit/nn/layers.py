@@ -2,10 +2,9 @@
 
 All values are float64 ndarrays, channels last. Convolutional tensors are
 (depth, time, freq, channels). The conv, pooling, fully-connected and
-locally-connected ops take batches only, with one leading batch axis;
-`Network` promotes a single example before it reaches them. Backward passes
-are hand-derived and are validated against central finite differences in the
-test suite.
+locally-connected ops take batches only, with one leading batch axis.
+Backward passes are hand-derived and are validated against central finite
+differences in the test suite.
 """
 
 from __future__ import annotations
@@ -361,25 +360,20 @@ def batchnorm_forward(
     return y
 
 
-def batchnorm_backward(x, params: LayerParams, grad_out, cache: dict | None = None):
+def batchnorm_backward(params: LayerParams, grad_out, cache: dict):
     """Gradients of train-mode batchnorm_forward w.r.t. input, scale, and shift.
 
-    With the `cache` batchnorm_forward filled, reads the normalized input
-    and 1/sqrt(var + eps) from it and does not read `x`, which may be None;
-    without one, recomputes both from `x`. The scale and shift gradients are
-    the per-channel sums of grad_out * x_hat and grad_out that the input
+    Reads the normalized input and 1/sqrt(var + eps) from the `cache` that
+    batchnorm_forward filled. The scale and shift gradients are the
+    per-channel sums of grad_out * x_hat and grad_out that the input
     gradient also uses; the input gradient is
     (scale * inv / n) * (n * g - sum(g) - x_hat * sum(g * x_hat)), rounded
     in that order, so all three keep their bytes however the passes are
     arranged.
     """
     g = np.asarray(grad_out, dtype=np.float64)
-    if cache is not None:
-        xh = cache["bn_xh"]
-        inv = cache["bn_inv"]
-    else:
-        x = np.asarray(x, dtype=np.float64)
-        _, _, inv, xh = _batch_normalize(x, tuple(range(x.ndim - 1)))
+    xh = cache["bn_xh"]
+    inv = cache["bn_inv"]
     if g.shape != xh.shape:
         raise DimensionError(f"grad_out shape {g.shape} does not match input {xh.shape}")
     axes = tuple(range(g.ndim - 1))

@@ -113,7 +113,12 @@ def score_trial(model: SpeakerModel, test: np.ndarray) -> float:
 
 
 def save_speaker_models(models, path) -> None:
+    """Write `models` to `path`; ConfigError, before anything is written, if a speaker id repeats."""
     models = list(models)
+    ids = [m.speaker_id for m in models]
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise ConfigError(f"speaker ids {repeated} have more than one model; a model file holds one per speaker")
     parts = [_MAGIC, struct.pack("<II", _VERSION, len(models))]
     for m in models:
         ident = m.speaker_id.encode()

@@ -91,11 +91,3 @@ def train_development(
             assert_finite(arr, f"trained {layer.name or layer.kind} {field}")
     return Checkpoint.of(network, epoch=cfg.epochs, seed=cfg.seed), history
 
-
-def classification_accuracy(network: Network, examples) -> float:
-    """Infer-mode top-1 accuracy over (input, label) pairs."""
-    correct = 0
-    for x, label in examples:
-        logits = network.forward(x)
-        correct += int(np.argmax(logits)) == label
-    return correct / len(examples)

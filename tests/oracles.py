@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: explicit loops, direct summation,
 exhaustive enumeration, arbitrary-precision arithmetic. None of it shares
-code with the library paths it verifies.
+code with the library paths it verifies. The finite-difference checker at
+the end re-evaluates a network's loss from scratch through the library's own
+layer table; it checks backward passes, which it never calls.
 """
 
 from __future__ import annotations
@@ -10,6 +12,10 @@ from __future__ import annotations
 from decimal import Decimal, getcontext
 
 import numpy as np
+
+from svkit.errors import ConfigError
+from svkit.models import network as network_module
+from svkit.nn.layers import softmax_xent_batch, softmax_xent_batch_gradient
 
 
 def conv3d_direct(x, w, b, stride, pad_depth):
@@ -223,3 +229,85 @@ def dft_power_spectrum(frame, n_fft):
     basis = np.exp(-2j * np.pi * np.outer(bins, np.arange(frame.size)) / n_fft)
     spectrum = basis @ frame
     return (spectrum.real**2 + spectrum.imag**2) / n_fft
+
+
+# -- finite differences and whole-network helpers ----------------------------
+
+
+def numeric_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of the scalar function `f()` w.r.t. `x`.
+
+    `x` is perturbed in place and restored; `f` must read the current contents
+    of `x` on every call and must have no other state.
+    """
+    if not 0.0 < eps <= 1e-3:
+        raise ConfigError(f"eps must be in (0, 1e-3], got {eps}")
+    g = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        orig = x[idx]
+        x[idx] = orig + eps
+        fp = f()
+        x[idx] = orig - eps
+        fm = f()
+        x[idx] = orig
+        g[idx] = (fp - fm) / (2.0 * eps)
+    return g
+
+
+# Central differences at eps=1e-6 on float64 losses carry ~1e-10 rounding
+# noise; below this both gradients are indistinguishable from zero (e.g. a
+# conv bias exactly canceled by the following batchnorm).
+VANISHING_GRADIENT = 1e-8
+
+
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Largest |a - n| normalized by the overall gradient magnitude."""
+    a = np.asarray(analytic, dtype=np.float64)
+    n = np.asarray(numeric, dtype=np.float64)
+    scale = max(np.abs(a).max(initial=0.0), np.abs(n).max(initial=0.0))
+    if scale < VANISHING_GRADIENT:
+        return 0.0
+    return float(np.abs(a - n).max(initial=0.0) / scale)
+
+
+def forward_logits(network, xb, mode: str = "infer"):
+    """Classifier logits of a batch, layer by layer through the network's layer table.
+
+    No layer keeps a cache, and the batchnorm running statistics are left as
+    they are in either mode.
+    """
+    for layer in network.layers:
+        xb = network_module._KINDS[layer.kind].forward(layer, xb, mode, False, None)
+    return xb
+
+
+def loss_and_gradients(network, xb, labels):
+    """Train-mode loss, input gradient and per-layer parameter gradients; running statistics kept."""
+    logits, caches = network.forward_with_cache(xb, update_running=False)
+    loss, probs = softmax_xent_batch(logits, labels)
+    grad_x, grads = network.backward(caches, softmax_xent_batch_gradient(probs, labels))
+    return loss, grad_x, grads
+
+
+def finite_diff_check(network, xb, labels, eps: float = 1e-6) -> float:
+    """Max relative gradient error of a network on one batch.
+
+    Central differences are taken over every learnable scalar and every input
+    scalar, each against the train-mode loss recomputed from scratch.
+    """
+    xb = np.array(xb, dtype=np.float64)
+    _, grad_x, grads = loss_and_gradients(network, xb, labels)
+
+    def loss():
+        return softmax_xent_batch(forward_logits(network, xb, "train"), labels)[0]
+
+    worst = max_relative_error(grad_x, numeric_gradient(loss, xb, eps))
+    for layer, layer_grads in zip(network.layers, grads):
+        if not layer_grads:
+            continue
+        for field, arr in layer.learnable():
+            if field not in layer_grads:
+                continue
+            numeric = numeric_gradient(loss, arr, eps)
+            worst = max(worst, max_relative_error(layer_grads[field], numeric))
+    return worst

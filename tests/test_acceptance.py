@@ -13,14 +13,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import conv3d_direct, dft_power_spectrum, roc_brute_force
+from oracles import (
+    conv3d_direct,
+    dft_power_spectrum,
+    finite_diff_check,
+    max_relative_error,
+    numeric_gradient,
+    roc_brute_force,
+)
 from svkit.cli import main
 from svkit.dsp.audio import AudioSignal
 from svkit.dsp.features import N_FFT, frame_signal, mel_filterbank, mfec, signal_to_feature_map
 from svkit.errors import ChecksumError
 from svkit.models.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from svkit.models.zoo import build_3dcnn
-from svkit.nn.gradcheck import finite_diff_check, max_relative_error, numeric_gradient
 from svkit.nn.layers import (
     LayerParams,
     batchnorm_backward,
@@ -110,6 +116,7 @@ def test_criterion_2_convolution_oracle():
     report(2, f"200 randomized cases, worst relative error {worst:.2e} ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_3_gradient_checks():
     t0 = time.time()
     eps = 1e-6
@@ -167,9 +174,15 @@ def test_criterion_3_gradient_checks():
         bn_running_mean=np.zeros(5),
         bn_running_var=np.ones(5),
     )
+
+    def bn_backward(x_, g):
+        cache = {}
+        batchnorm_forward(x_, bn, mode="train", update_running=False, cache=cache)
+        return batchnorm_backward(bn, g, cache)
+
     errors["batchnorm"] = projected(
         lambda x_: batchnorm_forward(x_, bn, mode="train", update_running=False),
-        lambda x_, g: batchnorm_backward(x_, bn, g),
+        bn_backward,
         r.normal((6, 5)),
         {"bn_scale": bn.bn_scale, "bn_shift": bn.bn_shift},
         r.child(4),
@@ -208,7 +221,7 @@ def test_criterion_3_gradient_checks():
         assert err < 1e-6, f"{kind}: {err:.3e}"
 
     net = build_3dcnn(2, 2, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
-    stack_err = finite_diff_check(net, Rng(5).normal((2, 80, 40, 1)), 1, eps=eps)
+    stack_err = finite_diff_check(net, Rng(5).normal((2, 80, 40, 1))[None], [1], eps=eps)
     assert stack_err < 1e-4
     elapsed = time.time() - t0
     assert elapsed < 300.0
@@ -322,6 +335,7 @@ def experiment(tmp_path_factory):
     return result
 
 
+@pytest.mark.slow
 def test_criterion_6_end_to_end_synthetic_experiment(experiment):
     cnn_eer = experiment["cnn3d"]["eer"]
     lcn_eer = experiment["lcn"]["eer"]
@@ -340,6 +354,7 @@ def test_criterion_6_end_to_end_synthetic_experiment(experiment):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_determinism(experiment, tmp_path_factory):
     rerun_root = tmp_path_factory.mktemp("exp") / "run2"
     run_experiment(rerun_root)

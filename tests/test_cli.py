@@ -63,6 +63,35 @@ class TestSynth:
         assert rc == 2
         assert "speakers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("duration", ["0", "1e-5", "-1", "nan", "inf"])
+    def test_duration_without_samples_exits_2(self, tmp_path, capsys, duration):
+        out = tmp_path / "data"
+        rc = main(
+            ["synth", "--speakers", "2", "--utterances", "1", "--seed", "0", "--out", str(out),
+             "--duration", duration]
+        )
+        assert rc == 2
+        assert "duration" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", ["train", "enroll"])
+def test_max_slices_below_1_exits_2(trained, tmp_path, capsys, command, value):
+    root, ckpts = trained
+    out = tmp_path / "out"
+    extra = {
+        "train": ["--model", "lcn_dvector", "--epochs", "0"],
+        "enroll": ["--checkpoint", str(ckpts["cnn3d"])],
+    }[command]
+    rc = main(
+        [command, "--manifest", str(root / "data" / "manifest.csv"), "--seed", SEED,
+         "--max-slices", value, "--out", str(out), *extra]
+    )
+    assert rc == 2
+    assert f"--max-slices must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
 
 class TestTrain:
     def test_zero_epochs_checkpoint_equals_initialization(self, micro_corpus, tmp_path):

@@ -1,12 +1,15 @@
 """Analytic backward passes against central finite differences."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oracles import finite_diff_check, max_relative_error, numeric_gradient
 from svkit.errors import ConfigError
-from svkit.nn.gradcheck import finite_diff_check, max_relative_error, numeric_gradient
+from svkit.models import network as network_module
+from svkit.models.zoo import build_3dcnn
 from svkit.nn.layers import (
     LayerParams,
     batchnorm_backward,
@@ -128,9 +131,15 @@ def test_batchnorm_gradients_full_train_mode(rng):
         bn_running_mean=np.zeros(5),
         bn_running_var=np.ones(5),
     )
+
+    def backward(x_, g):
+        cache = {}
+        batchnorm_forward(x_, lp, mode="train", update_running=False, cache=cache)
+        return batchnorm_backward(lp, g, cache)
+
     err = check_layer(
         lambda x_: batchnorm_forward(x_, lp, mode="train", update_running=False),
-        lambda x_, g: batchnorm_backward(x_, lp, g),
+        backward,
         x,
         lp,
         {"bn_scale": lp.bn_scale, "bn_shift": lp.bn_shift},
@@ -303,9 +312,23 @@ def test_rng_child_streams_stable():
 # -- whole-network check ------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_full_reduced_stack_gradient_check():
-    from svkit.models.zoo import build_3dcnn
-
     net = build_3dcnn(2, 2, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
-    x = Rng(5).normal((2, 80, 40, 1))
-    assert finite_diff_check(net, x, 1, eps=EPS) < 1e-4
+    x = Rng(5).normal((2, 80, 40, 1))[None]
+    assert finite_diff_check(net, x, [1], eps=EPS) < 1e-4
+
+
+@pytest.mark.slow
+def test_full_stack_check_catches_a_scaled_gradient(monkeypatch):
+    """The checker is not vacuous: one layer kind's weight gradient off by 1e-3 fails the 1e-4 bound."""
+    kind = network_module._KINDS["softmax"]
+
+    def scaled_backward(layer, *args):
+        g, grads = kind.backward(layer, *args)
+        return g, {**grads, "weights": grads["weights"] * (1 + 1e-3)}
+
+    monkeypatch.setitem(network_module._KINDS, "softmax", replace(kind, backward=scaled_backward))
+    net = build_3dcnn(1, 2, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
+    x = Rng(5).normal((1, 80, 40, 1))[None]
+    assert finite_diff_check(net, x, [1], eps=EPS) > 1e-4

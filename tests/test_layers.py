@@ -219,11 +219,10 @@ def test_cnn3d_batchnorm_prelu_match_reference(cnn3d_convs, zeta, name):
     assert np.abs(pgrads["prelu_slope"] - want_gs).max() <= 1e-12 * np.abs(want_gs).max()
 
     want_gx, want_gscale, want_gshift = batchnorm_train_backward_reference(x, bn.bn_scale, gy, BN_EPS)
-    for kwargs in ({"cache": cache}, {}):  # the forward's cache, and statistics recomputed from x
-        gx, grads = batchnorm_backward(x, bn, gy, **kwargs)
-        assert np.array_equal(gx, want_gx)
-        assert np.array_equal(grads["bn_scale"], want_gscale)
-        assert np.array_equal(grads["bn_shift"], want_gshift)
+    gx, grads = batchnorm_backward(bn, gy, cache)
+    assert np.array_equal(gx, want_gx)
+    assert np.array_equal(grads["bn_scale"], want_gscale)
+    assert np.array_equal(grads["bn_shift"], want_gshift)
 
 
 _CUBE = np.ones((2, 2, 2, 1))  # one (depth, time, freq, channels) example, no batch axis
@@ -263,14 +262,15 @@ def test_finite_inputs_stay_finite_through_forward_and_backward(seed):
     )
     slope = np.full(3, 0.25)
     h1 = conv3d_forward(x, conv)
-    h2 = batchnorm_forward(h1, bn, mode="train")
+    bn_cache = {}
+    h2 = batchnorm_forward(h1, bn, mode="train", cache=bn_cache)
     h3 = prelu_forward(h2, slope)
     h4, idx = maxpool_freq_forward(h3)
     for h in (h1, h2, h3, h4):
         assert np.isfinite(h).all()
     g = maxpool_freq_backward(np.ones_like(h4), idx, h3.shape[3])
     g, _ = prelu_backward(h2, slope, g)
-    g, _ = batchnorm_backward(h1, bn, g)
+    g, _ = batchnorm_backward(bn, g, bn_cache)
     g, grads = conv3d_backward(x, conv, g)
     assert np.isfinite(g).all()
     assert all(np.isfinite(arr).all() for arr in grads.values())

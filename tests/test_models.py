@@ -19,6 +19,7 @@ from oracles import (
     batchnorm_train_reference,
     conv3d_im2col,
     conv3d_im2col_backward,
+    forward_logits,
     prelu_backward_reference,
     prelu_reference,
 )
@@ -26,6 +27,7 @@ from svkit.errors import (
     CheckpointError,
     ChecksumError,
     ConfigError,
+    DimensionError,
     SvkitError,
     TruncatedFileError,
     VersionMismatchError,
@@ -112,8 +114,8 @@ class TestBuildLcn:
         for layer in net.layers:
             if layer.bias is not None:
                 assert not layer.bias.any()
-        logits = net.forward(np.zeros((80, 40)))
-        np.testing.assert_allclose(logits, logits[0], atol=1e-12)
+        out = forward_logits(net, np.zeros((1, 80, 40)))[0]
+        np.testing.assert_allclose(out, out[0], atol=1e-12)
 
     def test_parameter_count_closed_form(self):
         n_classes, units, hidden = 7, 16, 256
@@ -136,10 +138,10 @@ def test_network_rejects_unknown_layer_kind():
 class TestForwardAndEmbed:
     def test_logits_length_and_determinism(self):
         net = build_lcn_baseline(9, Rng(2))
-        x = Rng(3).normal((80, 40))
-        a = net.forward(x)
-        b = net.forward(x)
-        assert a.shape == (9,)
+        x = Rng(3).normal((1, 80, 40))
+        a = forward_logits(net, x)
+        b = forward_logits(net, x)
+        assert a.shape == (1, 9)
         np.testing.assert_array_equal(a, b)
 
     def test_reduced_network_matches_manual_composition(self):
@@ -154,8 +156,8 @@ class TestForwardAndEmbed:
         for i in (2, 4, 6):
             h = fully_connected_forward(h, net.layers[i])
             h = prelu_forward(h, net.layers[i + 1].prelu_slope)
-        logits = fully_connected_forward(h, net.layers[8])
-        np.testing.assert_allclose(net.forward(x), logits[0], rtol=1e-14)
+        head = fully_connected_forward(h, net.layers[8])
+        np.testing.assert_allclose(forward_logits(net, x[None])[0], head[0], rtol=1e-14)
 
     def test_embedding_is_normalized_128(self):
         net = build_3dcnn(5, 4, Rng(0))
@@ -171,7 +173,7 @@ class TestForwardAndEmbed:
         emb = net.embed_vectors([x])[0]
         assert emb.shape == (256,)  # last hidden layer width of the baseline
         head = net.layers[-1]
-        full = net.forward(x)
+        full = forward_logits(net, x[None])[0]
         reconstructed = fully_connected_forward((emb * _pre_norm(net, x))[None], head)[0]
         np.testing.assert_allclose(reconstructed, full, rtol=1e-10)
 
@@ -190,6 +192,20 @@ def test_conv_caches_hold_only_the_input():
     assert all(set(cache) == {"x"} for cache in conv_caches)
 
 
+def test_flatten_cache_holds_the_shape_and_no_array():
+    net = build_3dcnn(3, 3, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
+    _, caches = net.forward_with_cache(Rng(1).normal((2, 3, 80, 40, 1)))
+    (cache,) = [cache for layer, cache in zip(net.layers, caches) if layer.kind == "flatten"]
+    assert cache == {"shape": (2, 3, 3, 3, 2)}
+    assert not any(isinstance(v, np.ndarray) for v in cache.values())
+
+
+def test_forward_with_cache_rejects_a_single_example():
+    net = build_3dcnn(3, 3, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
+    with pytest.raises(DimensionError, match="not a batch"):
+        net.forward_with_cache(Rng(1).normal((3, 80, 40, 1)))
+
+
 def test_pool_caches_hold_uint8_indices_and_no_float_array():
     net = build_3dcnn(3, 3, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
     _, caches = net.forward_with_cache(Rng(1).normal((2, 3, 80, 40, 1)))
@@ -203,11 +219,12 @@ def test_pool_caches_hold_uint8_indices_and_no_float_array():
 _GRADIENT_STEP = """
 import sys
 import numpy as np
+from oracles import loss_and_gradients
 from svkit.models.zoo import build_3dcnn
 from svkit.rng import Rng
 
 net = build_3dcnn(3, 4, Rng(0))
-loss, gx, grads = net.loss_and_gradients(Rng(1).normal((4, 3, 80, 40, 1)), [0, 1, 2, 3])
+loss, gx, grads = loss_and_gradients(net, Rng(1).normal((4, 3, 80, 40, 1)), [0, 1, 2, 3])
 arrays = {"loss": np.array([loss]), "gx": gx}
 arrays.update({f"{i}.{field}": g for i, layer in enumerate(grads) for field, g in layer.items()})
 np.savez(sys.argv[1], **arrays)
@@ -216,7 +233,8 @@ np.savez(sys.argv[1], **arrays)
 
 def _gradient_step(path, threads):
     """One cnn3d loss_and_gradients step in a fresh process at `threads` BLAS threads."""
-    env = dict(os.environ, PYTHONPATH=str(Path(svkit.__file__).parents[1]))
+    paths = (Path(svkit.__file__).parents[1], Path(__file__).parent)  # svkit, and tests/ for oracles
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
     env.update({var: str(threads) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
     subprocess.run([sys.executable, "-c", _GRADIENT_STEP, str(path)], env=env, check=True, timeout=300)
     with np.load(path) as data:
@@ -333,8 +351,7 @@ def _reference_backward(layer, x, g):
         gx, gs = prelu_backward_reference(x, layer.prelu_slope, g)
         return gx, {"prelu_slope": gs}
     cache = {"x": x}
-    if layer.kind == "maxpool_freq":
-        network_module._KINDS[layer.kind].forward(layer, x, "train", False, cache)
+    network_module._KINDS[layer.kind].forward(layer, x, "train", False, cache)  # fills what the pool and flatten cache
     return network_module._KINDS[layer.kind].backward(layer, g, cache, True)
 
 
@@ -549,9 +566,9 @@ class TestCheckpoints:
     def test_loaded_network_forward_identical(self, tmp_path):
         ck = self._checkpoint()
         x = Rng(9).normal((3, 80, 40, 1))
-        before = ck.to_network().forward(x)
+        before = forward_logits(ck.to_network(), x[None])
         save_checkpoint(ck, tmp_path / "a.svck")
-        after = load_checkpoint(tmp_path / "a.svck").to_network().forward(x)
+        after = forward_logits(load_checkpoint(tmp_path / "a.svck").to_network(), x[None])
         np.testing.assert_array_equal(before, after)
 
     def test_summary_mentions_every_layer(self):

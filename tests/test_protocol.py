@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from oracles import one_vs_all_trials
+from oracles import forward_logits, one_vs_all_trials
 from svkit.config import RunConfig
 from svkit.dsp.features import FeatureMap
 from svkit.errors import ChecksumError, ConfigError, FileFormatError, MetricError
@@ -22,11 +22,7 @@ from svkit.protocol.enrollment import (
     utterance_input,
 )
 from svkit.protocol.evaluation import run_evaluation, score_log_lines
-from svkit.protocol.training import (
-    classification_accuracy,
-    train_development,
-    training_examples,
-)
+from svkit.protocol.training import train_development, training_examples
 from svkit.rng import Rng
 
 
@@ -211,6 +207,12 @@ class TestSpeakerModelFile:
         with pytest.raises(FileFormatError, match="alice"):
             load_speaker_models(_resigned(tmp_path / "m.svsm", edit))
 
+    def test_saving_a_repeated_speaker_id_raises_and_writes_nothing(self, tmp_path):
+        m = self._models()[0]
+        with pytest.raises(ConfigError, match="alice"):
+            save_speaker_models([m, m], tmp_path / "m.svsm")
+        assert not (tmp_path / "m.svsm").exists()
+
     def test_repeated_speaker_id_rejected(self, tmp_path):
         # a second "alice" record would give one model two columns of the score matrix
         save_speaker_models(self._models(), tmp_path / "m.svsm")
@@ -227,7 +229,9 @@ class TestTraining:
         maps = separable_maps()
         net = build_lcn_baseline(2, Rng(0), units_per_patch=4, hidden_width=16)
         _, history = train_development(net, maps, RunConfig(lr=3e-4, epochs=12, seed=0))
-        acc = classification_accuracy(net, training_examples(net, maps))
+        examples = training_examples(net, maps)
+        predicted = forward_logits(net, np.stack([x for x, _ in examples])).argmax(axis=1)
+        acc = np.mean(predicted == [label for _, label in examples])
         assert acc > 0.95
         assert history[-1] < history[0]
 
