@@ -248,7 +248,6 @@ def cmd_zeta_sweep(args) -> int:
     rows = []
     for zeta in zetas:
         step_dir = out_dir / f"zeta_{zeta:03d}"
-        step_dir.mkdir(parents=True, exist_ok=True)
         ns = argparse.Namespace(**vars(args))
         ns.zeta = zeta
         ns.model = "cnn3d"

@@ -19,6 +19,7 @@ from ..nn.layers import (
     assert_finite,
     batchnorm_backward,
     batchnorm_forward,
+    batchnorm_output,
     conv3d_backward,
     conv3d_forward,
     conv3d_output_shape,
@@ -62,13 +63,25 @@ class Network:
     # -- forward ---------------------------------------------------------
 
     def _run(self, xb, layers, mode: str, update_running: bool, caches: list | None = None):
-        """Run `layers` in order; with `caches`, append each layer's backward cache to it."""
+        """Run `layers` in order; with `caches`, append each layer's backward cache to it.
+
+        A layer that reads its input keeps it as cache["x"], unless the layer
+        before it can recompute its output (`_Kind.output`): then it keeps
+        cache["from"] = (that kind, layer, cache entry) and no array.
+        """
+        source = None  # (kind, layer, cache entry) of the layer just run, if it can recompute its output
         for layer in layers:
             kind = _KINDS[layer.kind]
             entry = None
             if caches is not None:
-                entry = {"x": xb} if kind.reads_input else {}
+                if not kind.reads_input:
+                    entry = {}
+                elif source:
+                    entry = {"from": source}
+                else:
+                    entry = {"x": xb}
                 caches.append(entry)
+                source = (kind, layer, entry) if kind.output else None
             xb = kind.forward(layer, xb, mode, update_running, entry)
         return xb
 
@@ -76,10 +89,14 @@ class Network:
         """Train-mode logits plus each layer's backward cache, in layer order.
 
         A cache holds only what that layer's backward reads: the layer input
-        for most kinds, the normalized input and 1/sqrt(var + eps) (not the
-        input) for batchnorm, the window argmaxes and input width for the
-        frequency pool, the input shape for flatten. `backward` consumes the
-        list and computes the first layer's input gradient only on request.
+        for conv, PReLU, dense and locally-connected layers; the normalized
+        input and 1/sqrt(var + eps) (not the input) for batchnorm; the window
+        argmaxes and input width for the frequency pool; the input shape for
+        flatten. The layer after a batchnorm (in `cnn3d`, always a PReLU)
+        holds no array: its cache refers to the batchnorm's layer and cache,
+        and its backward recomputes its input, the batchnorm output, from
+        them. `backward` consumes the list and computes the first layer's
+        input gradient only on request.
         """
         xb = np.asarray(x, dtype=np.float64)
         if xb.shape[1:] != self.spec.input_shape:
@@ -216,9 +233,15 @@ class _Kind:
     forward(layer, x, mode, update_running, cache) -> y
     backward(layer, grad_out, cache, input_grad) -> (grad_in, parameter gradients)
     shape(layer, per-example input shape) -> per-example output shape
-    reads_input: whether backward reads the layer input, cache["x"]
+    reads_input: whether backward reads the layer input (see _layer_input)
+    output(layer, cache) -> the train-mode output, recomputed from the
+        layer's own cache; when set, the layer after it keeps no copy of
+        its input
 
     `input_grad` off allows, but does not require, grad_in to be skipped.
+    The recomputed output must be byte-equal to what forward returned;
+    backward runs before any parameter changes, so it reads the same
+    parameters.
 
     Entries call the layer functions through this module's globals on every
     call, so rebinding one of those names (e.g. to wrap it) takes effect.
@@ -228,6 +251,15 @@ class _Kind:
     backward: Callable
     shape: Callable
     reads_input: bool = True
+    output: Callable | None = None
+
+
+def _layer_input(cache):
+    """The layer input a backward reads: cache["x"], or recomputed by the layer before it."""
+    if "x" in cache:
+        return cache["x"]
+    kind, layer, entry = cache["from"]
+    return kind.output(layer, entry)
 
 
 def _maxpool_forward(layer, x, mode, update_running, cache):
@@ -252,13 +284,13 @@ def _dense_shape(layer, shape):
 
 _DENSE = _Kind(
     lambda layer, x, mode, update_running, cache: fully_connected_forward(x, layer),
-    lambda layer, g, cache, input_grad: fully_connected_backward(cache["x"], layer, g),
+    lambda layer, g, cache, input_grad: fully_connected_backward(_layer_input(cache), layer, g),
     _dense_shape,
 )
 _KINDS = {
     "conv3d": _Kind(
         lambda layer, x, mode, update_running, cache: conv3d_forward(x, layer),
-        lambda layer, g, cache, input_grad: conv3d_backward(cache["x"], layer, g, input_grad=input_grad),
+        lambda layer, g, cache, input_grad: conv3d_backward(_layer_input(cache), layer, g, input_grad=input_grad),
         lambda layer, shape: conv3d_output_shape(shape, layer),
     ),
     "maxpool_freq": _Kind(
@@ -269,7 +301,7 @@ _KINDS = {
     ),
     "prelu": _Kind(
         lambda layer, x, mode, update_running, cache: prelu_forward(x, layer.prelu_slope),
-        lambda layer, g, cache, input_grad: prelu_backward(cache["x"], layer.prelu_slope, g),
+        lambda layer, g, cache, input_grad: prelu_backward(_layer_input(cache), layer.prelu_slope, g),
         lambda layer, shape: shape,
     ),
     "batchnorm": _Kind(
@@ -279,6 +311,7 @@ _KINDS = {
         lambda layer, g, cache, input_grad: batchnorm_backward(layer, g, cache),
         lambda layer, shape: shape,
         reads_input=False,
+        output=lambda layer, cache: batchnorm_output(cache["bn_xh"], layer),
     ),
     "flatten": _Kind(
         _flatten_forward,
@@ -290,7 +323,7 @@ _KINDS = {
     "softmax": _DENSE,
     "locally_connected": _Kind(
         lambda layer, x, mode, update_running, cache: locally_connected_forward(x, layer),
-        lambda layer, g, cache, input_grad: locally_connected_backward(cache["x"], layer, g),
+        lambda layer, g, cache, input_grad: locally_connected_backward(_layer_input(cache), layer, g),
         lambda layer, shape: (int(np.prod(layer.weights.shape[:3])),),
     ),
 }

@@ -277,14 +277,21 @@ def maxpool_freq_backward(grad_out, indices, width):
 
 
 def prelu_forward(x, slope) -> np.ndarray:
-    """y = x for x >= 0, y = slope[c] * x for x < 0 (per-channel slope)."""
+    """y = x for x >= 0, y = slope[c] * x for x < 0 (per-channel slope).
+
+    Computed as x * slope in one fresh buffer, over which the x >= 0 entries
+    are then copied from x; each entry is one rounding or none, so the bytes
+    are those of the formula. `x` is left unchanged.
+    """
     x = np.asarray(x, dtype=np.float64)
     s = np.asarray(slope, dtype=np.float64)
     if s.ndim != 1 or s.shape[0] != x.shape[-1]:
         raise DimensionError(
             f"channel axis: slope length {s.shape} does not match channel count {x.shape[-1]}"
         )
-    return np.where(x >= 0.0, x, s * x)
+    y = x * s
+    np.copyto(y, x, where=x >= 0.0)
+    return y
 
 
 def prelu_backward(x, slope, grad_out):
@@ -295,31 +302,34 @@ def prelu_backward(x, slope, grad_out):
     the pass is arranged. The slope gradient sums min(x, 0) * grad_out per
     channel; it can differ from a sum that skips the x >= 0 terms only in
     the sign of an all-zero channel's 0.
+
+    One fresh buffer serves both: it holds min(x, 0) * grad_out until the
+    slope sums are taken, then the input gradient. `x` and `grad_out` are
+    left unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != x.shape:
         raise DimensionError(f"grad_out shape {g.shape} does not match input {x.shape}")
-    gx = g.copy()
-    np.multiply(g, slope, out=gx, where=x < 0.0)
-    gs = np.minimum(x, 0.0)
-    gs *= g
-    return gx, {"prelu_slope": gs.reshape(-1, x.shape[-1]).sum(axis=0)}
+    buf = np.minimum(x, 0.0)
+    buf *= g
+    gs = buf.reshape(-1, x.shape[-1]).sum(axis=0)
+    np.copyto(buf, g)
+    np.multiply(g, slope, out=buf, where=x < 0.0)
+    return buf, {"prelu_slope": gs}
 
 
-def _batch_normalize(x, axes):
-    """(mean, variance, 1/sqrt(variance + eps), normalized x) over `axes`.
+def batchnorm_output(xh, params: LayerParams, out=None) -> np.ndarray:
+    """Train-mode batchnorm output from the normalized input: (x_hat * scale) + shift.
 
-    The variance is `np.var`'s own arithmetic (the mean of the squared
-    deviations), written out so the deviations double as the normalized
-    output's buffer; its bytes equal `x.var(axis=axes)`.
+    The one place that knows these two roundings: batchnorm_forward writes
+    its output with them, and a backward that kept no copy of that output
+    recomputes it with them, byte for byte. With `out`, the result goes
+    there; `xh` is left unchanged.
     """
-    mu = x.mean(axis=axes)
-    xh = x - mu
-    var = (xh * xh).sum(axis=axes) / (x.size // x.shape[-1])
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    xh *= inv
-    return mu, var, inv, xh
+    y = np.multiply(xh, params.bn_scale, out=out)
+    y += params.bn_shift
+    return y
 
 
 def batchnorm_forward(
@@ -338,6 +348,12 @@ def batchnorm_forward(
     statistics. Every output is one fixed sequence of elementwise roundings
     after the per-channel sums, so its bytes do not depend on how many
     passes compute it.
+
+    The train-mode variance is `np.var`'s own arithmetic (the mean of the
+    squared deviations), written out so that the deviations become the
+    normalized input in place and the squares' buffer then takes the
+    output (batchnorm_output): two fresh full-size buffers in all. `x` is
+    left unchanged.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
@@ -348,16 +364,20 @@ def batchnorm_forward(
     if mode == "infer":
         inv = 1.0 / np.sqrt(params.bn_running_var + BN_EPS)
         return params.bn_scale * (x - params.bn_running_mean) * inv + params.bn_shift
-    mu, var, inv, xh = _batch_normalize(x, tuple(range(x.ndim - 1)))
+    axes = tuple(range(x.ndim - 1))
+    mu = x.mean(axis=axes)
+    xh = x - mu
+    sq = np.multiply(xh, xh)
+    var = sq.sum(axis=axes) / (x.size // c)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xh *= inv
     if update_running:
         params.bn_running_mean = BN_MOMENTUM * params.bn_running_mean + (1 - BN_MOMENTUM) * mu
         params.bn_running_var = BN_MOMENTUM * params.bn_running_var + (1 - BN_MOMENTUM) * var
     if cache is not None:
         cache["bn_xh"] = xh
         cache["bn_inv"] = inv
-    y = xh * params.bn_scale
-    y += params.bn_shift
-    return y
+    return batchnorm_output(xh, params, out=sq)
 
 
 def batchnorm_backward(params: LayerParams, grad_out, cache: dict):
@@ -370,6 +390,12 @@ def batchnorm_backward(params: LayerParams, grad_out, cache: dict):
     (scale * inv / n) * (n * g - sum(g) - x_hat * sum(g * x_hat)), rounded
     in that order, so all three keep their bytes however the passes are
     arranged.
+
+    One fresh full-size buffer holds g * x_hat for the scale sums, then the
+    input gradient; the x_hat * sum(g * x_hat) term is formed in a reused
+    buffer one index of all but the last three axes at a time (one depth
+    slice of one example for a cube), so it stays small. `grad_out` and the
+    cache are left unchanged.
     """
     g = np.asarray(grad_out, dtype=np.float64)
     xh = cache["bn_xh"]
@@ -379,11 +405,14 @@ def batchnorm_backward(params: LayerParams, grad_out, cache: dict):
     axes = tuple(range(g.ndim - 1))
     n = g.size // g.shape[-1]
     gsum = g.sum(axis=axes)
-    tmp = g * xh
-    gxh_sum = tmp.sum(axis=axes)
-    gx = n * g
+    gx = np.multiply(g, xh)
+    gxh_sum = gx.sum(axis=axes)
+    np.multiply(n, g, out=gx)
     gx -= gsum
-    gx -= np.multiply(xh, gxh_sum, out=tmp)
+    tmp = np.empty(xh.shape[-3:])
+    for i in np.ndindex(xh.shape[:-3]):
+        gx_i = gx[i]
+        gx_i -= np.multiply(xh[i], gxh_sum, out=tmp)
     gx *= params.bn_scale * inv / n
     return gx, {"bn_scale": gxh_sum, "bn_shift": gsum}
 

@@ -456,6 +456,13 @@ class TestZetaSweep:
                    "--zetas", "a,b", "--out-dir", str(tmp_path)])
         assert rc == 2
 
+    def test_rejected_run_leaves_no_step_directory(self, micro_corpus, tmp_path):
+        out_dir = tmp_path / "sweep"
+        rc = main(["zeta-sweep", "--manifest", str(micro_corpus / "data" / "manifest.csv"),
+                   "--zetas", "2", "--max-slices", "0", "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert not list(tmp_path.glob("**/zeta_*"))
+
 
 def _eer_from_points(rows):
     for j in range(1, len(rows)):

@@ -225,6 +225,34 @@ def test_cnn3d_batchnorm_prelu_match_reference(cnn3d_convs, zeta, name):
     assert np.array_equal(grads["bn_shift"], want_gshift)
 
 
+def test_batchnorm_and_prelu_leave_their_inputs_alone():
+    """Every array passed in, cache arrays included, keeps its bytes: outputs go to fresh buffers only."""
+    r = Rng(21)
+    x = r.normal((2, 3, 4, 5, 3))
+    g = r.normal(x.shape)
+    slope = r.uniform(0.05, 0.5, (3,))
+    bn = LayerParams(
+        kind="batchnorm",
+        bn_scale=r.uniform(0.5, 1.5, (3,)),
+        bn_shift=r.normal((3,)),
+        bn_running_mean=r.normal((3,)),
+        bn_running_var=r.uniform(0.5, 2.0, (3,)),
+    )
+    given = [x, g, slope, bn.bn_scale, bn.bn_shift, bn.bn_running_mean, bn.bn_running_var]
+    before = [a.copy() for a in given]
+    prelu_forward(x, slope)
+    prelu_backward(x, slope, g)
+    batchnorm_forward(x, bn, mode="infer")
+    cache = {}
+    batchnorm_forward(x, bn, mode="train", cache=cache)
+    given += list(cache.values())
+    before += [a.copy() for a in cache.values()]
+    batchnorm_backward(bn, g, cache)
+    assert len(given) == 9
+    for i, (a, b) in enumerate(zip(given, before)):
+        assert a.tobytes() == b.tobytes(), i
+
+
 _CUBE = np.ones((2, 2, 2, 1))  # one (depth, time, freq, channels) example, no batch axis
 _FC = LayerParams(kind="fully_connected", weights=np.ones((3, 2)), bias=np.zeros(2))
 _LC = LayerParams(kind="locally_connected", weights=np.ones((1, 1, 1, 2, 2)), bias=np.zeros((1, 1, 1)))

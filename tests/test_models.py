@@ -192,6 +192,26 @@ def test_conv_caches_hold_only_the_input():
     assert all(set(cache) == {"x"} for cache in conv_caches)
 
 
+def test_prelu_caches_after_batchnorm_hold_no_array():
+    """A PReLU after batchnorm refers to that batchnorm's cache; the baseline's PReLUs, after dense layers, keep their input."""
+    net = build_3dcnn(3, 3, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
+    _, caches = net.forward_with_cache(Rng(1).normal((2, 3, 80, 40, 1)))
+    after_bn = [
+        cache
+        for prev, layer, cache in zip(net.layers, net.layers[1:], caches[1:])
+        if prev.kind == "batchnorm" and layer.kind == "prelu"
+    ]
+    assert len(after_bn) == 8
+    for cache in after_bn:
+        assert not any(isinstance(v, np.ndarray) for v in cache.values())
+    net = build_lcn_baseline(3, Rng(0), units_per_patch=2, hidden_width=8)
+    x = Rng(1).normal((2, *net.spec.input_shape))
+    _, caches = net.forward_with_cache(x)
+    prelu_caches = [cache for layer, cache in zip(net.layers, caches) if layer.kind == "prelu"]
+    assert len(prelu_caches) >= 2
+    assert all(set(cache) == {"x"} and isinstance(cache["x"], np.ndarray) for cache in prelu_caches)
+
+
 def test_flatten_cache_holds_the_shape_and_no_array():
     net = build_3dcnn(3, 3, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
     _, caches = net.forward_with_cache(Rng(1).normal((2, 3, 80, 40, 1)))
@@ -452,6 +472,19 @@ def test_training_step_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 110 * 2**20
+
+
+def test_training_step_peak_memory_without_prelu_copies():
+    """The same step as above peaks at most at 70 MiB: no PReLU keeps a copy of its batchnorm's output."""
+    net = build_3dcnn(20, 4, Rng(0))
+    x = Rng(1).normal((2, *net.spec.input_shape))
+    tracemalloc.start()
+    try:
+        _training_step(net, x, np.array([0, 3]), input_grad=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 70 * 2**20
 
 
 def test_backward_twice_over_one_cache_list_raises():
