@@ -28,14 +28,17 @@ def load_manifest(path) -> list[ManifestEntry]:
     if not path.is_file():
         raise ManifestError(f"manifest {path} does not exist")
     entries: list[ManifestEntry] = []
-    seen: set[tuple[str, str]] = set()
+    seen: dict[Path, int] = {}  # resolved audio path -> the line that listed it
+    first = True  # no line but blanks and comments read yet: the header may come here
     lines = path.read_text().splitlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if lineno == 1 and line == HEADER:
+        if first and line == HEADER:
+            first = False
             continue
+        first = False
         fields = line.split(",")
         if len(fields) != 4:
             raise ManifestError(f"{path}:{lineno}: expected 4 comma-separated fields, got {len(fields)}")
@@ -47,10 +50,9 @@ def load_manifest(path) -> list[ManifestEntry]:
         audio = (path.parent / rel).resolve()
         if not audio.is_file():
             raise ManifestError(f"{path}:{lineno}: audio file {audio} does not exist")
-        key = (speaker_id, rel)
-        if key in seen:
-            raise ManifestError(f"{path}:{lineno}: duplicate entry for {speaker_id!r} / {rel!r}")
-        seen.add(key)
+        if audio in seen:
+            raise ManifestError(f"{path}:{lineno}: audio file {audio} is already listed on line {seen[audio]}")
+        seen[audio] = lineno
         entries.append(ManifestEntry(speaker_id, audio, session, split))
     return entries
 

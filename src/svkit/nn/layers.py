@@ -5,10 +5,18 @@ All values are float64 ndarrays, channels last. Convolutional tensors are
 locally-connected ops take batches only, with one leading batch axis.
 Backward passes are hand-derived and are validated against central finite
 differences in the test suite.
+
+The conv, PReLU and train-mode batchnorm passes split their per-example
+work into contiguous runs, one per CPU this process may run on
+(_in_parallel). Each run computes exactly what the serial loop computed for
+its examples, and every sum across examples stays one whole-array call or
+is added in the serial order, so no output depends on the CPU count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +32,49 @@ _CONV_AXES = ("depth", "time", "freq")
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.99  # weight of the old running statistics in each update
 _WGRAD_CHUNK_BYTES = 4 << 20  # patches copied per weight-gradient product in conv3d_backward (at least one depth slice)
+# One run of per-example work per CPU in the affinity mask; the pool runs all but the caller's.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _new_pool() -> None:
+    """A fresh _POOL, whose threads start on first submit.
+
+    Also run in a forked child, which inherits the pool's bookkeeping but
+    none of its threads, so that its runs would otherwise never start.
+    """
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1), thread_name_prefix="svkit-nn")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+def _workers(n: int) -> int:
+    """How many runs _in_parallel splits range(n) into: one scratch buffer each."""
+    return max(1, min(n, _WORKERS))
+
+
+def _in_parallel(n: int, run) -> None:
+    """Call run(worker, lo, hi) on contiguous runs [lo, hi) covering range(n), _workers(n) of them.
+
+    Run 0 goes on the calling thread and the others on _POOL. A run calls
+    numpy only (which releases the GIL in matmul, copyto and ufuncs), writes
+    only its own rows, and uses scratch the caller allocated, indexed by
+    `worker`: buffers allocated in pool threads would come from glibc
+    per-thread arenas and stay resident. Returns once every run has
+    finished, then re-raises the first exception a run raised, in run order.
+    """
+    k = _workers(n)
+    bounds = [n * i // k for i in range(k + 1)]
+    futures = [_POOL.submit(run, i, bounds[i], bounds[i + 1]) for i in range(1, k)]
+    try:
+        run(0, bounds[0], bounds[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 @dataclass
@@ -152,9 +203,10 @@ def conv3d_forward(x, params: LayerParams) -> np.ndarray:
 
     Output extents follow conv3d_output_shape. Each (example, output depth
     slice) is one matrix product of that slice's patch matrix with the kernel,
-    written straight into the output, so only one slice's patches are copied
-    out at a time. Every row is the same dot product, in the same order, that
-    a single product over the whole batch's patch matrix computes.
+    written straight into the output. The pairs are split across workers,
+    each copying one slice's patches at a time into its own buffer. Every
+    row is the same dot product, in the same order, that a single product
+    over the whole batch's patch matrix computes.
     """
     xb, _, out = _conv_prepare(x, params)
     w = params.weights
@@ -162,35 +214,52 @@ def conv3d_forward(x, params: LayerParams) -> np.ndarray:
     w2 = w.reshape(-1, cout)
     patches = _patches(xb, w.shape[:3], params.stride)
     y = np.empty((xb.shape[0],) + out + (cout,))
-    for b in range(xb.shape[0]):
-        for d in range(out[0]):
-            np.matmul(patches[b, d].reshape(-1, w2.shape[0]), w2, out=y[b, d].reshape(-1, cout))
-    if params.bias is not None:
-        y += params.bias
+    pairs = xb.shape[0] * out[0]
+    col = np.empty((_workers(pairs), out[1] * out[2], w2.shape[0]))
+
+    def run(i, lo, hi):
+        for pair in range(lo, hi):
+            b, d = divmod(pair, out[0])
+            np.copyto(col[i].reshape(patches.shape[2:]), patches[b, d])
+            np.matmul(col[i], w2, out=y[b, d].reshape(-1, cout))
+            if params.bias is not None:
+                y[b, d] += params.bias
+
+    _in_parallel(pairs, run)
     return y
 
 
 def _conv_weight_grad(xb, w, stride, gb):
     """Sum over output depth slices of each slice's patch matrix transposed times its grad_out.
 
-    The patch matrices are the ones conv3d_forward multiplies. They are
-    copied into one reused buffer, a run of an example's depth slices at a
-    time up to _WGRAD_CHUNK_BYTES, so that a deep layer with few rows per
-    slice does not pay a full (K, Cout) product per slice.
+    The patch matrices are the ones conv3d_forward multiplies, copied a run
+    of an example's depth slices at a time, up to _WGRAD_CHUNK_BYTES, so
+    that a deep layer with few rows per slice does not pay a full (K, Cout)
+    product per slice. The products are computed in waves of one per
+    worker, each into its own buffer, and added in the serial order, so the
+    sum keeps its bytes at any worker count.
     """
     patches = _patches(xb, w.shape[:3], stride)
     cout = w.shape[4]
     rows = patches.shape[2] * patches.shape[3]
     k = w.size // cout
     n = max(1, min(gb.shape[1], _WGRAD_CHUNK_BYTES // (rows * k * 8)))
-    col = np.empty((n * rows, k))
+    chunks = [(b, d, min(n, gb.shape[1] - d)) for b in range(gb.shape[0]) for d in range(0, gb.shape[1], n)]
+    workers = _workers(len(chunks))
+    col = np.empty((workers, n * rows, k))
+    prods = np.empty((workers, k, cout))
+
+    def product(i, b, d, m):
+        chunk = col[i, : m * rows]
+        np.copyto(chunk.reshape((m,) + patches.shape[2:]), patches[b, d : d + m])
+        np.matmul(chunk.T, gb[b, d : d + m].reshape(-1, cout), out=prods[i])
+
     gw = np.zeros((k, cout))
-    for b in range(gb.shape[0]):
-        for d in range(0, gb.shape[1], n):
-            m = min(n, gb.shape[1] - d)
-            chunk = col[: m * rows]
-            np.copyto(chunk.reshape((m,) + patches.shape[2:]), patches[b, d : d + m])
-            gw += chunk.T @ gb[b, d : d + m].reshape(-1, cout)
+    for start in range(0, len(chunks), workers):
+        wave = chunks[start : start + workers]
+        _in_parallel(len(wave), lambda i, lo, hi: product(i, *wave[i]))
+        for p in prods[: len(wave)]:
+            gw += p
     return gw.reshape(w.shape)
 
 
@@ -203,16 +272,17 @@ def conv3d_backward(x, params: LayerParams, grad_out, input_grad: bool = True):
     patch matrix is built; it matches the whole-batch `col.T @ grad_out` to
     rounding only. The bias gradient sums grad_out over every position.
 
-    The input gradient is computed one example at a time: each tap's
-    product `grad_out[b] @ W[i, j, k].T` goes into one reused per-example
-    buffer and is added into the strided view of example b that the tap
-    reads, taps in (i, j, k) order. Every row of that product is the same
-    dot product a whole-batch `grad_out @ W[i, j, k].T` computes, and each
-    input element receives its taps in the same order, so the input and
-    bias gradients keep the bytes of the whole-batch formulation: they
-    decide everything downstream, and the conv biases, whose exact gradient
-    is 0 under train-mode batchnorm, hold only their rounding noise. With
-    `input_grad` off the input gradient is not computed and is None.
+    The input gradient is computed one example at a time, the examples
+    split across workers: each tap's product `grad_out[b] @ W[i, j, k].T`
+    goes into the worker's own per-example buffer and is added into the
+    strided view of example b that the tap reads, taps in (i, j, k) order.
+    Every row of that product is the same dot product a whole-batch
+    `grad_out @ W[i, j, k].T` computes, and each input element receives its
+    taps in the same order, so the input and bias gradients keep the bytes
+    of the whole-batch formulation: they decide everything downstream, and
+    the conv biases, whose exact gradient is 0 under train-mode batchnorm,
+    hold only their rounding noise. With `input_grad` off the input
+    gradient is not computed and is None.
     """
     xb, p, out = _conv_prepare(x, params)
     w = params.weights
@@ -225,16 +295,20 @@ def conv3d_backward(x, params: LayerParams, grad_out, input_grad: bool = True):
     grads = {"weights": _conv_weight_grad(xb, w, params.stride, gb), "bias": gb.reshape(-1, cout).sum(axis=0)}
     if not input_grad:
         return None, grads
-    tap = np.empty((int(np.prod(out)), cin))  # one tap's product for one example, reused
+    tap = np.empty((_workers(xb.shape[0]), int(np.prod(out)), cin))  # one tap's product for one example, per worker
     gxp = np.zeros_like(xb)
-    for b in range(xb.shape[0]):
-        go2 = gb[b].reshape(-1, cout)
-        for i in range(kd):
-            for j in range(kh):
-                for k in range(kw):
-                    np.matmul(go2, w[i, j, k].T, out=tap)
-                    xs = _offset_slice(gxp[b], i, j, k, out, params.stride)
-                    xs += tap.reshape(xs.shape)
+
+    def run(t, lo, hi):
+        for b in range(lo, hi):
+            go2 = gb[b].reshape(-1, cout)
+            for i in range(kd):
+                for j in range(kh):
+                    for k in range(kw):
+                        np.matmul(go2, w[i, j, k].T, out=tap[t])
+                        xs = _offset_slice(gxp[b], i, j, k, out, params.stride)
+                        xs += tap[t].reshape(xs.shape)
+
+    _in_parallel(xb.shape[0], run)
     gx = gxp[:, p : gxp.shape[1] - p] if p else gxp
     return gx, grads
 
@@ -281,7 +355,8 @@ def prelu_forward(x, slope) -> np.ndarray:
 
     Computed as x * slope in one fresh buffer, over which the x >= 0 entries
     are then copied from x; each entry is one rounding or none, so the bytes
-    are those of the formula. `x` is left unchanged.
+    are those of the formula. The examples are split across workers, and
+    the sign mask is one caller-allocated buffer. `x` is left unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
     s = np.asarray(slope, dtype=np.float64)
@@ -289,9 +364,17 @@ def prelu_forward(x, slope) -> np.ndarray:
         raise DimensionError(
             f"channel axis: slope length {s.shape} does not match channel count {x.shape[-1]}"
         )
-    y = x * s
-    np.copyto(y, x, where=x >= 0.0)
-    return y
+    xb = x if x.ndim > 1 else x[None]
+    y = np.empty(xb.shape)
+    keep = np.empty(xb.shape, dtype=bool)
+
+    def run(i, lo, hi):
+        np.multiply(xb[lo:hi], s, out=y[lo:hi])
+        np.greater_equal(xb[lo:hi], 0.0, out=keep[lo:hi])
+        np.copyto(y[lo:hi], xb[lo:hi], where=keep[lo:hi])
+
+    _in_parallel(len(xb), run)
+    return y.reshape(x.shape)
 
 
 def prelu_backward(x, slope, grad_out):
@@ -300,23 +383,36 @@ def prelu_backward(x, slope, grad_out):
     The input gradient is grad_out with its entries at x < 0 multiplied by
     their slope, each a single rounding, so its bytes do not depend on how
     the pass is arranged. The slope gradient sums min(x, 0) * grad_out per
-    channel; it can differ from a sum that skips the x >= 0 terms only in
-    the sign of an all-zero channel's 0.
+    channel in one whole-array call; it can differ from a sum that skips the
+    x >= 0 terms only in the sign of an all-zero channel's 0.
 
     One fresh buffer serves both: it holds min(x, 0) * grad_out until the
-    slope sums are taken, then the input gradient. `x` and `grad_out` are
-    left unchanged.
+    slope sums are taken, then the input gradient. Both elementwise passes
+    are split by example across workers. `x` and `grad_out` are left
+    unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != x.shape:
         raise DimensionError(f"grad_out shape {g.shape} does not match input {x.shape}")
-    buf = np.minimum(x, 0.0)
-    buf *= g
+    xb, gb = (x, g) if x.ndim > 1 else (x[None], g[None])
+    buf = np.empty(xb.shape)
+
+    def slope_terms(i, lo, hi):
+        np.minimum(xb[lo:hi], 0.0, out=buf[lo:hi])
+        buf[lo:hi] *= gb[lo:hi]
+
+    _in_parallel(len(xb), slope_terms)
     gs = buf.reshape(-1, x.shape[-1]).sum(axis=0)
-    np.copyto(buf, g)
-    np.multiply(g, slope, out=buf, where=x < 0.0)
-    return buf, {"prelu_slope": gs}
+    negative = np.empty(xb.shape, dtype=bool)
+
+    def input_grad(i, lo, hi):
+        np.copyto(buf[lo:hi], gb[lo:hi])
+        np.less(xb[lo:hi], 0.0, out=negative[lo:hi])
+        np.multiply(gb[lo:hi], slope, out=buf[lo:hi], where=negative[lo:hi])
+
+    _in_parallel(len(xb), input_grad)
+    return buf.reshape(x.shape), {"prelu_slope": gs}
 
 
 def batchnorm_output(xh, params: LayerParams, out=None) -> np.ndarray:
@@ -324,11 +420,16 @@ def batchnorm_output(xh, params: LayerParams, out=None) -> np.ndarray:
 
     The one place that knows these two roundings: batchnorm_forward writes
     its output with them, and a backward that kept no copy of that output
-    recomputes it with them, byte for byte. With `out`, the result goes
-    there; `xh` is left unchanged.
+    recomputes it with them, byte for byte, split by example across
+    workers. With `out`, the result goes there; `xh` is left unchanged.
     """
-    y = np.multiply(xh, params.bn_scale, out=out)
-    y += params.bn_shift
+    y = np.empty(xh.shape) if out is None else out
+
+    def run(i, lo, hi):
+        np.multiply(xh[lo:hi], params.bn_scale, out=y[lo:hi])
+        y[lo:hi] += params.bn_shift
+
+    _in_parallel(len(xh), run)
     return y
 
 
@@ -352,8 +453,10 @@ def batchnorm_forward(
     The train-mode variance is `np.var`'s own arithmetic (the mean of the
     squared deviations), written out so that the deviations become the
     normalized input in place and the squares' buffer then takes the
-    output (batchnorm_output): two fresh full-size buffers in all. `x` is
-    left unchanged.
+    output (batchnorm_output): two fresh full-size buffers in all. The
+    mean and the sum of squares are single whole-array reductions; the
+    elementwise passes around them are split by example across workers.
+    `x` is left unchanged.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
@@ -366,11 +469,17 @@ def batchnorm_forward(
         return params.bn_scale * (x - params.bn_running_mean) * inv + params.bn_shift
     axes = tuple(range(x.ndim - 1))
     mu = x.mean(axis=axes)
-    xh = x - mu
-    sq = np.multiply(xh, xh)
+    xh = np.empty(x.shape)
+    sq = np.empty(x.shape)
+
+    def deviations(i, lo, hi):
+        np.subtract(x[lo:hi], mu, out=xh[lo:hi])
+        np.multiply(xh[lo:hi], xh[lo:hi], out=sq[lo:hi])
+
+    _in_parallel(len(x), deviations)
     var = sq.sum(axis=axes) / (x.size // c)
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xh *= inv
+    _in_parallel(len(x), lambda i, lo, hi: np.multiply(xh[lo:hi], inv, out=xh[lo:hi]))
     if update_running:
         params.bn_running_mean = BN_MOMENTUM * params.bn_running_mean + (1 - BN_MOMENTUM) * mu
         params.bn_running_var = BN_MOMENTUM * params.bn_running_var + (1 - BN_MOMENTUM) * var
@@ -386,16 +495,17 @@ def batchnorm_backward(params: LayerParams, grad_out, cache: dict):
     Reads the normalized input and 1/sqrt(var + eps) from the `cache` that
     batchnorm_forward filled. The scale and shift gradients are the
     per-channel sums of grad_out * x_hat and grad_out that the input
-    gradient also uses; the input gradient is
-    (scale * inv / n) * (n * g - sum(g) - x_hat * sum(g * x_hat)), rounded
-    in that order, so all three keep their bytes however the passes are
-    arranged.
+    gradient also uses, each one whole-array reduction; the input gradient
+    is (scale * inv / n) * (n * g - sum(g) - x_hat * sum(g * x_hat)),
+    rounded in that order, so all three keep their bytes however the passes
+    are arranged.
 
     One fresh full-size buffer holds g * x_hat for the scale sums, then the
-    input gradient; the x_hat * sum(g * x_hat) term is formed in a reused
-    buffer one index of all but the last three axes at a time (one depth
-    slice of one example for a cube), so it stays small. `grad_out` and the
-    cache are left unchanged.
+    input gradient; both passes are split by example across workers. The
+    x_hat * sum(g * x_hat) term is formed in each worker's small buffer one
+    index of all but the last three axes at a time (one depth slice of one
+    example for a cube; one example for an input of under four axes).
+    `grad_out` and the cache are left unchanged.
     """
     g = np.asarray(grad_out, dtype=np.float64)
     xh = cache["bn_xh"]
@@ -405,15 +515,22 @@ def batchnorm_backward(params: LayerParams, grad_out, cache: dict):
     axes = tuple(range(g.ndim - 1))
     n = g.size // g.shape[-1]
     gsum = g.sum(axis=axes)
-    gx = np.multiply(g, xh)
+    gx = np.empty(g.shape)
+    _in_parallel(len(g), lambda i, lo, hi: np.multiply(g[lo:hi], xh[lo:hi], out=gx[lo:hi]))
     gxh_sum = gx.sum(axis=axes)
-    np.multiply(n, g, out=gx)
-    gx -= gsum
-    tmp = np.empty(xh.shape[-3:])
-    for i in np.ndindex(xh.shape[:-3]):
-        gx_i = gx[i]
-        gx_i -= np.multiply(xh[i], gxh_sum, out=tmp)
-    gx *= params.bn_scale * inv / n
+    factor = params.bn_scale * inv / n
+    lead = max(1, g.ndim - 3)  # leading axes looped over, the example axis at least
+    tmp = np.empty((_workers(len(g)),) + g.shape[lead:])
+
+    def input_grad(i, lo, hi):
+        gx_r, xh_r = gx[lo:hi], xh[lo:hi]
+        np.multiply(n, g[lo:hi], out=gx_r)
+        gx_r -= gsum
+        for j in np.ndindex(gx_r.shape[:lead]):
+            gx_r[j] -= np.multiply(xh_r[j], gxh_sum, out=tmp[i])
+        gx_r *= factor
+
+    _in_parallel(len(g), input_grad)
     return gx, {"bn_scale": gxh_sum, "bn_shift": gsum}
 
 

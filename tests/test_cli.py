@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
+import svkit
 from svkit.cli import main
 from svkit.models.checkpoint import load_checkpoint
 from svkit.protocol.enrollment import load_speaker_models
@@ -42,6 +47,44 @@ def trained(micro_corpus):
         assert rc == 0
         out[model] = ckpt
     return micro_corpus, out
+
+
+_TRAIN_AT_AFFINITY = """
+import os, sys
+if sys.argv[1] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from svkit.cli import main
+from svkit.nn import layers
+print(layers._WORKERS, flush=True)
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _train_in_child(corpus, out, affinity):
+    """`svkit train` on the micro corpus in a fresh process at 1 BLAS thread; returns svkit's worker count."""
+    env = dict(os.environ, PYTHONPATH=str(Path(svkit.__file__).parents[1]))
+    env.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    argv = ["train", "--manifest", str(corpus / "data" / "manifest.csv"), "--model", "cnn3d", "--zeta", "2",
+            "--epochs", "2", "--lr", "0.003", "--batch", "4", "--seed", SEED, "--max-slices", "6",
+            "--out", str(out)]  # fmt: skip
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRAIN_AT_AFFINITY, affinity, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return int(proc.stdout.splitlines()[0])
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs"
+)
+def test_train_bytes_do_not_depend_on_the_cpu_count(micro_corpus, tmp_path):
+    """The README's promise: at one BLAS thread count, one CPU and every CPU write the same bytes."""
+    one = tmp_path / "one" / "checkpoint.svck"
+    every = tmp_path / "every" / "checkpoint.svck"
+    assert _train_in_child(micro_corpus, one, "one-cpu") == 1
+    assert _train_in_child(micro_corpus, every, "every-cpu") >= 2
+    assert one.read_bytes() == every.read_bytes()
+    assert one.with_suffix(".loss.log").read_bytes() == every.with_suffix(".loss.log").read_bytes()
 
 
 class TestSynth:

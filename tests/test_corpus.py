@@ -42,6 +42,27 @@ class TestManifest:
         with pytest.raises(ManifestError, match=":3"):
             load_manifest(path)
 
+    def test_one_file_under_two_spellings_rejected_naming_both_lines(self, tmp_path):
+        (tmp_path / "a.wav").write_bytes(b"x")
+        (tmp_path / "b.wav").write_bytes(b"x")
+        path = tmp_path / "m.csv"
+        path.write_text(f"{HEADER}\nspk1,a.wav,s1,enrollment\nspk1,b.wav,s1,auto\nspk1,./a.wav,s2,evaluation\n")
+        with pytest.raises(ManifestError, match=r":4: .*a\.wav is already listed on line 2"):
+            load_manifest(path)
+
+    def test_header_after_comment_lines(self, tmp_path):
+        (tmp_path / "a.wav").write_bytes(b"x")
+        path = tmp_path / "m.csv"
+        path.write_text(f"# note\n\n{HEADER}\nspk1,a.wav,s1,auto\n")
+        assert [e.speaker_id for e in load_manifest(path)] == ["spk1"]
+
+    def test_header_after_a_data_line_rejected(self, tmp_path):
+        (tmp_path / "a.wav").write_bytes(b"x")
+        path = tmp_path / "m.csv"
+        path.write_text(f"spk1,a.wav,s1,auto\n{HEADER}\n")
+        with pytest.raises(ManifestError, match=":2"):
+            load_manifest(path)
+
     def test_missing_audio_file_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(f"{HEADER}\nspk1,ghost.wav,s1,auto\n")

@@ -1,6 +1,10 @@
 """Layer forward passes against trivial cases and independent oracles."""
 
 import math
+import multiprocessing
+import os
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -23,6 +27,7 @@ from oracles import (
 )
 from svkit.errors import ConfigError, DimensionError
 from svkit.models.zoo import build_3dcnn
+from svkit.nn import layers as layers_module
 from svkit.nn.layers import (
     BN_EPS,
     BN_MOMENTUM,
@@ -251,6 +256,61 @@ def test_batchnorm_and_prelu_leave_their_inputs_alone():
     assert len(given) == 9
     for i, (a, b) in enumerate(zip(given, before)):
         assert a.tobytes() == b.tobytes(), i
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_in_parallel_waits_for_every_run_and_reraises(monkeypatch, failing):
+    """A run's exception reaches the caller, and only after the slowest run has written its rows."""
+    monkeypatch.setattr(layers_module, "_WORKERS", 3)
+    out = np.zeros(6)
+    callers = []
+
+    def run(worker, lo, hi):
+        callers.append((worker, threading.current_thread() is threading.main_thread()))
+        if worker == failing:
+            raise ValueError(f"run {worker}")
+        if worker == 2:
+            time.sleep(0.2)
+        out[lo:hi] = worker + 1
+
+    with pytest.raises(ValueError, match=f"run {failing}"):
+        layers_module._in_parallel(6, run)
+    assert sorted(callers) == [(0, True), (1, False), (2, False)]
+    assert out[4:].tolist() == [3.0, 3.0]  # the sleeping run finished before the raise reached the caller
+    assert out[2 * failing : 2 * failing + 2].tolist() == [0.0, 0.0]
+
+
+def test_in_parallel_splits_into_contiguous_runs(monkeypatch):
+    monkeypatch.setattr(layers_module, "_WORKERS", 3)
+    runs = []
+    layers_module._in_parallel(7, lambda worker, lo, hi: runs.append((worker, lo, hi)))
+    assert sorted(runs) == [(0, 0, 2), (1, 2, 4), (2, 4, 7)]
+    runs.clear()
+    layers_module._in_parallel(2, lambda worker, lo, hi: runs.append((worker, lo, hi)))
+    assert sorted(runs) == [(0, 0, 1), (1, 1, 2)]  # no empty run: never more runs than rows
+
+
+def _prelu_sum_in_child(x, queue):
+    queue.put(float(prelu_forward(x, np.ones(x.shape[-1])).sum()))
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+def test_a_forked_child_gets_a_working_pool(monkeypatch):
+    """A child forked after the pool has run work inherits no pool thread; its runs must still start."""
+    monkeypatch.setattr(layers_module, "_WORKERS", 2)
+    x = Rng(3).normal((4, 3))
+    want = float(prelu_forward(x, np.ones(3)).sum())  # the parent's pool now has a thread
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_prelu_sum_in_child, args=(x, queue))
+    child.start()
+    try:
+        assert queue.get(timeout=30) == want
+    finally:
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive()
 
 
 _CUBE = np.ones((2, 2, 2, 1))  # one (depth, time, freq, channels) example, no batch axis

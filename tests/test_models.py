@@ -36,6 +36,7 @@ from svkit.models import network as network_module
 from svkit.models.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from svkit.models.network import Network
 from svkit.models.zoo import build_3dcnn, build_lcn_baseline, build_network
+from svkit.nn import layers as layers_module
 from svkit.nn.layers import BN_EPS, LayerParams, softmax_xent_batch, softmax_xent_batch_gradient
 from svkit.rng import Rng
 
@@ -313,6 +314,38 @@ def _full_layer_loop(net, cubes):
     """Reference embeddings: every layer but the head on the whole cubes, then L2-normalized."""
     acts = net._run(np.stack(cubes), net.layers[:-1], "infer", update_running=False)
     return acts / np.linalg.norm(acts, axis=1, keepdims=True)
+
+
+def _step_and_embed_arrays(zeta, batch):
+    """Every array one training step and two embed_vectors calls produce, by name."""
+    net = _trained_like_3dcnn(zeta)
+    x = Rng(15).normal((batch, *net.spec.input_shape))
+    labels = np.arange(batch) % 4
+    logits, caches = net.forward_with_cache(x)
+    _, probs = softmax_xent_batch(logits, labels)
+    grad_x, grads = net.backward(caches, softmax_xent_batch_gradient(probs, labels))
+    arrays = {"logits": logits, "grad_x": grad_x}
+    for layer, layer_grads in zip(net.layers, grads):
+        arrays.update({f"{layer.name}.{field}": g for field, g in layer_grads.items()})
+        if layer.kind == "batchnorm":
+            arrays[f"{layer.name}.running_mean"] = layer.bn_running_mean
+            arrays[f"{layer.name}.running_var"] = layer.bn_running_var
+    arrays["embed_enrollment_cube"] = net.embed_vectors([Rng(16).normal(net.spec.input_shape)])
+    arrays["embed_replicated"] = net.embed_vectors([_replicated(zeta, seed) for seed in (17, 18, 19)])
+    return arrays
+
+
+@pytest.mark.parametrize("zeta,batch", [(20, 3), (20, 1), (10, 3), (10, 1)])
+def test_bytes_do_not_depend_on_the_worker_count(monkeypatch, zeta, batch):
+    """1, 2 and 3 workers (3 examples split unevenly over 2): logits, every gradient, running statistics and embeddings."""
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(layers_module, "_WORKERS", workers)
+        results.append(_step_and_embed_arrays(zeta, batch))
+    for other in results[1:]:
+        assert other.keys() == results[0].keys()
+        for name, arr in results[0].items():
+            assert other[name].tobytes() == arr.tobytes(), name
 
 
 class TestDepthCollapse:
