@@ -7,10 +7,11 @@ Backward passes are hand-derived and are validated against central finite
 differences in the test suite.
 
 The conv, PReLU and train-mode batchnorm passes split their per-example
-work into contiguous runs, one per CPU this process may run on
-(_in_parallel). Each run computes exactly what the serial loop computed for
-its examples, and every sum across examples stays one whole-array call or
-is added in the serial order, so no output depends on the CPU count.
+work into contiguous runs, one per CPU this process may run on, at most
+_MAX_WORKERS (_in_parallel). Each run computes exactly what the serial loop
+computed for its examples, and every sum across examples stays one
+whole-array call or is added in the serial order, so no output depends on
+the CPU count.
 """
 
 from __future__ import annotations
@@ -32,8 +33,13 @@ _CONV_AXES = ("depth", "time", "freq")
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.99  # weight of the old running statistics in each update
 _WGRAD_CHUNK_BYTES = 4 << 20  # patches copied per weight-gradient product in conv3d_backward (at least one depth slice)
-# One run of per-example work per CPU in the affinity mask; the pool runs all but the caller's.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# Per-example work runs on one thread per CPU in the affinity mask, at most _MAX_WORKERS: the
+# split was measured on 2 CPUs with the BLAS at 1 thread, and each worker holds its own scratch,
+# so the cap also bounds one call's scratch on any host. The pool runs all runs but the caller's.
+_MAX_WORKERS = 2
+_WORKERS = min(
+    _MAX_WORKERS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 def _new_pool() -> None:
@@ -415,22 +421,23 @@ def prelu_backward(x, slope, grad_out):
     return buf.reshape(x.shape), {"prelu_slope": gs}
 
 
-def batchnorm_output(xh, params: LayerParams, out=None) -> np.ndarray:
+def batchnorm_output(xh, params: LayerParams) -> np.ndarray:
     """Train-mode batchnorm output from the normalized input: (x_hat * scale) + shift.
 
-    The one place that knows these two roundings: batchnorm_forward writes
-    its output with them, and a backward that kept no copy of that output
-    recomputes it with them, byte for byte, split by example across
-    workers. With `out`, the result goes there; `xh` is left unchanged.
+    For a backward that kept no copy of that output: it recomputes it, split
+    by example across workers, with the two roundings of _batchnorm_affine
+    that batchnorm_forward also writes it with, so byte for byte. `xh` is
+    left unchanged.
     """
-    y = np.empty(xh.shape) if out is None else out
-
-    def run(i, lo, hi):
-        np.multiply(xh[lo:hi], params.bn_scale, out=y[lo:hi])
-        y[lo:hi] += params.bn_shift
-
-    _in_parallel(len(xh), run)
+    y = np.empty(xh.shape)
+    _in_parallel(len(xh), lambda i, lo, hi: _batchnorm_affine(xh[lo:hi], params, y[lo:hi]))
     return y
+
+
+def _batchnorm_affine(xh, params: LayerParams, y) -> None:
+    """y = (xh * scale) + shift: the one place that knows these two roundings."""
+    np.multiply(xh, params.bn_scale, out=y)
+    y += params.bn_shift
 
 
 def batchnorm_forward(
@@ -453,9 +460,10 @@ def batchnorm_forward(
     The train-mode variance is `np.var`'s own arithmetic (the mean of the
     squared deviations), written out so that the deviations become the
     normalized input in place and the squares' buffer then takes the
-    output (batchnorm_output): two fresh full-size buffers in all. The
-    mean and the sum of squares are single whole-array reductions; the
-    elementwise passes around them are split by example across workers.
+    output: two fresh full-size buffers in all. The mean and the sum of
+    squares are single whole-array reductions; the elementwise passes
+    around them are split by example across workers, and one pass both
+    normalizes a run and writes its output (_batchnorm_affine).
     `x` is left unchanged.
     """
     if mode not in ("train", "infer"):
@@ -479,14 +487,19 @@ def batchnorm_forward(
     _in_parallel(len(x), deviations)
     var = sq.sum(axis=axes) / (x.size // c)
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    _in_parallel(len(x), lambda i, lo, hi: np.multiply(xh[lo:hi], inv, out=xh[lo:hi]))
+
+    def normalize(i, lo, hi):
+        xh[lo:hi] *= inv
+        _batchnorm_affine(xh[lo:hi], params, sq[lo:hi])
+
+    _in_parallel(len(x), normalize)
     if update_running:
         params.bn_running_mean = BN_MOMENTUM * params.bn_running_mean + (1 - BN_MOMENTUM) * mu
         params.bn_running_var = BN_MOMENTUM * params.bn_running_var + (1 - BN_MOMENTUM) * var
     if cache is not None:
         cache["bn_xh"] = xh
         cache["bn_inv"] = inv
-    return batchnorm_output(xh, params, out=sq)
+    return sq
 
 
 def batchnorm_backward(params: LayerParams, grad_out, cache: dict):

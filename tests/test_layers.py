@@ -188,6 +188,16 @@ def test_conv_backward_holds_one_slice_of_patches(cnn3d_convs):
     assert peak <= x.nbytes + 8 * 2**20
 
 
+@pytest.mark.parametrize(
+    "bounded", [test_conv_forward_holds_one_slice_of_patches, test_conv_backward_holds_one_slice_of_patches]
+)
+def test_conv_memory_bounds_hold_at_the_worker_cap(monkeypatch, cnn3d_convs, bounded):
+    """Each worker holds its own scratch: the bounds above hold at the most workers svkit starts on any host."""
+    assert 1 <= layers_module._WORKERS <= layers_module._MAX_WORKERS
+    monkeypatch.setattr(layers_module, "_WORKERS", layers_module._MAX_WORKERS)
+    bounded(cnn3d_convs)
+
+
 @pytest.mark.parametrize("name", CNN3D_CONVS)
 @pytest.mark.parametrize("zeta", [20, 10])
 def test_cnn3d_batchnorm_prelu_match_reference(cnn3d_convs, zeta, name):

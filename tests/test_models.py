@@ -520,6 +520,13 @@ def test_training_step_peak_memory_without_prelu_copies():
     assert peak <= 70 * 2**20
 
 
+@pytest.mark.parametrize("bounded", [test_training_step_peak_memory, test_training_step_peak_memory_without_prelu_copies])
+def test_training_step_memory_bounds_hold_at_the_worker_cap(monkeypatch, bounded):
+    """Each worker holds its own scratch: the bounds above hold at the most workers svkit starts on any host."""
+    monkeypatch.setattr(layers_module, "_WORKERS", layers_module._MAX_WORKERS)
+    bounded()
+
+
 def test_backward_twice_over_one_cache_list_raises():
     net = build_3dcnn(3, 3, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
     logits, caches = net.forward_with_cache(Rng(1).normal((2, 3, 80, 40, 1)))
