@@ -48,10 +48,6 @@ class AudioSignal:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 def require_sample_rate(signal: AudioSignal) -> AudioSignal:
     """Reject signals not at the toolkit's canonical rate (no resampling)."""

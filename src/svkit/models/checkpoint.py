@@ -7,7 +7,8 @@ the network spec (`kind`, `input_shape`, `n_classes`, `zeta`), the training
 metadata (`epoch`, `seed`) and one record per layer with the same keys for
 every kind: `name`, `kind`, `stride`, `pad_depth` and `arrays` (the shape of
 each array present). Saving is canonical, so save -> load -> save is
-byte-identical.
+byte-identical. Loading builds the Network, so a file whose layer has a kind
+svkit lacks, or arrays its kind does not hold, is a CheckpointError.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ChecksumError, CheckpointError, TruncatedFileError, VersionMismatchError
+from ..errors import ChecksumError, CheckpointError, ConfigError, TruncatedFileError, VersionMismatchError
 from ..nn.layers import PARAM_FIELDS, STATE_FIELDS, LayerParams
 from .network import Network, NetworkSpec
 
@@ -156,4 +157,8 @@ def load_checkpoint(path) -> Checkpoint:
                 )
                 offset += count * 8
         layers.append(LayerParams(**fields))
-    return Checkpoint(NetworkSpec(**spec_fields), layers, epoch=epoch, seed=seed)
+    try:
+        network = Network(NetworkSpec(**spec_fields), layers)
+    except ConfigError as exc:  # a layer kind svkit lacks, or arrays that do not fit the kind
+        raise CheckpointError(f"{path}: {exc}") from exc
+    return Checkpoint.of(network, epoch=epoch, seed=seed)

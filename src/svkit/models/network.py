@@ -15,6 +15,8 @@ import numpy as np
 
 from ..errors import ConfigError, DimensionError, NumericError
 from ..nn.layers import (
+    PARAM_FIELDS,
+    STATE_FIELDS,
     LayerParams,
     assert_finite,
     batchnorm_backward,
@@ -57,13 +59,25 @@ class Network:
         for layer in layers:
             if layer.kind not in _KINDS:
                 raise ConfigError(f"unknown layer kind {layer.kind!r}")
+            held = {field for field in PARAM_FIELDS + STATE_FIELDS if getattr(layer, field) is not None}
+            want = set(_KINDS[layer.kind].arrays)
+            if held != want:
+                raise ConfigError(
+                    f"{layer.kind} layer {layer.name!r}: missing arrays {sorted(want - held)}, "
+                    f"extra arrays {sorted(held - want)}"
+                )
         self.spec = spec
         self.layers = layers
 
     # -- forward ---------------------------------------------------------
 
-    def _run(self, xb, layers, mode: str, update_running: bool, caches: list | None = None):
-        """Run `layers` in order; with `caches`, append each layer's backward cache to it.
+    def _run(self, xb, layers, caches: list | None = None):
+        """Run `layers` in order: a train pass with `caches`, an inference pass without.
+
+        A train pass appends each layer's backward cache to `caches`, and
+        batchnorm normalizes with the batch statistics and folds them into
+        its running averages. An inference pass keeps no cache, normalizes
+        with the running statistics, and changes no layer.
 
         A layer that reads its input keeps it as cache["x"], unless the layer
         before it can recompute its output (`_Kind.output`): then it keeps
@@ -82,12 +96,13 @@ class Network:
                     entry = {"x": xb}
                 caches.append(entry)
                 source = (kind, layer, entry) if kind.output else None
-            xb = kind.forward(layer, xb, mode, update_running, entry)
+            xb = kind.forward(layer, xb, entry)
         return xb
 
-    def forward_with_cache(self, x, update_running: bool = True):
+    def forward_with_cache(self, x):
         """Train-mode logits plus each layer's backward cache, in layer order.
 
+        Each batchnorm folds the batch statistics into its running averages.
         A cache holds only what that layer's backward reads: the layer input
         for conv, PReLU, dense and locally-connected layers; the normalized
         input and 1/sqrt(var + eps) (not the input) for batchnorm; the window
@@ -102,7 +117,7 @@ class Network:
         if xb.shape[1:] != self.spec.input_shape:
             raise DimensionError(f"input shape {xb.shape} is not a batch of network inputs {self.spec.input_shape}")
         caches: list[dict] = []
-        return self._run(xb, self.layers, "train", update_running, caches), caches
+        return self._run(xb, self.layers, caches), caches
 
     # -- backward --------------------------------------------------------
 
@@ -150,10 +165,10 @@ class Network:
             if collapsed is not None and all(
                 v.shape == self.spec.input_shape and (v == v[:1]).all() for v in batch
             ):
-                rows.append(self._run(np.stack([v[:1] for v in batch]), collapsed, "infer", update_running=False))
+                rows.append(self._run(np.stack([v[:1] for v in batch]), collapsed))
             else:
                 # pass the stacked batch without holding a name to it, so it is freed after the first layer
-                rows.append(self._run(np.stack(batch), layers, "infer", update_running=False))
+                rows.append(self._run(np.stack(batch), layers))
         vecs = np.concatenate(rows) if rows else np.zeros((0, 0))
         assert_finite(vecs, "embeddings")
         norms = np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -201,7 +216,7 @@ def _depth_collapsed(layers: list[LayerParams], input_shape) -> list[LayerParams
     With valid depth convolution (no depth padding, depth stride 1), every
     output slice of a conv fed equal slices is the one slice convolved with
     the kernel summed over depth, so a depth-1 conv with that kernel gives it.
-    Batchnorm (infer mode), PReLU and the frequency pool act per slice. The
+    Uncached batchnorm, PReLU and the frequency pool act per slice. The
     dense layer after `flatten` sees the same block repeated once per depth
     slice, so its weights are summed over those blocks. Later layers see the
     same vectors as on the full path and are kept. None when `layers` has no
@@ -230,9 +245,11 @@ def _depth_collapsed(layers: list[LayerParams], input_shape) -> list[LayerParams
 class _Kind:
     """What Network needs to know about one layer kind.
 
-    forward(layer, x, mode, update_running, cache) -> y
+    forward(layer, x, cache) -> y: a train pass with a cache dict to fill
+        for backward, an inference pass with None
     backward(layer, grad_out, cache, input_grad) -> (grad_in, parameter gradients)
     shape(layer, per-example input shape) -> per-example output shape
+    arrays: the LayerParams arrays a layer of this kind holds, no more
     reads_input: whether backward reads the layer input (see _layer_input)
     output(layer, cache) -> the train-mode output, recomputed from the
         layer's own cache; when set, the layer after it keeps no copy of
@@ -250,6 +267,7 @@ class _Kind:
     forward: Callable
     backward: Callable
     shape: Callable
+    arrays: tuple[str, ...] = ()
     reads_input: bool = True
     output: Callable | None = None
 
@@ -262,7 +280,7 @@ def _layer_input(cache):
     return kind.output(layer, entry)
 
 
-def _maxpool_forward(layer, x, mode, update_running, cache):
+def _maxpool_forward(layer, x, cache):
     y, idx = maxpool_freq_forward(x)
     if cache is not None:
         cache["indices"] = idx
@@ -270,7 +288,7 @@ def _maxpool_forward(layer, x, mode, update_running, cache):
     return y
 
 
-def _flatten_forward(layer, x, mode, update_running, cache):
+def _flatten_forward(layer, x, cache):
     if cache is not None:
         cache["shape"] = x.shape
     return x.reshape(x.shape[0], -1)
@@ -282,16 +300,19 @@ def _dense_shape(layer, shape):
     return (layer.weights.shape[1],)
 
 
+_WEIGHTS = ("weights", "bias")
 _DENSE = _Kind(
-    lambda layer, x, mode, update_running, cache: fully_connected_forward(x, layer),
+    lambda layer, x, cache: fully_connected_forward(x, layer),
     lambda layer, g, cache, input_grad: fully_connected_backward(_layer_input(cache), layer, g),
     _dense_shape,
+    _WEIGHTS,
 )
 _KINDS = {
     "conv3d": _Kind(
-        lambda layer, x, mode, update_running, cache: conv3d_forward(x, layer),
+        lambda layer, x, cache: conv3d_forward(x, layer),
         lambda layer, g, cache, input_grad: conv3d_backward(_layer_input(cache), layer, g, input_grad=input_grad),
         lambda layer, shape: conv3d_output_shape(shape, layer),
+        _WEIGHTS,
     ),
     "maxpool_freq": _Kind(
         _maxpool_forward,
@@ -300,16 +321,16 @@ _KINDS = {
         reads_input=False,
     ),
     "prelu": _Kind(
-        lambda layer, x, mode, update_running, cache: prelu_forward(x, layer.prelu_slope),
+        lambda layer, x, cache: prelu_forward(x, layer.prelu_slope),
         lambda layer, g, cache, input_grad: prelu_backward(_layer_input(cache), layer.prelu_slope, g),
         lambda layer, shape: shape,
+        ("prelu_slope",),
     ),
     "batchnorm": _Kind(
-        lambda layer, x, mode, update_running, cache: batchnorm_forward(
-            x, layer, mode=mode, update_running=update_running, cache=cache
-        ),
+        lambda layer, x, cache: batchnorm_forward(x, layer, cache),
         lambda layer, g, cache, input_grad: batchnorm_backward(layer, g, cache),
         lambda layer, shape: shape,
+        ("bn_scale", "bn_shift", "bn_running_mean", "bn_running_var"),
         reads_input=False,
         output=lambda layer, cache: batchnorm_output(cache["bn_xh"], layer),
     ),
@@ -322,8 +343,9 @@ _KINDS = {
     "fully_connected": _DENSE,
     "softmax": _DENSE,
     "locally_connected": _Kind(
-        lambda layer, x, mode, update_running, cache: locally_connected_forward(x, layer),
+        lambda layer, x, cache: locally_connected_forward(x, layer),
         lambda layer, g, cache, input_grad: locally_connected_backward(_layer_input(cache), layer, g),
         lambda layer, shape: (int(np.prod(layer.weights.shape[:3])),),
+        _WEIGHTS,
     ),
 }

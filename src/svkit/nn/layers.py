@@ -1,10 +1,12 @@
 """Layer forward/backward passes for the speaker networks.
 
 All values are float64 ndarrays, channels last. Convolutional tensors are
-(depth, time, freq, channels). The conv, pooling, fully-connected and
-locally-connected ops take batches only, with one leading batch axis.
-Backward passes are hand-derived and are validated against central finite
-differences in the test suite.
+(depth, time, freq, channels). Every op takes batches only, with one
+leading batch axis; PReLU and batchnorm take a batch of examples of any
+rank. Backward passes are hand-derived and are validated against central
+finite differences in the test suite. Batchnorm is the one op that acts
+differently in training: it trains when its caller passes a cache to fill
+for the backward pass, and infers when it passes none.
 
 The conv, PReLU and train-mode batchnorm passes split their per-example
 work into contiguous runs, one per CPU this process may run on, at most
@@ -87,15 +89,10 @@ def _in_parallel(n: int, run) -> None:
 class LayerParams:
     """One layer's descriptor plus its parameter arrays.
 
-    Which arrays are present depends on `kind`:
-      conv3d            weights (kD,kH,kW,Cin,Cout), bias (Cout,)
-      prelu             prelu_slope (C,)
-      batchnorm         bn_scale, bn_shift, bn_running_mean, bn_running_var (C,)
-      fully_connected   weights (fan_in, fan_out), bias (fan_out,)
-      softmax           same as fully_connected; the nonlinearity itself is
-                        fused into the loss, so its forward emits logits
-      locally_connected weights (gridH, gridW, units, P, P), bias (gridH, gridW, units)
-      maxpool_freq, flatten   no parameters
+    Which arrays are present depends on `kind`: `Network` holds a layer only
+    with the arrays its kind names (`svkit.models.network._KINDS`). A
+    softmax layer has a dense layer's arrays; its nonlinearity is fused into
+    the loss, so its forward emits logits.
 
     A conv layer's kernel extent is `weights.shape[:3]`. Conv reads `stride`
     and `pad_depth`; the pool's `stride` only feeds `Network.summary`.
@@ -134,6 +131,14 @@ def _require_batch(x: np.ndarray, example_ndim: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != example_ndim + 1:
         raise DimensionError(f"{what}: expected {example_ndim + 1} axes (batch first), got {x.ndim}")
+    return x
+
+
+def _require_channel_batch(x, what: str) -> np.ndarray:
+    """`x` as float64, which must be a batch: a leading batch axis, a trailing channel axis."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2:
+        raise DimensionError(f"{what}: expected at least 2 axes (batch first, channels last), got {x.ndim}")
     return x
 
 
@@ -228,8 +233,7 @@ def conv3d_forward(x, params: LayerParams) -> np.ndarray:
             b, d = divmod(pair, out[0])
             np.copyto(col[i].reshape(patches.shape[2:]), patches[b, d])
             np.matmul(col[i], w2, out=y[b, d].reshape(-1, cout))
-            if params.bias is not None:
-                y[b, d] += params.bias
+            y[b, d] += params.bias
 
     _in_parallel(pairs, run)
     return y
@@ -364,23 +368,22 @@ def prelu_forward(x, slope) -> np.ndarray:
     are those of the formula. The examples are split across workers, and
     the sign mask is one caller-allocated buffer. `x` is left unchanged.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _require_channel_batch(x, "prelu input")
     s = np.asarray(slope, dtype=np.float64)
     if s.ndim != 1 or s.shape[0] != x.shape[-1]:
         raise DimensionError(
             f"channel axis: slope length {s.shape} does not match channel count {x.shape[-1]}"
         )
-    xb = x if x.ndim > 1 else x[None]
-    y = np.empty(xb.shape)
-    keep = np.empty(xb.shape, dtype=bool)
+    y = np.empty(x.shape)
+    keep = np.empty(x.shape, dtype=bool)
 
     def run(i, lo, hi):
-        np.multiply(xb[lo:hi], s, out=y[lo:hi])
-        np.greater_equal(xb[lo:hi], 0.0, out=keep[lo:hi])
-        np.copyto(y[lo:hi], xb[lo:hi], where=keep[lo:hi])
+        np.multiply(x[lo:hi], s, out=y[lo:hi])
+        np.greater_equal(x[lo:hi], 0.0, out=keep[lo:hi])
+        np.copyto(y[lo:hi], x[lo:hi], where=keep[lo:hi])
 
-    _in_parallel(len(xb), run)
-    return y.reshape(x.shape)
+    _in_parallel(len(x), run)
+    return y
 
 
 def prelu_backward(x, slope, grad_out):
@@ -397,28 +400,27 @@ def prelu_backward(x, slope, grad_out):
     are split by example across workers. `x` and `grad_out` are left
     unchanged.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _require_channel_batch(x, "prelu input")
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != x.shape:
         raise DimensionError(f"grad_out shape {g.shape} does not match input {x.shape}")
-    xb, gb = (x, g) if x.ndim > 1 else (x[None], g[None])
-    buf = np.empty(xb.shape)
+    buf = np.empty(x.shape)
 
     def slope_terms(i, lo, hi):
-        np.minimum(xb[lo:hi], 0.0, out=buf[lo:hi])
-        buf[lo:hi] *= gb[lo:hi]
+        np.minimum(x[lo:hi], 0.0, out=buf[lo:hi])
+        buf[lo:hi] *= g[lo:hi]
 
-    _in_parallel(len(xb), slope_terms)
+    _in_parallel(len(x), slope_terms)
     gs = buf.reshape(-1, x.shape[-1]).sum(axis=0)
-    negative = np.empty(xb.shape, dtype=bool)
+    negative = np.empty(x.shape, dtype=bool)
 
     def input_grad(i, lo, hi):
-        np.copyto(buf[lo:hi], gb[lo:hi])
-        np.less(xb[lo:hi], 0.0, out=negative[lo:hi])
-        np.multiply(gb[lo:hi], slope, out=buf[lo:hi], where=negative[lo:hi])
+        np.copyto(buf[lo:hi], g[lo:hi])
+        np.less(x[lo:hi], 0.0, out=negative[lo:hi])
+        np.multiply(g[lo:hi], slope, out=buf[lo:hi], where=negative[lo:hi])
 
-    _in_parallel(len(xb), input_grad)
-    return buf.reshape(x.shape), {"prelu_slope": gs}
+    _in_parallel(len(x), input_grad)
+    return buf, {"prelu_slope": gs}
 
 
 def batchnorm_output(xh, params: LayerParams) -> np.ndarray:
@@ -440,22 +442,17 @@ def _batchnorm_affine(xh, params: LayerParams, y) -> None:
     y += params.bn_shift
 
 
-def batchnorm_forward(
-    x,
-    params: LayerParams,
-    mode: str = "train",
-    update_running: bool = True,
-    cache: dict | None = None,
-) -> np.ndarray:
+def batchnorm_forward(x, params: LayerParams, cache: dict | None = None) -> np.ndarray:
     """Per-channel normalization over all leading axes, then affine scale/shift.
 
-    Train mode normalizes with the current batch statistics and, unless
-    `update_running` is off, folds them into the running averages; with
-    `cache`, it keeps the normalized input and 1/sqrt(var + eps) for
-    batchnorm_backward. Inference mode normalizes with the running
-    statistics. Every output is one fixed sequence of elementwise roundings
-    after the per-channel sums, so its bytes do not depend on how many
-    passes compute it.
+    A caller that keeps a `cache` dict trains: the input is normalized with
+    the current batch statistics, which are folded into the running
+    averages, and the cache receives the normalized input and
+    1/sqrt(var + eps) for batchnorm_backward. Without a cache (inference),
+    the input is normalized with the running statistics, and `params` is
+    left unchanged. Every output is one fixed sequence of elementwise
+    roundings after the per-channel sums, so its bytes do not depend on how
+    many passes compute it.
 
     The train-mode variance is `np.var`'s own arithmetic (the mean of the
     squared deviations), written out so that the deviations become the
@@ -466,13 +463,11 @@ def batchnorm_forward(
     normalizes a run and writes its output (_batchnorm_affine).
     `x` is left unchanged.
     """
-    if mode not in ("train", "infer"):
-        raise ConfigError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
-    x = np.asarray(x, dtype=np.float64)
+    x = _require_channel_batch(x, "batchnorm input")
     c = x.shape[-1]
-    if params.bn_scale is None or params.bn_scale.shape != (c,):
-        raise DimensionError(f"channel axis: batchnorm params sized for {params.bn_scale.shape if params.bn_scale is not None else None}, input has {c} channels")
-    if mode == "infer":
+    if params.bn_scale.shape != (c,):
+        raise DimensionError(f"channel axis: batchnorm params sized for {params.bn_scale.shape}, input has {c} channels")
+    if cache is None:
         inv = 1.0 / np.sqrt(params.bn_running_var + BN_EPS)
         return params.bn_scale * (x - params.bn_running_mean) * inv + params.bn_shift
     axes = tuple(range(x.ndim - 1))
@@ -493,12 +488,10 @@ def batchnorm_forward(
         _batchnorm_affine(xh[lo:hi], params, sq[lo:hi])
 
     _in_parallel(len(x), normalize)
-    if update_running:
-        params.bn_running_mean = BN_MOMENTUM * params.bn_running_mean + (1 - BN_MOMENTUM) * mu
-        params.bn_running_var = BN_MOMENTUM * params.bn_running_var + (1 - BN_MOMENTUM) * var
-    if cache is not None:
-        cache["bn_xh"] = xh
-        cache["bn_inv"] = inv
+    params.bn_running_mean = BN_MOMENTUM * params.bn_running_mean + (1 - BN_MOMENTUM) * mu
+    params.bn_running_var = BN_MOMENTUM * params.bn_running_var + (1 - BN_MOMENTUM) * var
+    cache["bn_xh"] = xh
+    cache["bn_inv"] = inv
     return sq
 
 
@@ -555,10 +548,7 @@ def fully_connected_forward(x, params: LayerParams) -> np.ndarray:
         raise DimensionError(
             f"fan-in axis: input length {xb.shape[1]} does not match weight fan-in {w.shape[0]}"
         )
-    y = xb @ w
-    if params.bias is not None:
-        y = y + params.bias
-    return y
+    return xb @ w + params.bias
 
 
 def fully_connected_backward(x, params: LayerParams, grad_out):
@@ -600,9 +590,7 @@ def locally_connected_forward(x, params: LayerParams) -> np.ndarray:
     """
     xb = _require_batch(x, 2, "locally-connected input")
     patches = _lc_patches(xb, params)
-    y = np.einsum("bijpq,ijupq->biju", patches, params.weights)
-    if params.bias is not None:
-        y = y + params.bias
+    y = np.einsum("bijpq,ijupq->biju", patches, params.weights) + params.bias
     return y.reshape(xb.shape[0], -1)
 
 

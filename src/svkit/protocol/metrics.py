@@ -1,4 +1,4 @@
-"""Score sets and ROC / EER / AUC / precision-recall computation.
+"""Score sets and ROC / EER / AUC computation.
 
 Scores are cosine similarities; a trial is accepted when its score is >= the
 threshold. The sweep visits every distinct score plus -inf/+inf sentinels,
@@ -60,8 +60,6 @@ class RocSummary:
     far: np.ndarray
     eer: float
     auc: float
-    precision: np.ndarray
-    recall: np.ndarray
 
 
 def roc_points(genuine: np.ndarray, impostor: np.ndarray):
@@ -90,7 +88,7 @@ def interpolate_eer(tpr: np.ndarray, far: np.ndarray) -> float:
 
 
 def compute_roc(genuine, impostor) -> RocSummary:
-    """Full sweep plus EER (interpolated), AUC (trapezoidal), and PR points from the two score arrays."""
+    """Full sweep plus EER (interpolated) and AUC (trapezoidal) from the two score arrays."""
     g = np.asarray(genuine, dtype=np.float64)
     i = np.asarray(impostor, dtype=np.float64)
     if not (np.isfinite(g).all() and np.isfinite(i).all()):
@@ -103,16 +101,4 @@ def compute_roc(genuine, impostor) -> RocSummary:
     eer = interpolate_eer(tpr, far)
     # Reversing the sweep gives FAR ascending for the area integral.
     auc = float(np.trapezoid(tpr[::-1], far[::-1]))
-    tp = tpr * g.size
-    fp = far * i.size
-    predicted = tp + fp
-    precision = np.where(predicted > 0, tp / np.maximum(predicted, 1e-300), 1.0)
-    return RocSummary(
-        thresholds=taus,
-        tpr=tpr,
-        far=far,
-        eer=eer,
-        auc=auc,
-        precision=precision,
-        recall=tpr.copy(),
-    )
+    return RocSummary(thresholds=taus, tpr=tpr, far=far, eer=eer, auc=auc)

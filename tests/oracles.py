@@ -270,20 +270,21 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(a - n).max(initial=0.0) / scale)
 
 
-def forward_logits(network, xb, mode: str = "infer"):
+def forward_logits(network, xb, train: bool = False):
     """Classifier logits of a batch, layer by layer through the network's layer table.
 
-    No layer keeps a cache, and the batchnorm running statistics are left as
-    they are in either mode.
+    A train pass hands each layer a fresh cache, so batchnorm normalizes with
+    the batch statistics (and folds them into its running averages); an
+    inference pass hands it none.
     """
     for layer in network.layers:
-        xb = network_module._KINDS[layer.kind].forward(layer, xb, mode, False, None)
+        xb = network_module._KINDS[layer.kind].forward(layer, xb, {} if train else None)
     return xb
 
 
 def loss_and_gradients(network, xb, labels):
-    """Train-mode loss, input gradient and per-layer parameter gradients; running statistics kept."""
-    logits, caches = network.forward_with_cache(xb, update_running=False)
+    """Train-mode loss, input gradient and per-layer parameter gradients."""
+    logits, caches = network.forward_with_cache(xb)
     loss, probs = softmax_xent_batch(logits, labels)
     grad_x, grads = network.backward(caches, softmax_xent_batch_gradient(probs, labels))
     return loss, grad_x, grads
@@ -299,7 +300,7 @@ def finite_diff_check(network, xb, labels, eps: float = 1e-6) -> float:
     _, grad_x, grads = loss_and_gradients(network, xb, labels)
 
     def loss():
-        return softmax_xent_batch(forward_logits(network, xb, "train"), labels)[0]
+        return softmax_xent_batch(forward_logits(network, xb, train=True), labels)[0]
 
     worst = max_relative_error(grad_x, numeric_gradient(loss, xb, eps))
     for layer, layer_grads in zip(network.layers, grads):

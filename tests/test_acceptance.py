@@ -76,7 +76,7 @@ def test_criterion_1_table_shape_conformance():
     xb = Rng(1).normal((1, 20, 80, 40, 1))
     outputs = {}
     for layer in net.layers[:-1]:
-        xb = net._run(xb, [layer], "train", update_running=False)
+        xb = net._run(xb, [layer], [])
         outputs[layer.name] = xb.shape[1:]
     depth_trace = []
     for name, expected_tfc in EXPECTED_TABLE_CHAIN.items():
@@ -177,11 +177,11 @@ def test_criterion_3_gradient_checks():
 
     def bn_backward(x_, g):
         cache = {}
-        batchnorm_forward(x_, bn, mode="train", update_running=False, cache=cache)
+        batchnorm_forward(x_, bn, cache)
         return batchnorm_backward(bn, g, cache)
 
     errors["batchnorm"] = projected(
-        lambda x_: batchnorm_forward(x_, bn, mode="train", update_running=False),
+        lambda x_: batchnorm_forward(x_, bn, {}),
         bn_backward,
         r.normal((6, 5)),
         {"bn_scale": bn.bn_scale, "bn_shift": bn.bn_shift},

@@ -10,11 +10,12 @@ import sys
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import svkit
 from svkit.cli import main
-from svkit.models.checkpoint import load_checkpoint
+from svkit.models.checkpoint import load_checkpoint, save_checkpoint
 from svkit.protocol.enrollment import load_speaker_models
 
 SEED = "33"
@@ -322,6 +323,29 @@ class TestEnroll:
         )
         assert rc == 0
         assert all(m.kind == "d_vector_avg" for m in load_speaker_models(out))
+
+    @pytest.mark.parametrize(
+        "damage,named",
+        [
+            (lambda bn: setattr(bn, "bn_running_var", None), "missing arrays ['bn_running_var']"),
+            (lambda bn: setattr(bn, "bias", np.zeros_like(bn.bn_shift)), "extra arrays ['bias']"),
+            (lambda bn: setattr(bn, "kind", "conv2d"), "unknown layer kind 'conv2d'"),
+        ],
+        ids=["missing_array", "extra_array", "unknown_kind"],
+    )
+    def test_layer_unfit_for_its_kind_with_valid_crc_exits_3(self, trained, tmp_path, capsys, damage, named):
+        root, ckpts = trained
+        ckpt = load_checkpoint(ckpts["cnn3d"])
+        damage(next(layer for layer in ckpt.layers if layer.kind == "batchnorm"))
+        bad = tmp_path / "bad.svck"
+        save_checkpoint(ckpt, bad)  # the library's own writer: a valid CRC
+        rc = main(
+            ["enroll", "--manifest", str(root / "data" / "manifest.csv"), "--checkpoint", str(bad),
+             "--seed", SEED, "--max-slices", "6", "--out", str(tmp_path / "x.svsm")]
+        )
+        assert rc == 3
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "x.svsm").exists()
 
     def test_one_shot_on_lcn_exits_2(self, trained, tmp_path, capsys):
         root, ckpts = trained

@@ -134,11 +134,11 @@ def test_batchnorm_gradients_full_train_mode(rng):
 
     def backward(x_, g):
         cache = {}
-        batchnorm_forward(x_, lp, mode="train", update_running=False, cache=cache)
+        batchnorm_forward(x_, lp, cache)
         return batchnorm_backward(lp, g, cache)
 
     err = check_layer(
-        lambda x_: batchnorm_forward(x_, lp, mode="train", update_running=False),
+        lambda x_: batchnorm_forward(x_, lp, {}),
         backward,
         x,
         lp,
@@ -159,7 +159,7 @@ def test_batchnorm_train_normalizes_per_channel(rng):
         bn_running_mean=np.zeros(3),
         bn_running_var=np.ones(3),
     )
-    y = batchnorm_forward(x, lp, mode="train")
+    y = batchnorm_forward(x, lp, {})
     assert np.abs(y.mean(axis=0)).max() < 1e-10
     assert np.abs(y.var(axis=0) - 1.0).max() < 1e-6
 
@@ -174,7 +174,7 @@ def test_batchnorm_infer_identity_with_unit_stats():
     )
     x = np.array([[0.5, -1.0, 2.0]])
     eps = 1e-5
-    np.testing.assert_allclose(batchnorm_forward(x, lp, mode="infer"), x / np.sqrt(1 + eps), rtol=1e-12)
+    np.testing.assert_allclose(batchnorm_forward(x, lp), x / np.sqrt(1 + eps), rtol=1e-12)
 
 
 def test_fully_connected_gradients(rng):

@@ -257,9 +257,9 @@ def test_batchnorm_and_prelu_leave_their_inputs_alone():
     before = [a.copy() for a in given]
     prelu_forward(x, slope)
     prelu_backward(x, slope, g)
-    batchnorm_forward(x, bn, mode="infer")
+    batchnorm_forward(x, bn)
     cache = {}
-    batchnorm_forward(x, bn, mode="train", cache=cache)
+    batchnorm_forward(x, bn, cache)
     given += list(cache.values())
     before += [a.copy() for a in cache.values()]
     batchnorm_backward(bn, g, cache)
@@ -326,6 +326,9 @@ def test_a_forked_child_gets_a_working_pool(monkeypatch):
 _CUBE = np.ones((2, 2, 2, 1))  # one (depth, time, freq, channels) example, no batch axis
 _FC = LayerParams(kind="fully_connected", weights=np.ones((3, 2)), bias=np.zeros(2))
 _LC = LayerParams(kind="locally_connected", weights=np.ones((1, 1, 1, 2, 2)), bias=np.zeros((1, 1, 1)))
+_BN = LayerParams(
+    kind="batchnorm", bn_scale=np.ones(2), bn_shift=np.zeros(2), bn_running_mean=np.zeros(2), bn_running_var=np.ones(2)
+)
 _UNBATCHED_CALLS = (
     (conv3d_forward, _CUBE, conv_params(np.ones((1, 1, 1, 1, 1)))),
     (conv3d_backward, _CUBE, conv_params(np.ones((1, 1, 1, 1, 1))), _CUBE),
@@ -335,6 +338,9 @@ _UNBATCHED_CALLS = (
     (fully_connected_backward, np.ones(3), _FC, np.ones(2)),
     (locally_connected_forward, np.ones((2, 2)), _LC),
     (locally_connected_backward, np.ones((2, 2)), _LC, np.ones(1)),
+    (prelu_forward, np.ones(2), np.ones(2)),  # one example of 2 channels
+    (prelu_backward, np.ones(2), np.ones(2), np.ones(2)),
+    (batchnorm_forward, np.ones(2), _BN),
 )
 
 
@@ -361,7 +367,7 @@ def test_finite_inputs_stay_finite_through_forward_and_backward(seed):
     slope = np.full(3, 0.25)
     h1 = conv3d_forward(x, conv)
     bn_cache = {}
-    h2 = batchnorm_forward(h1, bn, mode="train", cache=bn_cache)
+    h2 = batchnorm_forward(h1, bn, bn_cache)
     h3 = prelu_forward(h2, slope)
     h4, idx = maxpool_freq_forward(h3)
     for h in (h1, h2, h3, h4):

@@ -71,14 +71,6 @@ class TestComputeRoc:
         assert warped.auc == pytest.approx(base.auc, abs=1e-12)
         assert warped.eer == pytest.approx(base.eer, abs=1e-12)
 
-    def test_precision_recall_points(self):
-        s = compute_roc([0.9, 0.7], [0.8, 0.1])
-        assert s.precision[-1] == 1.0  # zero predictions convention
-        assert s.recall[0] == 1.0
-        # at tau = 0.7: tp = 2, fp = 1
-        k = int(np.where(s.thresholds == 0.7)[0][0])
-        assert s.precision[k] == pytest.approx(2 / 3)
-
     def test_roc_points_counts(self):
         taus, tpr, far = roc_points(np.array([0.2, 0.8]), np.array([0.5]))
         assert len(taus) == len(set([0.2, 0.8, 0.5])) + 2

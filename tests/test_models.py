@@ -1,5 +1,6 @@
 """Network builders, forward conformance, embeddings, and checkpoints."""
 
+import copy
 import json
 import os
 import struct
@@ -37,7 +38,15 @@ from svkit.models.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from svkit.models.network import Network
 from svkit.models.zoo import build_3dcnn, build_lcn_baseline, build_network
 from svkit.nn import layers as layers_module
-from svkit.nn.layers import BN_EPS, LayerParams, softmax_xent_batch, softmax_xent_batch_gradient
+from svkit.nn.layers import (
+    BN_EPS,
+    BN_MOMENTUM,
+    PARAM_FIELDS,
+    STATE_FIELDS,
+    LayerParams,
+    softmax_xent_batch,
+    softmax_xent_batch_gradient,
+)
 from svkit.rng import Rng
 
 # Per-layer (depth, time, freq, channels) outputs of the full-size cube
@@ -71,7 +80,7 @@ class TestBuild3dcnn:
         xb = Rng(1).normal((1, 20, 80, 40, 1))
         by_name = {}
         for layer in net.layers:
-            xb = net._run(xb, [layer], "train", update_running=False)
+            xb = net._run(xb, [layer], [])
             by_name[layer.name] = xb.shape[1:]
         for name, expected in EXPECTED_CHAIN_20.items():
             assert by_name[name] == expected, name
@@ -312,7 +321,7 @@ def _replicated(zeta, seed):
 
 def _full_layer_loop(net, cubes):
     """Reference embeddings: every layer but the head on the whole cubes, then L2-normalized."""
-    acts = net._run(np.stack(cubes), net.layers[:-1], "infer", update_running=False)
+    acts = net._run(np.stack(cubes), net.layers[:-1])
     return acts / np.linalg.norm(acts, axis=1, keepdims=True)
 
 
@@ -346,6 +355,46 @@ def test_bytes_do_not_depend_on_the_worker_count(monkeypatch, zeta, batch):
         assert other.keys() == results[0].keys()
         for name, arr in results[0].items():
             assert other[name].tobytes() == arr.tobytes(), name
+
+
+def _layer_bytes(net):
+    """Every array of every layer, as bytes, by (layer name, field)."""
+    return {
+        (layer.name, field): getattr(layer, field).tobytes()
+        for layer in net.layers
+        for field in PARAM_FIELDS + STATE_FIELDS
+        if getattr(layer, field) is not None
+    }
+
+
+@pytest.mark.parametrize("zeta", [20, 10])
+def test_an_uncached_pass_changes_no_layer_array(zeta):
+    """embed_vectors on an enrollment cube, then on depth-replicated test cubes, leaves every layer's bytes."""
+    net = _trained_like_3dcnn(zeta)
+    before = _layer_bytes(net)
+    net.embed_vectors([Rng(20).normal(net.spec.input_shape)])
+    net.embed_vectors([_replicated(zeta, seed) for seed in (21, 22, 23)])
+    assert _layer_bytes(net) == before
+
+
+def test_a_cached_forward_folds_the_batch_statistics_into_the_running_ones(monkeypatch):
+    """Each running statistic becomes BN_MOMENTUM * old + (1 - BN_MOMENTUM) * its input's batch statistic, byte for byte."""
+    net = _trained_like_3dcnn(20)
+    old = copy.deepcopy(net.layers)
+    forwards = []
+    with monkeypatch.context() as m:
+        m.setattr(network_module, "_KINDS", _recording_kinds(forwards, []))
+        net.forward_with_cache(Rng(24).normal((2, *net.spec.input_shape)))
+    checked = 0
+    for (layer, x), was in zip(forwards, old):
+        if layer.kind == "batchnorm":
+            axes = tuple(range(x.ndim - 1))
+            mean = BN_MOMENTUM * was.bn_running_mean + (1 - BN_MOMENTUM) * x.mean(axis=axes)
+            var = BN_MOMENTUM * was.bn_running_var + (1 - BN_MOMENTUM) * x.var(axis=axes)
+            assert layer.bn_running_mean.tobytes() == mean.tobytes(), layer.name
+            assert layer.bn_running_var.tobytes() == var.tobytes(), layer.name
+            checked += 1
+    assert checked == 8
 
 
 class TestDepthCollapse:
@@ -390,7 +439,7 @@ def _reference_forward(layer, x):
         return batchnorm_train_reference(x, layer.bn_scale, layer.bn_shift, BN_EPS)[0]
     if layer.kind == "prelu":
         return prelu_reference(x, layer.prelu_slope)
-    return network_module._KINDS[layer.kind].forward(layer, x, "train", False, {})
+    return network_module._KINDS[layer.kind].forward(layer, x, {})
 
 
 def _reference_backward(layer, x, g):
@@ -404,7 +453,7 @@ def _reference_backward(layer, x, g):
         gx, gs = prelu_backward_reference(x, layer.prelu_slope, g)
         return gx, {"prelu_slope": gs}
     cache = {"x": x}
-    network_module._KINDS[layer.kind].forward(layer, x, "train", False, cache)  # fills what the pool and flatten cache
+    network_module._KINDS[layer.kind].forward(layer, x, cache)  # fills what the pool and flatten cache
     return network_module._KINDS[layer.kind].backward(layer, g, cache, True)
 
 
@@ -441,7 +490,7 @@ def test_cnn3d_training_step_matches_reference_bytes(monkeypatch):
     forwards, backwards = [], []
     with monkeypatch.context() as m:
         m.setattr(network_module, "_KINDS", _recording_kinds(forwards, backwards))
-        logits, caches = net.forward_with_cache(x, update_running=False)
+        logits, caches = net.forward_with_cache(x)
         _, probs = softmax_xent_batch(logits, labels)
         g_ref = softmax_xent_batch_gradient(probs, labels)
         grad_x, grads = net.backward(caches, g_ref)
@@ -536,7 +585,7 @@ def test_backward_twice_over_one_cache_list_raises():
 
 
 def _pre_norm(net, x):
-    head_input = net._run(x[None], net.layers[:-1], "infer", update_running=False)
+    head_input = net._run(x[None], net.layers[:-1])
     return float(np.linalg.norm(head_input[0]))
 
 
