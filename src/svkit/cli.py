@@ -19,7 +19,7 @@ from .corpus.manifest import entries_by_speaker, load_manifest
 from .corpus.slicing import slice_utterances, split_enroll_eval
 from .corpus.synthesis import make_synthetic_corpus
 from .dsp.audio import load_wav, require_sample_rate
-from .dsp.features import mel_filterbank, signal_to_feature_map, write_feature_file
+from .dsp.features import FeatureMap, mel_filterbank, signal_to_feature_map, write_feature_file
 from .dsp.vad import detect_voice
 from .errors import ConfigError, SvkitError
 from .models.checkpoint import load_checkpoint, save_checkpoint
@@ -53,14 +53,14 @@ def _feature_maps(entries, max_slices: int | None):
             continue
         signal = require_sample_rate(load_wav(entry.path))
         voiced = detect_voice(signal)
-        for i, piece in enumerate(slice_utterances(voiced)):
-            if max_slices is not None and len(out) >= max_slices:
-                break
-            out.append(
-                signal_to_feature_map(
-                    piece, bank, speaker_id=entry.speaker_id, utterance_id=f"{entry.path.stem}#{i:03d}"
-                )
-            )
+        count = len(slice_utterances(voiced))
+        if max_slices is not None:
+            count = min(count, max_slices - len(out))
+        values = signal_to_feature_map(voiced, bank, count)
+        out.extend(
+            FeatureMap(v, speaker_id=entry.speaker_id, utterance_id=f"{entry.path.stem}#{i:03d}")
+            for i, v in enumerate(values)
+        )
     return maps
 
 

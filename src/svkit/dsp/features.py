@@ -3,8 +3,10 @@
 The pipeline per 0.8 s slice: 20 ms Hamming frames at a 10 ms hop (tail
 reflect-padded by one hop so a slice yields exactly 80 frames), power
 spectrum, 40 triangular mel filters, natural log with a floor. Each slice
-becomes one 80x40 feature map; maps of one speaker stack along depth into the
-network-input cubes, plain (depth, 80, 40, 1) arrays.
+becomes one 80x40 feature map, and the slices of one voiced recording share
+the frames they overlap on, which are computed once per recording. Maps of
+one speaker stack along depth into the network-input cubes, plain
+(depth, 80, 40, 1) arrays.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from ..errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
+from ..corpus.slicing import SLICE_HOP_SECONDS, SLICE_SECONDS
 from .audio import CANONICAL_RATE, AudioSignal
 
 N_FRAMES = 80
@@ -72,24 +75,6 @@ def mel_filterbank() -> FilterBank:
     return FilterBank(weights, edges_hz[1:-1].copy())
 
 
-def frame_signal(signal: AudioSignal) -> np.ndarray:
-    """Overlapping WINDOW_MS Hamming-windowed frames at a HOP_MS hop, one row per frame.
-
-    The signal is reflect-padded by one hop at the end, which gives one frame
-    per hop for hop-aligned lengths (a 0.8 s slice at 16 kHz yields exactly
-    80 frames).
-    """
-    window = int(round(signal.sample_rate * WINDOW_MS / 1000.0))
-    hop = int(round(signal.sample_rate * HOP_MS / 1000.0))
-    x = signal.samples
-    if len(x) < window:
-        raise SignalTooShortError(f"signal of {len(x)} samples shorter than one {window}-sample window")
-    x = np.pad(x, (0, hop), mode="reflect")
-    n = (len(x) - window) // hop + 1
-    idx = np.arange(window)[None, :] + hop * np.arange(n)[:, None]
-    return x[idx] * np.hamming(window)
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureMap:
     """One 80x40 map of log filterbank energies, tagged with its provenance."""
@@ -107,38 +92,53 @@ class FeatureMap:
             raise DimensionError("feature map contains non-finite values")
 
 
-def mfec(
-    frames: np.ndarray,
-    filterbank: FilterBank,
-    speaker_id: str = "",
-    utterance_id: str = "",
-) -> FeatureMap:
-    """Windowed frames -> power spectrum -> filterbank energies -> natural log."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2:
-        raise DimensionError(f"frames must be 2-D, got {frames.ndim} axes")
-    if frames.shape[0] != N_FRAMES:
-        raise DimensionError(
-            f"frame axis: got {frames.shape[0]} frames, need exactly {N_FRAMES} "
-            "(slice the signal into 0.8 s segments first)"
-        )
-    if frames.shape[1] > N_FFT:
-        raise DimensionError(f"frame length {frames.shape[1]} exceeds the FFT length {N_FFT}")
-    spectrum = np.fft.rfft(frames, n=N_FFT, axis=1)
+def signal_to_feature_map(voiced: AudioSignal, filterbank: FilterBank, count: int) -> np.ndarray:
+    """(count, 80, 40) log filterbank energies of the first `count` 0.8 s slices of `voiced`.
+
+    Slice i is the one `slice_utterances` cuts i slice hops in. Its map is the
+    slice framed alone: WINDOW_MS Hamming frames at a HOP_MS hop, the tail
+    reflect-padded by one hop (80 frames), power spectrum, filterbank
+    energies, natural log with a floor. A slice hop is a whole number of
+    frame hops, so every frame that lies inside a slice is a frame of
+    `voiced` itself, shared by up to eight slices; only a slice's frame over
+    its padded tail is its own. Each such frame goes through the window,
+    FFT, filters and log once, as one row of one whole-array pass, and each
+    map is byte-equal to its slice framed alone.
+    """
+    rate = voiced.sample_rate
+    window = int(round(rate * WINDOW_MS / 1000.0))
+    hop = int(round(rate * HOP_MS / 1000.0))
+    length = int(round(SLICE_SECONDS * rate))
+    stride = int(round(SLICE_HOP_SECONDS * rate))
+    if len(voiced) < length + (count - 1) * stride:
+        raise SignalTooShortError(f"signal of {len(voiced)} samples holds fewer than {count} slices")
+    if window > N_FFT or stride % hop:
+        raise DimensionError(f"at {rate} Hz a frame is longer than the FFT or a slice hop is not whole frame hops")
+    # frame f of a slice covers padded positions f*hop onward; position p >= length reflects to 2*(length-1) - p
+    starts = hop * np.arange((length + hop - window) // hop + 1)
+    if len(starts) != N_FRAMES:
+        raise DimensionError(f"frame axis: a slice gives {len(starts)} frames, need exactly {N_FRAMES}")
+    inside = int(np.count_nonzero(starts + window <= length))  # frames within the slice; the rest are its own
+    tail = starts[inside:, None] + np.arange(window)
+    tail = np.where(tail < length, tail, 2 * (length - 1) - tail)
+    step = stride // hop
+    shared = step * (count - 1) + inside  # frames of `voiced` inside one of the slices
+    frames = np.concatenate(
+        [
+            hop * np.arange(shared)[:, None] + np.arange(window),
+            (stride * np.arange(count)[:, None, None] + tail).reshape(-1, window),
+        ]
+    )
+    spectrum = np.fft.rfft(voiced.samples[frames] * np.hamming(window), n=N_FFT, axis=1)
     power = (spectrum.real**2 + spectrum.imag**2) / N_FFT
     energies = power @ filterbank.weights.T
     values = np.log(np.maximum(energies, LOG_FLOOR))
-    return FeatureMap(values, speaker_id, utterance_id)
-
-
-def signal_to_feature_map(
-    signal: AudioSignal,
-    filterbank: FilterBank,
-    speaker_id: str = "",
-    utterance_id: str = "",
-) -> FeatureMap:
-    """Convenience composition of frame_signal and mfec for one 0.8 s slice."""
-    return mfec(frame_signal(signal), filterbank, speaker_id=speaker_id, utterance_id=utterance_id)
+    own = N_FRAMES - inside
+    rows = np.concatenate(
+        [step * np.arange(count)[:, None] + np.arange(inside), shared + np.arange(count * own).reshape(count, own)],
+        axis=1,
+    )
+    return values[rows]
 
 
 def build_feature_cube(maps) -> np.ndarray:

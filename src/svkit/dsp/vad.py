@@ -18,30 +18,31 @@ FRAME_MS = 20.0
 THRESHOLD_FACTOR = 0.5  # of the median frame energy
 
 
-def _frames(samples: np.ndarray, frame_len: int) -> list[np.ndarray]:
-    """Full frames plus a trailing partial frame when the tail is nonempty."""
-    out = [samples[i : i + frame_len] for i in range(0, len(samples) - frame_len + 1, frame_len)]
-    tail_start = len(out) * frame_len
-    if tail_start < len(samples):
-        out.append(samples[tail_start:])
-    return out
-
-
 def detect_voice(signal: AudioSignal) -> AudioSignal:
-    """Concatenation, in order, of frames that survive median-energy thresholding."""
+    """Concatenation, in order, of frames that survive median-energy thresholding.
+
+    A trailing partial frame is a frame of its own. Each frame's energy is
+    taken once, and a kept frame's energy never changes, so each pass only
+    re-thresholds the frames still kept.
+    """
     frame_len = int(round(signal.sample_rate * FRAME_MS / 1000.0))
     if len(signal) <= frame_len:
         raise SignalTooShortError(
             f"signal of {len(signal)} samples is not longer than one {frame_len}-sample VAD frame"
         )
-    frames = _frames(signal.samples, frame_len)
+    squares = signal.samples * signal.samples
+    full = len(squares) // frame_len
+    energies = squares[: full * frame_len].reshape(full, frame_len).mean(axis=1)
+    if full * frame_len < len(squares):
+        energies = np.append(energies, squares[full * frame_len :].mean())
+    kept = np.arange(len(energies))
     while True:
-        energies = np.array([float(np.mean(f * f)) for f in frames])
-        threshold = THRESHOLD_FACTOR * float(np.median(energies))
-        kept = [f for f, e in zip(frames, energies) if e > threshold]
-        if not kept:
+        above = energies[kept] > THRESHOLD_FACTOR * float(np.median(energies[kept]))
+        if not above.any():
             raise NoSpeechError("voice activity detection removed the entire signal")
-        if len(kept) == len(frames):
+        if above.all():
             break
-        frames = kept
-    return AudioSignal(np.concatenate(frames), signal.sample_rate)
+        kept = kept[above]
+    keep = np.zeros(len(energies), dtype=bool)
+    keep[kept] = True
+    return AudioSignal(signal.samples[np.repeat(keep, frame_len)[: len(squares)]], signal.sample_rate)

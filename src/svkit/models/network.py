@@ -68,6 +68,7 @@ class Network:
                 )
         self.spec = spec
         self.layers = layers
+        self.layer_output_shapes()  # each kind's shape function also checks its arrays' shapes
 
     # -- forward ---------------------------------------------------------
 
@@ -248,7 +249,9 @@ class _Kind:
     forward(layer, x, cache) -> y: a train pass with a cache dict to fill
         for backward, an inference pass with None
     backward(layer, grad_out, cache, input_grad) -> (grad_in, parameter gradients)
-    shape(layer, per-example input shape) -> per-example output shape
+    shape(layer, per-example input shape) -> per-example output shape;
+        raises DimensionError when one of the layer's arrays does not fit
+        that input (Network runs it on every layer when it is built)
     arrays: the LayerParams arrays a layer of this kind holds, no more
     reads_input: whether backward reads the layer input (see _layer_input)
     output(layer, cache) -> the train-mode output, recomputed from the
@@ -294,10 +297,43 @@ def _flatten_forward(layer, x, cache):
     return x.reshape(x.shape[0], -1)
 
 
+def _require_shapes(layer, **shapes) -> None:
+    """Raise DimensionError unless each named array of `layer` has the given shape."""
+    for field, want in shapes.items():
+        got = getattr(layer, field).shape
+        if got != want:
+            raise DimensionError(f"{layer.kind} layer {layer.name!r}: {field} is shaped {got}, expected {want}")
+
+
+def _per_channel_shape(*fields):
+    """Shape function of a kind whose arrays hold one value per input channel and keep the shape."""
+
+    def shape_of(layer, shape):
+        _require_shapes(layer, **{field: shape[-1:] for field in fields})
+        return shape
+
+    return shape_of
+
+
+def _conv_shape(layer, shape):
+    out = conv3d_output_shape(shape, layer)
+    _require_shapes(layer, bias=out[-1:])
+    return out
+
+
 def _dense_shape(layer, shape):
-    if shape != (layer.weights.shape[0],):
-        raise DimensionError(f"fan-in axis: shape {shape} into weights expecting {layer.weights.shape[0]}")
+    if layer.weights.ndim != 2 or shape != (layer.weights.shape[0],):
+        raise DimensionError(f"fan-in axis: shape {shape} into weights shaped {layer.weights.shape}")
+    _require_shapes(layer, bias=layer.weights.shape[1:])
     return (layer.weights.shape[1],)
+
+
+def _lc_shape(layer, shape):
+    w = layer.weights
+    if w.ndim != 5 or len(shape) != 2 or shape[0] > w.shape[0] * w.shape[3] or shape[1] > w.shape[1] * w.shape[4]:
+        raise DimensionError(f"locally-connected weights shaped {w.shape} do not cover an input of {shape}")
+    _require_shapes(layer, bias=w.shape[:3])
+    return (int(np.prod(w.shape[:3])),)
 
 
 _WEIGHTS = ("weights", "bias")
@@ -311,7 +347,7 @@ _KINDS = {
     "conv3d": _Kind(
         lambda layer, x, cache: conv3d_forward(x, layer),
         lambda layer, g, cache, input_grad: conv3d_backward(_layer_input(cache), layer, g, input_grad=input_grad),
-        lambda layer, shape: conv3d_output_shape(shape, layer),
+        _conv_shape,
         _WEIGHTS,
     ),
     "maxpool_freq": _Kind(
@@ -323,13 +359,13 @@ _KINDS = {
     "prelu": _Kind(
         lambda layer, x, cache: prelu_forward(x, layer.prelu_slope),
         lambda layer, g, cache, input_grad: prelu_backward(_layer_input(cache), layer.prelu_slope, g),
-        lambda layer, shape: shape,
+        _per_channel_shape("prelu_slope"),
         ("prelu_slope",),
     ),
     "batchnorm": _Kind(
         lambda layer, x, cache: batchnorm_forward(x, layer, cache),
         lambda layer, g, cache, input_grad: batchnorm_backward(layer, g, cache),
-        lambda layer, shape: shape,
+        _per_channel_shape("bn_scale", "bn_shift", "bn_running_mean", "bn_running_var"),
         ("bn_scale", "bn_shift", "bn_running_mean", "bn_running_var"),
         reads_input=False,
         output=lambda layer, cache: batchnorm_output(cache["bn_xh"], layer),
@@ -345,7 +381,7 @@ _KINDS = {
     "locally_connected": _Kind(
         lambda layer, x, cache: locally_connected_forward(x, layer),
         lambda layer, g, cache, input_grad: locally_connected_backward(_layer_input(cache), layer, g),
-        lambda layer, shape: (int(np.prod(layer.weights.shape[:3])),),
+        _lc_shape,
         _WEIGHTS,
     ),
 }

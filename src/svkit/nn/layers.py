@@ -8,8 +8,8 @@ finite differences in the test suite. Batchnorm is the one op that acts
 differently in training: it trains when its caller passes a cache to fill
 for the backward pass, and infers when it passes none.
 
-The conv, PReLU and train-mode batchnorm passes split their per-example
-work into contiguous runs, one per CPU this process may run on, at most
+The conv, PReLU and batchnorm passes split their per-example work into
+contiguous runs, one per CPU this process may run on, at most
 _MAX_WORKERS (_in_parallel). Each run computes exactly what the serial loop
 computed for its examples, and every sum across examples stays one
 whole-array call or is added in the serial order, so no output depends on
@@ -460,7 +460,9 @@ def batchnorm_forward(x, params: LayerParams, cache: dict | None = None) -> np.n
     output: two fresh full-size buffers in all. The mean and the sum of
     squares are single whole-array reductions; the elementwise passes
     around them are split by example across workers, and one pass both
-    normalizes a run and writes its output (_batchnorm_affine).
+    normalizes a run and writes its output (_batchnorm_affine). The
+    inference output is ((x - mean) * scale) * inv + shift, rounded in that
+    order into one fresh buffer, split by example across workers.
     `x` is left unchanged.
     """
     x = _require_channel_batch(x, "batchnorm input")
@@ -469,7 +471,16 @@ def batchnorm_forward(x, params: LayerParams, cache: dict | None = None) -> np.n
         raise DimensionError(f"channel axis: batchnorm params sized for {params.bn_scale.shape}, input has {c} channels")
     if cache is None:
         inv = 1.0 / np.sqrt(params.bn_running_var + BN_EPS)
-        return params.bn_scale * (x - params.bn_running_mean) * inv + params.bn_shift
+        y = np.empty(x.shape)
+
+        def infer(i, lo, hi):
+            np.subtract(x[lo:hi], params.bn_running_mean, out=y[lo:hi])
+            y[lo:hi] *= params.bn_scale
+            y[lo:hi] *= inv
+            y[lo:hi] += params.bn_shift
+
+        _in_parallel(len(x), infer)
+        return y
     axes = tuple(range(x.ndim - 1))
     mu = x.mean(axis=axes)
     xh = np.empty(x.shape)

@@ -13,7 +13,10 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 
-from svkit.errors import ConfigError
+from svkit.corpus.slicing import slice_utterances
+from svkit.dsp.audio import AudioSignal, load_wav
+from svkit.dsp.features import LOG_FLOOR, N_FFT, N_FRAMES, FeatureMap
+from svkit.errors import ConfigError, DimensionError, NoSpeechError, SignalTooShortError
 from svkit.models import network as network_module
 from svkit.nn.layers import softmax_xent_batch, softmax_xent_batch_gradient
 
@@ -112,6 +115,11 @@ def batchnorm_train_reference(x, scale, shift, eps):
     inv = 1.0 / np.sqrt(var + eps)
     xh = (x - mu) * inv
     return scale * xh + shift, xh, inv, mu, var
+
+
+def batchnorm_infer_reference(x, scale, shift, running_mean, running_var, eps):
+    """Inference batchnorm as one whole-array expression over the running statistics."""
+    return scale * (x - running_mean) * (1.0 / np.sqrt(running_var + eps)) + shift
 
 
 def batchnorm_train_backward_reference(x, scale, grad_out, eps):
@@ -229,6 +237,76 @@ def dft_power_spectrum(frame, n_fft):
     basis = np.exp(-2j * np.pi * np.outer(bins, np.arange(frame.size)) / n_fft)
     spectrum = basis @ frame
     return (spectrum.real**2 + spectrum.imag**2) / n_fft
+
+
+def detect_voice_loop(signal: AudioSignal) -> AudioSignal:
+    """Median-energy VAD one frame at a time: every pass recomputes each kept frame's energy.
+
+    Non-overlapping 20 ms frames plus a trailing partial frame; frames whose
+    mean square exceeds half the median frame energy are kept, repeated
+    until no frame drops out.
+    """
+    frame_len = int(round(signal.sample_rate * 20.0 / 1000.0))
+    if len(signal) <= frame_len:
+        raise SignalTooShortError(f"signal of {len(signal)} samples is not longer than one VAD frame")
+    samples = signal.samples
+    frames = [samples[i : i + frame_len] for i in range(0, len(samples) - frame_len + 1, frame_len)]
+    if len(frames) * frame_len < len(samples):
+        frames.append(samples[len(frames) * frame_len :])
+    while True:
+        energies = np.array([float(np.mean(f * f)) for f in frames])
+        threshold = 0.5 * float(np.median(energies))
+        kept = [f for f, e in zip(frames, energies) if e > threshold]
+        if not kept:
+            raise NoSpeechError("voice activity detection removed the entire signal")
+        if len(kept) == len(frames):
+            break
+        frames = kept
+    return AudioSignal(np.concatenate(frames), signal.sample_rate)
+
+
+def frame_signal(signal: AudioSignal) -> np.ndarray:
+    """One slice's 20 ms Hamming-windowed frames at a 10 ms hop, its tail reflect-padded by one hop."""
+    window = int(round(signal.sample_rate * 20.0 / 1000.0))
+    hop = int(round(signal.sample_rate * 10.0 / 1000.0))
+    x = signal.samples
+    if len(x) < window:
+        raise SignalTooShortError(f"signal of {len(x)} samples shorter than one {window}-sample window")
+    x = np.pad(x, (0, hop), mode="reflect")
+    n = (len(x) - window) // hop + 1
+    idx = np.arange(window)[None, :] + hop * np.arange(n)[:, None]
+    return x[idx] * np.hamming(window)
+
+
+def mfec(frames: np.ndarray, filterbank) -> FeatureMap:
+    """One slice's windowed frames -> power spectrum -> filterbank energies -> natural log."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[0] != N_FRAMES:
+        raise DimensionError(f"frame axis: got frames shaped {frames.shape}, need exactly {N_FRAMES} frames")
+    spectrum = np.fft.rfft(frames, n=N_FFT, axis=1)
+    power = (spectrum.real**2 + spectrum.imag**2) / N_FFT
+    energies = power @ filterbank.weights.T
+    return FeatureMap(np.log(np.maximum(energies, LOG_FLOOR)))
+
+
+def slice_feature_maps(voiced: AudioSignal, filterbank) -> list[np.ndarray]:
+    """Each 0.8 s slice of `voiced` framed and mapped on its own."""
+    return [mfec(frame_signal(piece), filterbank).values for piece in slice_utterances(voiced)]
+
+
+def feature_maps_per_slice(entries, filterbank, max_slices: int | None) -> dict[str, list[tuple[str, np.ndarray]]]:
+    """speaker -> (utterance id, map) per slice, in manifest order, capped per speaker: every slice alone."""
+    maps: dict[str, list] = {}
+    for entry in entries:
+        out = maps.setdefault(entry.speaker_id, [])
+        if max_slices is not None and len(out) >= max_slices:
+            continue
+        voiced = detect_voice_loop(load_wav(entry.path))
+        for i, values in enumerate(slice_feature_maps(voiced, filterbank)):
+            if max_slices is not None and len(out) >= max_slices:
+                break
+            out.append((f"{entry.path.stem}#{i:03d}", values))
+    return maps
 
 
 # -- finite differences and whole-network helpers ----------------------------

@@ -293,6 +293,30 @@ class TestTrain:
         assert len(files) == 4  # 2 dev speakers * 2 maps
         assert read_feature_file(files[0]).values.shape == (80, 40)
 
+    def test_dumped_features_match_per_slice_framing(self, micro_corpus, tmp_path):
+        """Every dumped map, with a cap that reaches into each speaker's second file, equals its slice framed alone."""
+        from oracles import feature_maps_per_slice
+        from svkit.corpus.manifest import load_manifest
+        from svkit.dsp.features import mel_filterbank, read_feature_file
+
+        manifest = micro_corpus / "data" / "manifest.csv"
+        dump = tmp_path / "features"
+        rc = main(
+            ["train", "--manifest", str(manifest), "--model", "lcn_dvector", "--epochs", "0", "--seed", SEED,
+             "--max-slices", "10", "--out", str(tmp_path / "x.svck"), "--dump-features", str(dump)]
+        )
+        assert rc == 0
+        dev = [e for e in load_manifest(manifest) if e.split == "development"]
+        want = {
+            uid.replace("#", "_") + ".mfec": values
+            for maps in feature_maps_per_slice(dev, mel_filterbank(), 10).values()
+            for uid, values in maps
+        }
+        assert len(want) == 20 and {name.rsplit("_", 1)[0] for name in want} == {e.path.stem for e in dev}
+        assert sorted(p.name for p in dump.glob("*.mfec")) == sorted(want)
+        for name, values in want.items():
+            assert read_feature_file(dump / name).values.tobytes() == values.tobytes(), name
+
 
 class TestEnroll:
     def test_records_and_idempotence(self, trained, tmp_path):
@@ -337,6 +361,29 @@ class TestEnroll:
         root, ckpts = trained
         ckpt = load_checkpoint(ckpts["cnn3d"])
         damage(next(layer for layer in ckpt.layers if layer.kind == "batchnorm"))
+        bad = tmp_path / "bad.svck"
+        save_checkpoint(ckpt, bad)  # the library's own writer: a valid CRC
+        rc = main(
+            ["enroll", "--manifest", str(root / "data" / "manifest.csv"), "--checkpoint", str(bad),
+             "--seed", SEED, "--max-slices", "6", "--out", str(tmp_path / "x.svsm")]
+        )
+        assert rc == 3
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "x.svsm").exists()
+
+    @pytest.mark.parametrize(
+        "kind,field,size,named",
+        [
+            ("batchnorm", "bn_running_var", 3, "bn_running_var is shaped (3,), expected (16,)"),
+            ("conv3d", "bias", 5, "bias is shaped (5,), expected (16,)"),
+            ("prelu", "prelu_slope", 17, "prelu_slope is shaped (17,), expected (16,)"),
+        ],
+        ids=["batchnorm_running_var", "conv_bias", "prelu_slope"],
+    )
+    def test_wrongly_shaped_array_with_valid_crc_exits_3(self, trained, tmp_path, capsys, kind, field, size, named):
+        root, ckpts = trained
+        ckpt = load_checkpoint(ckpts["cnn3d"])
+        setattr(next(layer for layer in ckpt.layers if layer.kind == kind), field, np.ones(size))
         bad = tmp_path / "bad.svck"
         save_checkpoint(ckpt, bad)  # the library's own writer: a valid CRC
         rc = main(

@@ -164,10 +164,8 @@ class TestSynthesis:
         means = {}
         for e in entries:
             voiced = detect_voice(load_wav(e.path))
-            for piece in slice_utterances(voiced):
-                means.setdefault(e.speaker_id, []).append(
-                    signal_to_feature_map(piece, bank).values.mean(axis=0)
-                )
+            maps = signal_to_feature_map(voiced, bank, len(slice_utterances(voiced)))
+            means.setdefault(e.speaker_id, []).extend(maps.mean(axis=1))
         centroids = {k: np.mean(v, axis=0) for k, v in means.items()}
         ids = sorted(centroids)
         for i in range(len(ids)):

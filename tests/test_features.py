@@ -9,15 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tone
-from oracles import dft_power_spectrum
+from oracles import (
+    detect_voice_loop,
+    dft_power_spectrum,
+    feature_maps_per_slice,
+    frame_signal,
+    mfec,
+    slice_feature_maps,
+)
+from svkit.cli import _feature_maps
+from svkit.corpus.slicing import slice_utterances
+from svkit.corpus.synthesis import make_synthetic_corpus
 from svkit.dsp.audio import AudioSignal, load_wav, require_sample_rate, write_wav
 from svkit.dsp.features import (
     FeatureMap,
     build_feature_cube,
-    frame_signal,
     hz_to_mel,
     mel_to_hz,
-    mfec,
     read_feature_file,
     replicate_for_eval,
     signal_to_feature_map,
@@ -239,11 +247,11 @@ class TestMfec:
         assert np.all(fmap.values == math.log(1e-10))
 
     def test_amplitude_scaling_adds_log_identity(self, mel_bank):
-        quiet = signal_to_feature_map(AudioSignal(tone(800.0, 0.8, 0.2), SR), mel_bank)
-        loud = signal_to_feature_map(AudioSignal(tone(800.0, 0.8, 0.4), SR), mel_bank)
+        (quiet,) = signal_to_feature_map(AudioSignal(tone(800.0, 0.8, 0.2), SR), mel_bank, 1)
+        (loud,) = signal_to_feature_map(AudioSignal(tone(800.0, 0.8, 0.4), SR), mel_bank, 1)
         floor = math.log(1e-10)
-        mask = (quiet.values > floor + 1e-9) & (loud.values > floor + 1e-9)
-        np.testing.assert_allclose((loud.values - quiet.values)[mask], 2.0 * math.log(2.0), atol=1e-9)
+        mask = (quiet > floor + 1e-9) & (loud > floor + 1e-9)
+        np.testing.assert_allclose((loud - quiet)[mask], 2.0 * math.log(2.0), atol=1e-9)
 
     def test_sinusoid_matches_direct_dft_oracle(self, mel_bank):
         sig = AudioSignal(tone(1000.0, 0.8, 0.5), SR)
@@ -264,6 +272,121 @@ class TestMfec:
         map_b = mfec(b, mel_bank).values
         # interior rows only: each map's final row comes from its own padded tail
         np.testing.assert_array_equal(map_b[:-2], map_a[1:-1])
+
+
+# -- one framing per voiced file ------------------------------------------------
+
+ONCE = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+def _speechlike(seed, n):
+    """n samples of tone and noise bursts at similar levels, with short silent stretches between them."""
+    r = Rng(seed)
+    pieces, total = [], 0
+    while total < n:
+        length = int(r.integers(50, 4000))
+        kind = int(r.integers(0, 4))
+        if kind == 0:
+            piece = np.zeros(length // 4)
+        elif kind == 1:
+            freq = float(r.uniform(100, 3000))
+            piece = float(r.uniform(0.25, 0.45)) * np.sin(2 * np.pi * freq * np.arange(length) / SR)
+        else:
+            piece = r.normal((length,), std=float(r.uniform(0.15, 0.3))).clip(-1.0, 1.0)
+        pieces.append(piece)
+        total += len(piece)
+    return AudioSignal(np.concatenate(pieces)[:n], SR)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the svkit error it raised."""
+    try:
+        return fn(*args)
+    except (NoSpeechError, SignalTooShortError) as exc:
+        return type(exc)
+
+
+class TestOneFramingPerFile:
+    @ONCE
+    @given(st.integers(321, 4 * SR), st.integers(0, 10**6))
+    def test_vad_matches_the_frame_loop(self, n, seed):
+        """Byte-equal voiced samples, or the same error, from just over one VAD frame to 4 s."""
+        sig = _speechlike(seed, n)
+        got, want = _outcome(detect_voice, sig), _outcome(detect_voice_loop, sig)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert got.samples.tobytes() == want.samples.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 100, 320])
+    def test_vad_too_short_for_both(self, n):
+        for fn in (detect_voice, detect_voice_loop):
+            with pytest.raises(SignalTooShortError):
+                fn(AudioSignal(np.zeros(n), SR))
+
+    @pytest.mark.parametrize("n", [321, SR, 3 * SR + 7])
+    def test_vad_silence_is_no_speech_for_both(self, n):
+        for fn in (detect_voice, detect_voice_loop):
+            with pytest.raises(NoSpeechError):
+                fn(AudioSignal(np.zeros(n), SR))
+
+    @ONCE
+    @given(st.integers(0, 30), st.sampled_from([-1, 0, 1]), st.integers(0, 10**6), st.data())
+    def test_maps_match_slices_framed_alone(self, mel_bank, k, delta, seed, data):
+        """Voiced lengths of 0.8 s + k hops (+-1 sample): each kept slice's map, byte for byte."""
+        voiced = _speechlike(seed, 12800 + 1600 * k + delta)
+        want = _outcome(slice_feature_maps, voiced, mel_bank)
+        if isinstance(want, type):
+            assert want is SignalTooShortError and k == 0 and delta == -1
+            with pytest.raises(SignalTooShortError):
+                signal_to_feature_map(voiced, mel_bank, 1)
+            return
+        assert len(want) == len(slice_utterances(voiced)) == k + 1 - (delta < 0)
+        count = data.draw(st.integers(1, len(want)))
+        got = signal_to_feature_map(voiced, mel_bank, count)
+        assert got.shape == (count, 80, 40)
+        assert got.tobytes() == np.stack(want[:count]).tobytes()
+
+    @ONCE
+    @given(st.integers(12800, 4 * SR), st.integers(0, 10**6))
+    def test_front_end_matches_per_slice_framing(self, mel_bank, n, seed):
+        """VAD, slicing and maps of one 0.8 to 4 s file against the per-slice oracle: same maps or the same error."""
+
+        def front_end(sig):
+            voiced = detect_voice(sig)
+            return signal_to_feature_map(voiced, mel_bank, len(slice_utterances(voiced)))
+
+        sig = _speechlike(seed, n)
+        got = _outcome(front_end, sig)
+        want = _outcome(lambda s: slice_feature_maps(detect_voice_loop(s), mel_bank), sig)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert got.tobytes() == np.stack(want).tobytes()
+
+    def test_more_slices_than_the_signal_holds(self, mel_bank):
+        with pytest.raises(SignalTooShortError):
+            signal_to_feature_map(AudioSignal(np.zeros(12800 + 1599), SR), mel_bank, 2)
+
+    @ONCE
+    @given(st.integers(1, 30))
+    def test_slice_cap_across_files(self, capped_corpus, mel_bank, cap):
+        """`--max-slices` caps of 1 to 30, across file boundaries: the same ids and map bytes per speaker."""
+        entries = capped_corpus
+        got = _feature_maps(entries, cap)
+        want = feature_maps_per_slice(entries, mel_bank, cap)
+        assert got.keys() == want.keys()
+        for speaker, maps in got.items():
+            assert [m.utterance_id for m in maps] == [uid for uid, _ in want[speaker]]
+            for m, (_, values) in zip(maps, want[speaker]):
+                assert m.speaker_id == speaker
+                assert m.values.tobytes() == values.tobytes()
+
+
+@pytest.fixture(scope="module")
+def capped_corpus(tmp_path_factory):
+    """2 speakers x 3 files of 2 s: 5 to 8 slices per file, 21 and 23 per speaker, so caps cross each boundary."""
+    return make_synthetic_corpus(2, 3, seed=9, out_dir=tmp_path_factory.mktemp("capped"), duration_s=2.0)
 
 
 # -- cubes ------------------------------------------------------------------------
@@ -313,7 +436,7 @@ class TestFeatureCubes:
 
 
 def test_feature_file_round_trip(tmp_path, mel_bank):
-    fmap = signal_to_feature_map(AudioSignal(tone(600.0, 0.8, 0.4), SR), mel_bank)
+    fmap = FeatureMap(signal_to_feature_map(AudioSignal(tone(600.0, 0.8, 0.4), SR), mel_bank, 1)[0])
     write_feature_file(fmap, tmp_path / "x.mfec")
     back = read_feature_file(tmp_path / "x.mfec")
     np.testing.assert_array_equal(back.values, fmap.values)
@@ -333,5 +456,5 @@ def test_feature_file_trailing_bytes_rejected(tmp_path):
 def test_pipeline_contract_voiced_slice(mel_bank):
     sig = AudioSignal(tone(440.0, 0.8, 0.5), SR)
     voiced = detect_voice(sig)
-    fmap = signal_to_feature_map(AudioSignal(voiced.samples[:12800], SR), mel_bank)
-    assert fmap.values.shape == (80, 40)
+    maps = signal_to_feature_map(AudioSignal(voiced.samples[:12800], SR), mel_bank, 1)
+    assert maps.shape == (1, 80, 40)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    batchnorm_infer_reference,
     batchnorm_train_backward_reference,
     batchnorm_train_reference,
     conv3d_direct,
@@ -201,7 +202,7 @@ def test_conv_memory_bounds_hold_at_the_worker_cap(monkeypatch, cnn3d_convs, bou
 @pytest.mark.parametrize("name", CNN3D_CONVS)
 @pytest.mark.parametrize("zeta", [20, 10])
 def test_cnn3d_batchnorm_prelu_match_reference(cnn3d_convs, zeta, name):
-    """On each conv's output shape, batch 2: the reference's bytes, the slope gradient to 1e-12."""
+    """On each conv's output shape, batch 2: both references' bytes, the slope gradient to 1e-12."""
     layer, shape = cnn3d_convs[zeta, name]
     out_shape = conv3d_output_shape(shape, layer)
     c = out_shape[-1]
@@ -215,6 +216,8 @@ def test_cnn3d_batchnorm_prelu_match_reference(cnn3d_convs, zeta, name):
         bn_running_var=r.uniform(0.5, 2.0, (c,)),
     )
     old_mean, old_var = bn.bn_running_mean, bn.bn_running_var
+    want = batchnorm_infer_reference(x, bn.bn_scale, bn.bn_shift, old_mean, old_var, BN_EPS)
+    assert np.array_equal(batchnorm_forward(x, bn), want)
     want_y, want_xh, want_inv, mu, var = batchnorm_train_reference(x, bn.bn_scale, bn.bn_shift, BN_EPS)
     cache = {}
     y = batchnorm_forward(x, bn, cache=cache)

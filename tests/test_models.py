@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -35,7 +36,7 @@ from svkit.errors import (
 )
 from svkit.models import network as network_module
 from svkit.models.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from svkit.models.network import Network
+from svkit.models.network import Network, NetworkSpec
 from svkit.models.zoo import build_3dcnn, build_lcn_baseline, build_network
 from svkit.nn import layers as layers_module
 from svkit.nn.layers import (
@@ -143,6 +144,24 @@ def test_network_rejects_unknown_layer_kind():
     net = build_lcn_baseline(3, Rng(0))
     with pytest.raises(ConfigError, match="unknown layer kind 'dropout'"):
         Network(net.spec, [LayerParams(kind="dropout", name="drop")] + net.layers)
+
+
+@pytest.mark.parametrize(
+    "index,field,shape,named",
+    [
+        (0, "bias", (5, 2, 16), "bias is shaped (5, 2, 16), expected (10, 5, 16)"),
+        (0, "weights", (10, 5, 16, 8, 8, 1), "do not cover an input of (80, 40)"),
+        (1, "prelu_slope", (799,), "prelu_slope is shaped (799,), expected (800,)"),
+        (2, "bias", (255,), "bias is shaped (255,), expected (256,)"),
+        (2, "weights", (800, 256, 1), "fan-in axis"),
+    ],
+    ids=["lc_bias", "lc_weights", "prelu_slope", "dense_bias", "dense_weights"],
+)
+def test_network_rejects_arrays_that_do_not_fit_the_layer_input(index, field, shape, named):
+    layers = build_lcn_baseline(3, Rng(0)).layers
+    setattr(layers[index], field, np.ones(shape))
+    with pytest.raises(DimensionError, match=re.escape(named)):
+        Network(NetworkSpec("lcn_dvector", (80, 40), 3, 1), layers)
 
 
 class TestForwardAndEmbed:
@@ -340,13 +359,15 @@ def _step_and_embed_arrays(zeta, batch):
             arrays[f"{layer.name}.running_mean"] = layer.bn_running_mean
             arrays[f"{layer.name}.running_var"] = layer.bn_running_var
     arrays["embed_enrollment_cube"] = net.embed_vectors([Rng(16).normal(net.spec.input_shape)])
+    arrays["embed_cubes"] = net.embed_vectors([Rng(20 + i).normal(net.spec.input_shape) for i in range(batch)])
     arrays["embed_replicated"] = net.embed_vectors([_replicated(zeta, seed) for seed in (17, 18, 19)])
     return arrays
 
 
 @pytest.mark.parametrize("zeta,batch", [(20, 3), (20, 1), (10, 3), (10, 1)])
 def test_bytes_do_not_depend_on_the_worker_count(monkeypatch, zeta, batch):
-    """1, 2 and 3 workers (3 examples split unevenly over 2): logits, every gradient, running statistics and embeddings."""
+    """1, 2 and 3 workers (3 examples split unevenly over 2): logits, every gradient, running statistics and
+    embeddings, the last also of `batch` full cubes, so that inference runs split the same way."""
     results = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(layers_module, "_WORKERS", workers)
