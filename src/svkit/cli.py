@@ -17,7 +17,6 @@ from pathlib import Path
 from .config import RunConfig, parse_config_file
 from .corpus.manifest import entries_by_speaker, load_manifest
 from .corpus.slicing import slice_utterances, split_enroll_eval
-from .corpus.synthesis import make_synthetic_corpus
 from .dsp.audio import load_wav, require_sample_rate
 from .dsp.features import FeatureMap, mel_filterbank, signal_to_feature_map, write_feature_file
 from .dsp.vad import detect_voice
@@ -41,8 +40,12 @@ from .rng import Rng
 # -- shared pipeline pieces -------------------------------------------------
 
 
-def _feature_maps(entries, max_slices: int | None):
-    """speaker -> utterance feature maps, in manifest order, capped per speaker."""
+def _feature_maps(entries, max_slices: int | None, root: Path):
+    """speaker -> utterance feature maps, in manifest order, capped per speaker.
+
+    A map's utterance id is its file's path relative to `root`, the manifest's
+    directory, without the suffix, then '#' and the slice number.
+    """
     if max_slices is not None and max_slices < 1:
         raise ConfigError(f"--max-slices must be at least 1, got {max_slices}")
     bank = mel_filterbank()
@@ -53,13 +56,13 @@ def _feature_maps(entries, max_slices: int | None):
             continue
         signal = require_sample_rate(load_wav(entry.path))
         voiced = detect_voice(signal)
-        count = len(slice_utterances(voiced))
+        starts = slice_utterances(voiced)
         if max_slices is not None:
-            count = min(count, max_slices - len(out))
-        values = signal_to_feature_map(voiced, bank, count)
+            starts = starts[: max_slices - len(out)]
+        values = signal_to_feature_map(voiced, bank, starts)
+        name = Path(os.path.relpath(entry.path, root)).with_suffix("").as_posix()
         out.extend(
-            FeatureMap(v, speaker_id=entry.speaker_id, utterance_id=f"{entry.path.stem}#{i:03d}")
-            for i, v in enumerate(values)
+            FeatureMap(v, speaker_id=entry.speaker_id, utterance_id=f"{name}#{i:03d}") for i, v in enumerate(values)
         )
     return maps
 
@@ -88,7 +91,7 @@ def _phase_entries(entries, n_dev: int | None):
     return dev, eval_phase
 
 
-def _enroll_eval_maps(eval_entries, seed: int, max_slices: int | None):
+def _enroll_eval_maps(eval_entries, seed: int, max_slices: int | None, root: Path):
     """Per-speaker (enrollment maps, evaluation maps).
 
     Speakers with files explicitly tagged 'evaluation' use the file-level
@@ -101,25 +104,19 @@ def _enroll_eval_maps(eval_entries, seed: int, max_slices: int | None):
     split_needed = {}
     for speaker, es in sorted(by_speaker.items()):
         if any(e.split == "evaluation" for e in es):
-            enroll[speaker] = _flat_maps([e for e in es if e.split == "enrollment"], max_slices)
-            evaluate[speaker] = _flat_maps([e for e in es if e.split == "evaluation"], max_slices)
+            enroll[speaker], evaluate[speaker] = (
+                _feature_maps([e for e in es if e.split == split], max_slices, root).get(speaker, [])
+                for split in ("enrollment", "evaluation")
+            )
             if not enroll[speaker] or not evaluate[speaker]:
                 raise ConfigError(f"speaker {speaker!r} lacks enrollment or evaluation audio")
         else:
-            split_needed[speaker] = _flat_maps(es, max_slices)
+            split_needed[speaker] = _feature_maps(es, max_slices, root)[speaker]
     if split_needed:
-        plan = split_enroll_eval(split_needed, seed)
-        enroll.update(plan.enroll)
-        evaluate.update(plan.evaluate)
+        split_enroll, split_evaluate = split_enroll_eval(split_needed, seed)
+        enroll.update(split_enroll)
+        evaluate.update(split_evaluate)
     return enroll, evaluate
-
-
-def _flat_maps(entries, max_slices):
-    maps = _feature_maps(entries, max_slices)
-    out = []
-    for speaker in sorted(maps):
-        out.extend(maps[speaker])
-    return out
 
 
 def _resolve_config(args) -> RunConfig:
@@ -150,6 +147,8 @@ _FLAG_NAMES = {"n_dev_speakers": "dev_speakers"}
 
 
 def cmd_synth(args) -> int:
+    from .corpus.synthesis import make_synthetic_corpus  # imported here: it loads scipy.signal, which only synth needs
+
     entries = make_synthetic_corpus(
         n_speakers=args.speakers,
         utterances_per_speaker=args.utterances,
@@ -168,13 +167,16 @@ def cmd_train(args) -> int:
     dev_entries, _ = _phase_entries(entries, cfg.n_dev_speakers)
     if not dev_entries:
         raise ConfigError("manifest has no development entries")
-    maps = _feature_maps(dev_entries, args.max_slices)
+    root = Path(args.manifest).parent.resolve()
+    if args.dump_features and not all(e.path.is_relative_to(root) for e in dev_entries):
+        raise ConfigError("--dump-features mirrors the manifest's directory; a development file lies outside it")
+    maps = _feature_maps(dev_entries, args.max_slices, root)
     if args.dump_features:
-        dump_dir = Path(args.dump_features)
-        dump_dir.mkdir(parents=True, exist_ok=True)
         for speaker in sorted(maps):
             for m in maps[speaker]:
-                write_feature_file(m, dump_dir / f"{m.utterance_id.replace('#', '_')}.mfec")
+                path = Path(args.dump_features) / f"{m.utterance_id.replace('#', '_')}.mfec"
+                path.parent.mkdir(parents=True, exist_ok=True)
+                write_feature_file(m, path)
     network = build_network(cfg.model, cfg.zeta, len(maps), Rng(cfg.seed).child(3))
     ckpt, history = train_development(network, maps, cfg)
     out = Path(args.out)
@@ -197,22 +199,10 @@ def cmd_enroll(args) -> int:
     _, eval_entries = _phase_entries(entries, cfg.n_dev_speakers)
     if not eval_entries:
         raise ConfigError("manifest has no enrollment/evaluation entries")
-    enroll_maps, _ = _enroll_eval_maps(eval_entries, cfg.seed, args.max_slices)
+    enroll_maps, _ = _enroll_eval_maps(eval_entries, cfg.seed, args.max_slices, Path(args.manifest).parent.resolve())
     mode = args.mode or ("one_shot" if network.spec.kind == "cnn3d" else "dvector")
-    if mode == "one_shot" and network.spec.kind != "cnn3d":
-        raise ConfigError("one-shot enrollment requires a cnn3d checkpoint")
-    models = []
-    for speaker in sorted(enroll_maps):
-        maps = enroll_maps[speaker]
-        if mode == "one_shot":
-            if len(maps) < network.spec.zeta:
-                raise ConfigError(
-                    f"speaker {speaker!r} has {len(maps)} enrollment maps, "
-                    f"fewer than the checkpoint stack depth {network.spec.zeta}"
-                )
-            models.append(enroll_one_shot(network, maps[: network.spec.zeta]))
-        else:
-            models.append(enroll_dvector(network, maps))
+    enroll = enroll_one_shot if mode == "one_shot" else enroll_dvector
+    models = [enroll(network, enroll_maps[speaker]) for speaker in sorted(enroll_maps)]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_speaker_models(models, out)
@@ -228,7 +218,7 @@ def cmd_evaluate(args) -> int:
     models = load_speaker_models(args.models)
     entries = load_manifest(args.manifest)
     _, eval_entries = _phase_entries(entries, cfg.n_dev_speakers)
-    _, eval_maps = _enroll_eval_maps(eval_entries, cfg.seed, args.max_slices)
+    _, eval_maps = _enroll_eval_maps(eval_entries, cfg.seed, args.max_slices, Path(args.manifest).parent.resolve())
     test_maps = [m for speaker in sorted(eval_maps) for m in eval_maps[speaker]]
     summary, score_set = run_evaluation(models, test_maps, network)
     out_dir = Path(args.out_dir)

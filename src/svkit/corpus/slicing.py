@@ -8,8 +8,6 @@ permutation and halved: enrollment takes the extra one when the count is odd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..dsp.audio import AudioSignal
 from ..errors import ConfigError, SignalTooShortError
 from ..rng import Rng
@@ -18,31 +16,19 @@ SLICE_SECONDS = 0.8
 SLICE_HOP_SECONDS = 0.1
 
 
-def slice_utterances(signal: AudioSignal) -> list[AudioSignal]:
-    """Sliding SLICE_SECONDS windows at a SLICE_HOP_SECONDS hop; count = floor((L - D)/H) + 1."""
+def slice_utterances(signal: AudioSignal) -> range:
+    """Start samples of the SLICE_SECONDS windows at a SLICE_HOP_SECONDS hop; count = floor((L - D)/H) + 1."""
     window = int(round(SLICE_SECONDS * signal.sample_rate))
     hop = int(round(SLICE_HOP_SECONDS * signal.sample_rate))
     if len(signal) < window:
         raise SignalTooShortError(
             f"signal of {len(signal)} samples is shorter than one {window}-sample utterance"
         )
-    n = (len(signal) - window) // hop + 1
-    return [
-        AudioSignal(signal.samples[i * hop : i * hop + window], signal.sample_rate)
-        for i in range(n)
-    ]
+    return range(0, len(signal) - window + 1, hop)
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """Per-speaker utterance refs for the enrollment and evaluation halves."""
-
-    enroll: dict[str, list]
-    evaluate: dict[str, list]
-
-
-def split_enroll_eval(refs_by_speaker: dict, seed: int) -> SplitPlan:
-    """Seeded shuffle then halving; halves are disjoint, sizes differ by <= 1."""
+def split_enroll_eval(refs_by_speaker: dict, seed: int) -> tuple[dict[str, list], dict[str, list]]:
+    """Seeded shuffle then halving into (enroll, evaluate); halves are disjoint, sizes differ by <= 1."""
     enroll: dict[str, list] = {}
     evaluate: dict[str, list] = {}
     for index, speaker in enumerate(sorted(refs_by_speaker)):
@@ -57,4 +43,4 @@ def split_enroll_eval(refs_by_speaker: dict, seed: int) -> SplitPlan:
         eval_idx = sorted(perm[n_enroll:])
         enroll[speaker] = [refs[i] for i in enroll_idx]
         evaluate[speaker] = [refs[i] for i in eval_idx]
-    return SplitPlan(enroll, evaluate)
+    return enroll, evaluate

@@ -26,7 +26,7 @@ from ..errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
-from ..corpus.slicing import SLICE_HOP_SECONDS, SLICE_SECONDS
+from ..corpus.slicing import SLICE_SECONDS
 from .audio import CANONICAL_RATE, AudioSignal
 
 N_FRAMES = 80
@@ -92,41 +92,42 @@ class FeatureMap:
             raise DimensionError("feature map contains non-finite values")
 
 
-def signal_to_feature_map(voiced: AudioSignal, filterbank: FilterBank, count: int) -> np.ndarray:
-    """(count, 80, 40) log filterbank energies of the first `count` 0.8 s slices of `voiced`.
+def signal_to_feature_map(voiced: AudioSignal, filterbank: FilterBank, starts) -> np.ndarray:
+    """(len(starts), 80, 40) log filterbank energies of the 0.8 s slices of `voiced` at sample offsets `starts`.
 
-    Slice i is the one `slice_utterances` cuts i slice hops in. Its map is the
-    slice framed alone: WINDOW_MS Hamming frames at a HOP_MS hop, the tail
-    reflect-padded by one hop (80 frames), power spectrum, filterbank
-    energies, natural log with a floor. A slice hop is a whole number of
-    frame hops, so every frame that lies inside a slice is a frame of
-    `voiced` itself, shared by up to eight slices; only a slice's frame over
-    its padded tail is its own. Each such frame goes through the window,
-    FFT, filters and log once, as one row of one whole-array pass, and each
-    map is byte-equal to its slice framed alone.
+    `starts` is what `slice_utterances` returns, or any part of it. Each
+    slice's map is the slice framed alone: WINDOW_MS Hamming frames at a
+    HOP_MS hop, the tail reflect-padded by one hop (80 frames), power
+    spectrum, filterbank energies, natural log with a floor. A slice starts on
+    a frame hop, so every frame that lies inside a slice is a frame of
+    `voiced` itself, shared by every slice that covers it; only a slice's
+    frame over its padded tail is its own. Each such frame goes through the
+    window, FFT, filters and log once, as one row of one whole-array pass,
+    and each map is byte-equal to its slice framed alone.
     """
     rate = voiced.sample_rate
     window = int(round(rate * WINDOW_MS / 1000.0))
     hop = int(round(rate * HOP_MS / 1000.0))
     length = int(round(SLICE_SECONDS * rate))
-    stride = int(round(SLICE_HOP_SECONDS * rate))
-    if len(voiced) < length + (count - 1) * stride:
-        raise SignalTooShortError(f"signal of {len(voiced)} samples holds fewer than {count} slices")
-    if window > N_FFT or stride % hop:
-        raise DimensionError(f"at {rate} Hz a frame is longer than the FFT or a slice hop is not whole frame hops")
+    starts = np.asarray(starts)
+    lo, hi = starts.min(initial=0), starts.max(initial=0)
+    if lo < 0 or hi + length > len(voiced):
+        raise SignalTooShortError(f"slices at samples {lo} to {hi} do not lie within a signal of {len(voiced)} samples")
+    if window > N_FFT or (starts % hop).any():
+        raise DimensionError(f"at {rate} Hz a frame is longer than the FFT or a slice does not start on a frame hop")
     # frame f of a slice covers padded positions f*hop onward; position p >= length reflects to 2*(length-1) - p
-    starts = hop * np.arange((length + hop - window) // hop + 1)
-    if len(starts) != N_FRAMES:
-        raise DimensionError(f"frame axis: a slice gives {len(starts)} frames, need exactly {N_FRAMES}")
-    inside = int(np.count_nonzero(starts + window <= length))  # frames within the slice; the rest are its own
-    tail = starts[inside:, None] + np.arange(window)
+    frame_starts = hop * np.arange((length + hop - window) // hop + 1)
+    if len(frame_starts) != N_FRAMES:
+        raise DimensionError(f"frame axis: a slice gives {len(frame_starts)} frames, need exactly {N_FRAMES}")
+    inside = int(np.count_nonzero(frame_starts + window <= length))  # frames within the slice; the rest are its own
+    tail = frame_starts[inside:, None] + np.arange(window)
     tail = np.where(tail < length, tail, 2 * (length - 1) - tail)
-    step = stride // hop
-    shared = step * (count - 1) + inside  # frames of `voiced` inside one of the slices
+    first = starts // hop  # each slice's first frame of `voiced`
+    shared = hi // hop + inside  # frames of `voiced` up to the last slice's last inside frame
     frames = np.concatenate(
         [
             hop * np.arange(shared)[:, None] + np.arange(window),
-            (stride * np.arange(count)[:, None, None] + tail).reshape(-1, window),
+            (starts[:, None, None] + tail).reshape(-1, window),
         ]
     )
     spectrum = np.fft.rfft(voiced.samples[frames] * np.hamming(window), n=N_FFT, axis=1)
@@ -135,7 +136,7 @@ def signal_to_feature_map(voiced: AudioSignal, filterbank: FilterBank, count: in
     values = np.log(np.maximum(energies, LOG_FLOOR))
     own = N_FRAMES - inside
     rows = np.concatenate(
-        [step * np.arange(count)[:, None] + np.arange(inside), shared + np.arange(count * own).reshape(count, own)],
+        [first[:, None] + np.arange(inside), shared + np.arange(starts.size * own).reshape(-1, own)],
         axis=1,
     )
     return values[rows]

@@ -1,6 +1,6 @@
 """Speaker model creation: one-shot cube enrollment and d-vector averaging.
 
-One-shot enrollment stacks exactly `zeta` utterance maps of a speaker into a
+One-shot enrollment stacks a speaker's first `zeta` utterance maps into a
 single cube and takes one embedding of it. D-vector enrollment embeds each
 utterance separately, averages, and renormalizes. Either way the speaker
 model is a unit-norm vector scored against test embeddings by cosine
@@ -74,14 +74,15 @@ def utterance_input(spec: NetworkSpec, fmap: FeatureMap) -> np.ndarray:
 
 
 def enroll_one_shot(network: Network, maps) -> SpeakerModel:
-    """One forward pass over the stacked cube yields the speaker model."""
-    maps = list(maps)
+    """One forward pass over the cube of a speaker's first zeta maps yields the speaker model."""
     if network.spec.kind != "cnn3d":
         raise ConfigError("one-shot enrollment requires the cube network")
-    if len(maps) != network.spec.zeta:
+    maps = list(maps)[: network.spec.zeta]
+    if len(maps) < network.spec.zeta:
+        speaker = maps[0].speaker_id if maps else ""
         raise ConfigError(
-            f"one-shot enrollment needs exactly {network.spec.zeta} maps "
-            f"(the network's training stack depth), got {len(maps)}"
+            f"one-shot enrollment stacks exactly {network.spec.zeta} maps (the network's training stack depth); "
+            f"speaker {speaker!r} has {len(maps)}"
         )
     vec = network.embed_vectors([build_feature_cube(maps)])[0]
     return SpeakerModel(maps[0].speaker_id, vec, network.spec.zeta, ONE_SHOT)

@@ -290,8 +290,10 @@ def mfec(frames: np.ndarray, filterbank) -> FeatureMap:
 
 
 def slice_feature_maps(voiced: AudioSignal, filterbank) -> list[np.ndarray]:
-    """Each 0.8 s slice of `voiced` framed and mapped on its own."""
-    return [mfec(frame_signal(piece), filterbank).values for piece in slice_utterances(voiced)]
+    """Each 0.8 s slice of `voiced`, at the offsets `slice_utterances` gives, cut out, framed and mapped on its own."""
+    length = round(0.8 * voiced.sample_rate)
+    pieces = [AudioSignal(voiced.samples[s : s + length], voiced.sample_rate) for s in slice_utterances(voiced)]
+    return [mfec(frame_signal(piece), filterbank).values for piece in pieces]
 
 
 def feature_maps_per_slice(entries, filterbank, max_slices: int | None) -> dict[str, list[tuple[str, np.ndarray]]]:

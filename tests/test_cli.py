@@ -88,6 +88,13 @@ def test_train_bytes_do_not_depend_on_the_cpu_count(micro_corpus, tmp_path):
     assert one.with_suffix(".loss.log").read_bytes() == every.with_suffix(".loss.log").read_bytes()
 
 
+def test_import_leaves_scipy_signal_unloaded():
+    """Only `svkit synth` needs scipy.signal, so importing the CLI does not pay for it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(svkit.__file__).parents[1]))
+    code = "import sys, svkit.cli; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
 class TestSynth:
     def test_manifest_row_count(self, micro_corpus):
         lines = (micro_corpus / "data" / "manifest.csv").read_text().splitlines()
@@ -316,6 +323,70 @@ class TestTrain:
         assert sorted(p.name for p in dump.glob("*.mfec")) == sorted(want)
         for name, values in want.items():
             assert read_feature_file(dump / name).values.tobytes() == values.tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def nested_corpus(micro_corpus, tmp_path_factory):
+    """The micro corpus laid out as <speaker>/take<u>.wav, so every speaker has a take0.wav and a take1.wav."""
+    root = tmp_path_factory.mktemp("nested")
+    lines = (micro_corpus / "data" / "manifest.csv").read_text().splitlines()
+    rows = [lines[0]]
+    for line in lines[1:]:
+        speaker, rel, session, split = line.split(",")
+        name = f"{speaker}/take{int(Path(rel).stem.rsplit('_u', 1)[1])}.wav"  # spk000_u01.wav -> spk000/take1.wav
+        (root / speaker).mkdir(exist_ok=True)
+        shutil.copyfile(micro_corpus / "data" / rel, root / name)
+        rows.append(",".join((speaker, name, session, split)))
+    (root / "manifest.csv").write_text("\n".join(rows) + "\n")
+    return root
+
+
+class TestUtteranceIds:
+    def test_dumps_mirror_the_speaker_directories(self, nested_corpus, tmp_path):
+        """Each speaker's take0 and take1 keep their own dumps, each its slice framed alone."""
+        from oracles import feature_maps_per_slice
+        from svkit.corpus.manifest import load_manifest
+        from svkit.dsp.features import mel_filterbank, read_feature_file
+
+        dump = tmp_path / "features"
+        rc = main(
+            ["train", "--manifest", str(nested_corpus / "manifest.csv"), "--model", "lcn_dvector", "--epochs", "0",
+             "--seed", SEED, "--max-slices", "10", "--out", str(tmp_path / "x.svck"), "--dump-features", str(dump)]
+        )  # fmt: skip
+        assert rc == 0
+        dev = [e for e in load_manifest(nested_corpus / "manifest.csv") if e.split == "development"]
+        want = {
+            f"{speaker}/{uid.replace('#', '_')}.mfec": values
+            for speaker, maps in feature_maps_per_slice(dev, mel_filterbank(), 10).items()
+            for uid, values in maps
+        }
+        assert len(want) == 20
+        assert sorted(p.relative_to(dump).as_posix() for p in dump.rglob("*.mfec")) == sorted(want)
+        for name, values in want.items():
+            assert read_feature_file(dump / name).values.tobytes() == values.tobytes(), name
+
+    def test_scores_name_the_speaker_directory(self, nested_corpus, trained, tmp_path):
+        _, ckpts = trained
+        common = ["--manifest", str(nested_corpus / "manifest.csv"), "--checkpoint", str(ckpts["lcn_dvector"]),
+                  "--seed", SEED, "--max-slices", "6"]  # fmt: skip
+        assert main(["enroll", *common, "--out", str(tmp_path / "m.svsm")]) == 0
+        assert main(["evaluate", *common, "--models", str(tmp_path / "m.svsm"), "--out-dir", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "scores.csv").read_text().splitlines()[1:]]
+        genuine = [(uid, claimed) for uid, claimed, label, _ in rows if label == "genuine"]
+        assert len(genuine) == 6 and all(uid.startswith(f"{claimed}/take") for uid, claimed in genuine)
+        assert len({uid for uid, *_ in rows}) == len(genuine)
+
+    def test_dump_of_a_file_outside_the_manifest_directory_exits_2(self, nested_corpus, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        lines = (nested_corpus / "manifest.csv").read_text().splitlines()
+        manifest.write_text("\n".join([lines[0], *(line.replace(",spk", f",{nested_corpus}/spk") for line in lines[1:])]))
+        rc = main(
+            ["train", "--manifest", str(manifest), "--model", "lcn_dvector", "--epochs", "0", "--seed", SEED,
+             "--out", str(tmp_path / "x.svck"), "--dump-features", str(tmp_path / "features")]
+        )  # fmt: skip
+        assert rc == 2
+        assert "outside" in capsys.readouterr().err
+        assert not (tmp_path / "features").exists()
 
 
 class TestEnroll:

@@ -247,8 +247,8 @@ class TestMfec:
         assert np.all(fmap.values == math.log(1e-10))
 
     def test_amplitude_scaling_adds_log_identity(self, mel_bank):
-        (quiet,) = signal_to_feature_map(AudioSignal(tone(800.0, 0.8, 0.2), SR), mel_bank, 1)
-        (loud,) = signal_to_feature_map(AudioSignal(tone(800.0, 0.8, 0.4), SR), mel_bank, 1)
+        (quiet,) = signal_to_feature_map(AudioSignal(tone(800.0, 0.8, 0.2), SR), mel_bank, [0])
+        (loud,) = signal_to_feature_map(AudioSignal(tone(800.0, 0.8, 0.4), SR), mel_bank, [0])
         floor = math.log(1e-10)
         mask = (quiet > floor + 1e-9) & (loud > floor + 1e-9)
         np.testing.assert_allclose((loud - quiet)[mask], 2.0 * math.log(2.0), atol=1e-9)
@@ -333,19 +333,21 @@ class TestOneFramingPerFile:
     @ONCE
     @given(st.integers(0, 30), st.sampled_from([-1, 0, 1]), st.integers(0, 10**6), st.data())
     def test_maps_match_slices_framed_alone(self, mel_bank, k, delta, seed, data):
-        """Voiced lengths of 0.8 s + k hops (+-1 sample): each kept slice's map, byte for byte."""
+        """Voiced lengths of 0.8 s + k hops (+-1 sample): offsets i * 1600, and each kept slice's map, byte for byte."""
         voiced = _speechlike(seed, 12800 + 1600 * k + delta)
         want = _outcome(slice_feature_maps, voiced, mel_bank)
         if isinstance(want, type):
             assert want is SignalTooShortError and k == 0 and delta == -1
             with pytest.raises(SignalTooShortError):
-                signal_to_feature_map(voiced, mel_bank, 1)
+                signal_to_feature_map(voiced, mel_bank, [0])
             return
-        assert len(want) == len(slice_utterances(voiced)) == k + 1 - (delta < 0)
-        count = data.draw(st.integers(1, len(want)))
-        got = signal_to_feature_map(voiced, mel_bank, count)
-        assert got.shape == (count, 80, 40)
-        assert got.tobytes() == np.stack(want[:count]).tobytes()
+        starts = slice_utterances(voiced)
+        assert list(starts) == [i * 1600 for i in range(len(want))] and len(want) == k + 1 - (delta < 0)
+        first = data.draw(st.integers(0, len(want) - 1))
+        kept = slice(first, data.draw(st.integers(first + 1, len(want))), data.draw(st.integers(1, 3)))
+        got = signal_to_feature_map(voiced, mel_bank, starts[kept])
+        assert got.shape == (len(want[kept]), 80, 40)
+        assert got.tobytes() == np.stack(want[kept]).tobytes()
 
     @ONCE
     @given(st.integers(12800, 4 * SR), st.integers(0, 10**6))
@@ -354,7 +356,7 @@ class TestOneFramingPerFile:
 
         def front_end(sig):
             voiced = detect_voice(sig)
-            return signal_to_feature_map(voiced, mel_bank, len(slice_utterances(voiced)))
+            return signal_to_feature_map(voiced, mel_bank, slice_utterances(voiced))
 
         sig = _speechlike(seed, n)
         got = _outcome(front_end, sig)
@@ -366,14 +368,21 @@ class TestOneFramingPerFile:
 
     def test_more_slices_than_the_signal_holds(self, mel_bank):
         with pytest.raises(SignalTooShortError):
-            signal_to_feature_map(AudioSignal(np.zeros(12800 + 1599), SR), mel_bank, 2)
+            signal_to_feature_map(AudioSignal(np.zeros(12800 + 1599), SR), mel_bank, [0, 1600])
+        with pytest.raises(SignalTooShortError):
+            signal_to_feature_map(AudioSignal(np.zeros(2 * SR), SR), mel_bank, [-160])
+
+    @pytest.mark.parametrize("starts", [[80], [0, 1650]])
+    def test_slice_off_the_frame_hop_rejected(self, mel_bank, starts):
+        with pytest.raises(DimensionError, match="frame hop"):
+            signal_to_feature_map(AudioSignal(np.zeros(2 * SR), SR), mel_bank, starts)
 
     @ONCE
     @given(st.integers(1, 30))
     def test_slice_cap_across_files(self, capped_corpus, mel_bank, cap):
         """`--max-slices` caps of 1 to 30, across file boundaries: the same ids and map bytes per speaker."""
         entries = capped_corpus
-        got = _feature_maps(entries, cap)
+        got = _feature_maps(entries, cap, entries[0].path.parent)
         want = feature_maps_per_slice(entries, mel_bank, cap)
         assert got.keys() == want.keys()
         for speaker, maps in got.items():
@@ -436,7 +445,7 @@ class TestFeatureCubes:
 
 
 def test_feature_file_round_trip(tmp_path, mel_bank):
-    fmap = FeatureMap(signal_to_feature_map(AudioSignal(tone(600.0, 0.8, 0.4), SR), mel_bank, 1)[0])
+    fmap = FeatureMap(signal_to_feature_map(AudioSignal(tone(600.0, 0.8, 0.4), SR), mel_bank, [0])[0])
     write_feature_file(fmap, tmp_path / "x.mfec")
     back = read_feature_file(tmp_path / "x.mfec")
     np.testing.assert_array_equal(back.values, fmap.values)
@@ -456,5 +465,5 @@ def test_feature_file_trailing_bytes_rejected(tmp_path):
 def test_pipeline_contract_voiced_slice(mel_bank):
     sig = AudioSignal(tone(440.0, 0.8, 0.5), SR)
     voiced = detect_voice(sig)
-    maps = signal_to_feature_map(AudioSignal(voiced.samples[:12800], SR), mel_bank, 1)
+    maps = signal_to_feature_map(AudioSignal(voiced.samples[:12800], SR), mel_bank, [0])
     assert maps.shape == (1, 80, 40)

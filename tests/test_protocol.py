@@ -65,8 +65,14 @@ class TestEnrollment:
 
     def test_one_shot_wrong_count_rejected(self):
         net = self._cube_net()
-        with pytest.raises(ConfigError, match="exactly 4"):
+        with pytest.raises(ConfigError, match="exactly 4.*'alice' has 3"):
             enroll_one_shot(net, [fmap(i, "alice") for i in range(3)])
+
+    def test_one_shot_takes_the_first_zeta_maps(self):
+        net = self._cube_net()
+        maps = [fmap(i, "alice") for i in range(7)]
+        model = enroll_one_shot(net, maps)
+        assert model.embedding.tobytes() == enroll_one_shot(net, maps[:4]).embedding.tobytes()
 
     def test_one_shot_equals_cube_embedding(self):
         from svkit.dsp.features import build_feature_cube
