@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, parse_config_file
-from .corpus.manifest import entries_by_speaker, load_manifest
+from .corpus.manifest import load_manifest
 from .corpus.slicing import slice_utterances, split_enroll_eval
 from .dsp.audio import load_wav, require_sample_rate
 from .dsp.features import FeatureMap, mel_filterbank, signal_to_feature_map, write_feature_file
@@ -98,22 +98,17 @@ def _enroll_eval_maps(eval_entries, seed: int, max_slices: int | None, root: Pat
     assignment; otherwise each speaker's sliced utterances are shuffled with
     the seed and halved.
     """
-    enroll: dict[str, list] = {}
-    evaluate: dict[str, list] = {}
-    by_speaker = entries_by_speaker(eval_entries)
-    split_needed = {}
-    for speaker, es in sorted(by_speaker.items()):
-        if any(e.split == "evaluation" for e in es):
-            enroll[speaker], evaluate[speaker] = (
-                _feature_maps([e for e in es if e.split == split], max_slices, root).get(speaker, [])
-                for split in ("enrollment", "evaluation")
-            )
-            if not enroll[speaker] or not evaluate[speaker]:
-                raise ConfigError(f"speaker {speaker!r} lacks enrollment or evaluation audio")
-        else:
-            split_needed[speaker] = _feature_maps(es, max_slices, root)[speaker]
-    if split_needed:
-        split_enroll, split_evaluate = split_enroll_eval(split_needed, seed)
+    tagged = {e.speaker_id for e in eval_entries if e.split == "evaluation"}
+    enroll, evaluate = (
+        _feature_maps([e for e in eval_entries if e.speaker_id in tagged and e.split == split], max_slices, root)
+        for split in ("enrollment", "evaluation")
+    )
+    for speaker in sorted(tagged):
+        if not enroll.get(speaker) or not evaluate.get(speaker):
+            raise ConfigError(f"speaker {speaker!r} lacks enrollment or evaluation audio")
+    untagged = _feature_maps([e for e in eval_entries if e.speaker_id not in tagged], max_slices, root)
+    if untagged:
+        split_enroll, split_evaluate = split_enroll_eval(untagged, seed)
         enroll.update(split_enroll)
         evaluate.update(split_evaluate)
     return enroll, evaluate

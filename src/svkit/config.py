@@ -46,6 +46,8 @@ class RunConfig:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
 

@@ -1,20 +1,23 @@
 """Checkpoint serialization.
 
-Layout (version 2): magic "SV3D", u32 version, u32 header length, a
-canonical-JSON header, the little-endian float64 payloads concatenated in
-field order, and a trailing CRC32 over everything before it. The header holds
-the network spec (`kind`, `input_shape`, `n_classes`, `zeta`), the training
-metadata (`epoch`, `seed`) and one record per layer with the same keys for
-every kind: `name`, `kind`, `stride`, `pad_depth` and `arrays` (the shape of
-each array present). Saving is canonical, so save -> load -> save is
-byte-identical. Loading builds the Network, so a file whose layer has a kind
-svkit lacks, or arrays its kind does not hold, is a CheckpointError.
+Layout (version 3): magic "SV3D", u32 version, u32 header length, a
+canonical-JSON header, the little-endian float64 arrays of every layer in
+layer order and field order, and a trailing CRC32 over everything before it.
+The header holds the builder's arguments (`kind`, `zeta`, `n_classes` and
+`widths`), the training metadata (`epoch`, `seed`) and `layout`, a CRC32 of
+every array's (layer name, kind, field, shape) in payload order.
+
+Loading rebuilds the network through `models.zoo` and copies the payload into
+it, so a file holds only a network that svkit builds. A payload of another
+length, or a layout that is not the rebuilt network's (a file from a builder
+with other layers), is a CheckpointError. Saving is canonical, so save ->
+load -> save is byte-identical. Versions 1 and 2, which described every layer
+in the header, are not read.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -25,9 +28,10 @@ import numpy as np
 from ..errors import ChecksumError, CheckpointError, ConfigError, TruncatedFileError, VersionMismatchError
 from ..nn.layers import PARAM_FIELDS, STATE_FIELDS, LayerParams
 from .network import Network, NetworkSpec
+from .zoo import undrawn_network
 
 _MAGIC = b"SV3D"
-_VERSION = 2
+_VERSION = 3
 _ARRAY_FIELDS = PARAM_FIELDS + STATE_FIELDS
 
 
@@ -46,38 +50,36 @@ class Checkpoint:
         return cls(network.spec, network.layers, epoch, seed)
 
 
-def _layer_header(layer: LayerParams) -> dict:
-    arrays = {}
-    for field in _ARRAY_FIELDS:
-        arr = getattr(layer, field)
-        if arr is not None:
-            arrays[field] = list(arr.shape)
-    return {
-        "name": layer.name,
-        "kind": layer.kind,
-        "stride": list(layer.stride),
-        "pad_depth": layer.pad_depth,
-        "arrays": arrays,
-    }
+def _arrays(layers: list[LayerParams]) -> list[tuple[LayerParams, str, np.ndarray]]:
+    """(layer, field, array) of every array the layers hold, in payload order."""
+    return [
+        (layer, field, arr)
+        for layer in layers
+        for field in _ARRAY_FIELDS
+        if (arr := getattr(layer, field)) is not None
+    ]
+
+
+def _layout(arrays) -> int:
+    """CRC32 of every array's (layer name, kind, field, shape), in payload order."""
+    rows = [[layer.name, layer.kind, field, list(arr.shape)] for layer, field, arr in arrays]
+    return zlib.crc32(json.dumps(rows, separators=(",", ":")).encode())
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    arrays = _arrays(ckpt.layers)
     header = {
         "kind": ckpt.spec.kind,
-        "input_shape": list(ckpt.spec.input_shape),
-        "n_classes": ckpt.spec.n_classes,
         "zeta": ckpt.spec.zeta,
+        "n_classes": ckpt.spec.n_classes,
+        "widths": list(ckpt.spec.widths),
         "epoch": ckpt.epoch,
         "seed": ckpt.seed,
-        "layers": [_layer_header(layer) for layer in ckpt.layers],
+        "layout": _layout(arrays),
     }
     hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     parts = [_MAGIC, struct.pack("<II", _VERSION, len(hjson)), hjson]
-    for layer in ckpt.layers:
-        for field in _ARRAY_FIELDS:
-            arr = getattr(layer, field)
-            if arr is not None:
-                parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    parts += [np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, _, arr in arrays]
     body = b"".join(parts)
     Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
@@ -86,28 +88,6 @@ def _typed(value, kind: type):
     if type(value) is not kind:
         raise TypeError(f"expected {kind.__name__}, got {value!r}")
     return value
-
-
-def _ints(value) -> tuple[int, ...]:
-    """A header list of non-negative ints (a shape or a stride) as a tuple."""
-    if type(value) is not list or not all(type(v) is int and v >= 0 for v in value):
-        raise ValueError(f"expected a list of non-negative ints, got {value!r}")
-    return tuple(value)
-
-
-def _layer_fields(lh: dict) -> tuple[dict, dict]:
-    """(LayerParams keyword arguments without arrays, array shapes by field) of one layer header."""
-    shapes = {field: _ints(shape) for field, shape in lh["arrays"].items()}
-    unknown = shapes.keys() - set(_ARRAY_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown arrays {sorted(unknown)}")
-    fields = {
-        "kind": _typed(lh["kind"], str),
-        "name": _typed(lh["name"], str),
-        "stride": _ints(lh["stride"]),
-        "pad_depth": _typed(lh["pad_depth"], bool),
-    }
-    return fields, shapes
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -123,42 +103,35 @@ def load_checkpoint(path) -> Checkpoint:
         raise TruncatedFileError(f"{path}: header declares {hlen} bytes that are not present")
     try:
         header = json.loads(data[12 : 12 + hlen])
-        spec_fields = {
-            "kind": _typed(header["kind"], str),
-            "input_shape": _ints(header["input_shape"]),
-            "n_classes": _typed(header["n_classes"], int),
-            "zeta": _typed(header["zeta"], int),
-        }
+        network = undrawn_network(
+            _typed(header["kind"], str),
+            _typed(header["zeta"], int),
+            _typed(header["n_classes"], int),
+            tuple(_typed(header["widths"], list)),
+        )
         epoch = _typed(header["epoch"], int)
         seed = _typed(header["seed"], int)
-        layer_fields = [_layer_fields(lh) for lh in header["layers"]]
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        layout = _typed(header["layout"], int)
+    except (ValueError, TypeError, KeyError, ConfigError, MemoryError) as exc:  # MemoryError: absurd widths
         raise CheckpointError(f"{path}: unreadable header ({exc!r})") from exc
-    payload_len = sum(math.prod(shape) * 8 for _, shapes in layer_fields for shape in shapes.values())
-    expected = 12 + hlen + payload_len + 4
+    arrays = _arrays(network.layers)
+    expected = 12 + hlen + sum(arr.nbytes for _, _, arr in arrays) + 4
     if len(data) < expected:
         raise TruncatedFileError(f"{path}: {len(data)} bytes, expected {expected}")
     if len(data) != expected:
         raise CheckpointError(f"{path}: {len(data) - expected} trailing bytes after checksum")
     (crc_stored,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(data[:-4]) != crc_stored:
+    if zlib.crc32(memoryview(data)[:-4]) != crc_stored:
         raise ChecksumError(f"{path}: CRC32 mismatch, file is corrupt")
+    rebuilt = _layout(arrays)
+    if layout != rebuilt:
+        raise CheckpointError(
+            f"{path}: layer layout {layout} is not {rebuilt}, the network svkit builds from this header; "
+            "the file comes from a builder with other layers"
+        )
 
     offset = 12 + hlen
-    layers = []
-    for fields, shapes in layer_fields:
-        for field in _ARRAY_FIELDS:  # payload order
-            if field in shapes:
-                count = math.prod(shapes[field])
-                fields[field] = (
-                    np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-                    .reshape(shapes[field])
-                    .astype(np.float64)
-                )
-                offset += count * 8
-        layers.append(LayerParams(**fields))
-    try:
-        network = Network(NetworkSpec(**spec_fields), layers)
-    except ConfigError as exc:  # a layer kind svkit lacks, or arrays that do not fit the kind
-        raise CheckpointError(f"{path}: {exc}") from exc
+    for _, _, arr in arrays:  # filled in place: the rebuilt arrays are the loaded ones
+        arr[...] = np.frombuffer(data, dtype="<f8", count=arr.size, offset=offset).reshape(arr.shape)
+        offset += arr.nbytes
     return Checkpoint.of(network, epoch=epoch, seed=seed)

@@ -15,8 +15,6 @@ import numpy as np
 
 from ..errors import ConfigError, DimensionError, NumericError
 from ..nn.layers import (
-    PARAM_FIELDS,
-    STATE_FIELDS,
     LayerParams,
     assert_finite,
     batchnorm_backward,
@@ -44,31 +42,23 @@ class NetworkSpec:
     input_shape: tuple[int, ...]  # per example, batch axis excluded
     n_classes: int
     zeta: int  # stacked utterance maps per cube (1 for the map-level baseline)
+    widths: tuple[int, ...]  # the builder's layer widths (see models.zoo)
 
     def __post_init__(self):
         if self.n_classes < 2:
             raise ConfigError(f"need at least 2 development speakers, got {self.n_classes}")
         if self.zeta < 1:
             raise ConfigError(f"stack depth must be >= 1, got {self.zeta}")
+        if not all(type(w) is int and w >= 1 for w in self.widths):
+            raise ConfigError(f"layer widths must be positive integers, got {self.widths}")
 
 
 class Network:
     def __init__(self, spec: NetworkSpec, layers: list[LayerParams]):
         if not layers or layers[-1].kind != "softmax":
             raise ConfigError("network must end in a softmax classifier layer")
-        for layer in layers:
-            if layer.kind not in _KINDS:
-                raise ConfigError(f"unknown layer kind {layer.kind!r}")
-            held = {field for field in PARAM_FIELDS + STATE_FIELDS if getattr(layer, field) is not None}
-            want = set(_KINDS[layer.kind].arrays)
-            if held != want:
-                raise ConfigError(
-                    f"{layer.kind} layer {layer.name!r}: missing arrays {sorted(want - held)}, "
-                    f"extra arrays {sorted(held - want)}"
-                )
         self.spec = spec
         self.layers = layers
-        self.layer_output_shapes()  # each kind's shape function also checks its arrays' shapes
 
     # -- forward ---------------------------------------------------------
 
@@ -249,10 +239,7 @@ class _Kind:
     forward(layer, x, cache) -> y: a train pass with a cache dict to fill
         for backward, an inference pass with None
     backward(layer, grad_out, cache, input_grad) -> (grad_in, parameter gradients)
-    shape(layer, per-example input shape) -> per-example output shape;
-        raises DimensionError when one of the layer's arrays does not fit
-        that input (Network runs it on every layer when it is built)
-    arrays: the LayerParams arrays a layer of this kind holds, no more
+    shape(layer, per-example input shape) -> per-example output shape
     reads_input: whether backward reads the layer input (see _layer_input)
     output(layer, cache) -> the train-mode output, recomputed from the
         layer's own cache; when set, the layer after it keeps no copy of
@@ -270,7 +257,6 @@ class _Kind:
     forward: Callable
     backward: Callable
     shape: Callable
-    arrays: tuple[str, ...] = ()
     reads_input: bool = True
     output: Callable | None = None
 
@@ -297,58 +283,16 @@ def _flatten_forward(layer, x, cache):
     return x.reshape(x.shape[0], -1)
 
 
-def _require_shapes(layer, **shapes) -> None:
-    """Raise DimensionError unless each named array of `layer` has the given shape."""
-    for field, want in shapes.items():
-        got = getattr(layer, field).shape
-        if got != want:
-            raise DimensionError(f"{layer.kind} layer {layer.name!r}: {field} is shaped {got}, expected {want}")
-
-
-def _per_channel_shape(*fields):
-    """Shape function of a kind whose arrays hold one value per input channel and keep the shape."""
-
-    def shape_of(layer, shape):
-        _require_shapes(layer, **{field: shape[-1:] for field in fields})
-        return shape
-
-    return shape_of
-
-
-def _conv_shape(layer, shape):
-    out = conv3d_output_shape(shape, layer)
-    _require_shapes(layer, bias=out[-1:])
-    return out
-
-
-def _dense_shape(layer, shape):
-    if layer.weights.ndim != 2 or shape != (layer.weights.shape[0],):
-        raise DimensionError(f"fan-in axis: shape {shape} into weights shaped {layer.weights.shape}")
-    _require_shapes(layer, bias=layer.weights.shape[1:])
-    return (layer.weights.shape[1],)
-
-
-def _lc_shape(layer, shape):
-    w = layer.weights
-    if w.ndim != 5 or len(shape) != 2 or shape[0] > w.shape[0] * w.shape[3] or shape[1] > w.shape[1] * w.shape[4]:
-        raise DimensionError(f"locally-connected weights shaped {w.shape} do not cover an input of {shape}")
-    _require_shapes(layer, bias=w.shape[:3])
-    return (int(np.prod(w.shape[:3])),)
-
-
-_WEIGHTS = ("weights", "bias")
 _DENSE = _Kind(
     lambda layer, x, cache: fully_connected_forward(x, layer),
     lambda layer, g, cache, input_grad: fully_connected_backward(_layer_input(cache), layer, g),
-    _dense_shape,
-    _WEIGHTS,
+    lambda layer, shape: layer.weights.shape[1:],
 )
 _KINDS = {
     "conv3d": _Kind(
         lambda layer, x, cache: conv3d_forward(x, layer),
         lambda layer, g, cache, input_grad: conv3d_backward(_layer_input(cache), layer, g, input_grad=input_grad),
-        _conv_shape,
-        _WEIGHTS,
+        lambda layer, shape: conv3d_output_shape(shape, layer),
     ),
     "maxpool_freq": _Kind(
         _maxpool_forward,
@@ -359,14 +303,12 @@ _KINDS = {
     "prelu": _Kind(
         lambda layer, x, cache: prelu_forward(x, layer.prelu_slope),
         lambda layer, g, cache, input_grad: prelu_backward(_layer_input(cache), layer.prelu_slope, g),
-        _per_channel_shape("prelu_slope"),
-        ("prelu_slope",),
+        lambda layer, shape: shape,
     ),
     "batchnorm": _Kind(
         lambda layer, x, cache: batchnorm_forward(x, layer, cache),
         lambda layer, g, cache, input_grad: batchnorm_backward(layer, g, cache),
-        _per_channel_shape("bn_scale", "bn_shift", "bn_running_mean", "bn_running_var"),
-        ("bn_scale", "bn_shift", "bn_running_mean", "bn_running_var"),
+        lambda layer, shape: shape,
         reads_input=False,
         output=lambda layer, cache: batchnorm_output(cache["bn_xh"], layer),
     ),
@@ -381,7 +323,6 @@ _KINDS = {
     "locally_connected": _Kind(
         lambda layer, x, cache: locally_connected_forward(x, layer),
         lambda layer, g, cache, input_grad: locally_connected_backward(_layer_input(cache), layer, g),
-        _lc_shape,
-        _WEIGHTS,
+        lambda layer, shape: (int(np.prod(layer.weights.shape[:3])),),
     ),
 }

@@ -7,9 +7,15 @@ every weighted layer except the classifier head, and a 128-unit embedding
 layer. `build_lcn_baseline` assembles the map-level baseline: one locally
 connected layer over 8x8 patches followed by three 256-unit fully connected
 layers and the softmax head.
+
+`undrawn_network` is the one description of each network's layers and
+arrays: the builders draw its weights, and `load_checkpoint` fills it from a
+file.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -45,13 +51,11 @@ PRELU_INIT_SLOPE = 0.25
 LCN_PATCH = 8
 
 
-def _conv_layer(name, kext, cin, cout, stride, pad_depth, rng: Rng) -> LayerParams:
-    kd, kh, kw = kext
-    fan_in = kd * kh * kw * cin
+def _conv_layer(name, kext, cin, cout, stride, pad_depth) -> LayerParams:
     return LayerParams(
         kind="conv3d",
         name=name,
-        weights=variance_scaling_init((kd, kh, kw, cin, cout), fan_in, rng),
+        weights=np.zeros((*kext, cin, cout)),
         bias=np.zeros(cout),
         stride=stride,
         pad_depth=pad_depth,
@@ -76,13 +80,83 @@ def _prelu_layer(name, channels) -> LayerParams:
     return LayerParams(kind="prelu", name=name, prelu_slope=np.full(channels, PRELU_INIT_SLOPE))
 
 
-def _dense_layer(kind, name, fan_in, fan_out, rng: Rng) -> LayerParams:
-    return LayerParams(
-        kind=kind,
-        name=name,
-        weights=variance_scaling_init((fan_in, fan_out), fan_in, rng),
-        bias=np.zeros(fan_out),
+def _dense_layer(kind, name, fan_in, fan_out) -> LayerParams:
+    return LayerParams(kind=kind, name=name, weights=np.zeros((fan_in, fan_out)), bias=np.zeros(fan_out))
+
+
+def _cnn3d_layers(spec: NetworkSpec) -> list[LayerParams]:
+    """Depth convolution is valid when the stack is deep enough to survive all
+    eight convolutions, and same-padded otherwise (keeping the depth extent at
+    zeta throughout)."""
+    c1, c2, c3, c4, embedding_width = spec.widths
+    channel_widths = (c1, c2, c3, c4)
+    pad_depth = spec.zeta < MIN_DEPTH_FOR_VALID
+    layers: list[LayerParams] = []
+    shape = spec.input_shape  # the running shape chain sets each fan-in
+    for entry in _CNN3D_LAYOUT:
+        if len(entry) == 1:
+            layer = LayerParams(kind="maxpool_freq", name=entry[0], stride=(1, 1, 2))
+        else:
+            name, kext, group, stride = entry
+            layer = _conv_layer(name, kext, shape[-1], channel_widths[group], stride, pad_depth)
+        layers.append(layer)
+        shape = _infer_shape(layer, shape)
+        if layer.kind == "conv3d":
+            layers.append(_batchnorm_layer(layer.name + "_bn", shape[-1]))
+            layers.append(_prelu_layer(layer.name + "_act", shape[-1]))
+    layers.append(LayerParams(kind="flatten", name="flatten"))
+    shape = _infer_shape(layers[-1], shape)
+    layers.append(_dense_layer("fully_connected", "fc5", shape[0], embedding_width))
+    layers.append(_prelu_layer("fc5_act", embedding_width))
+    layers.append(_dense_layer("softmax", "output", embedding_width, spec.n_classes))
+    return layers
+
+
+def _lcn_layers(spec: NetworkSpec) -> list[LayerParams]:
+    units_per_patch, hidden_width = spec.widths
+    grid_h = -(-N_FRAMES // LCN_PATCH)
+    grid_w = -(-N_COEFFS // LCN_PATCH)
+    lc = LayerParams(
+        kind="locally_connected",
+        name="local1",
+        weights=np.zeros((grid_h, grid_w, units_per_patch, LCN_PATCH, LCN_PATCH)),
+        bias=np.zeros((grid_h, grid_w, units_per_patch)),
     )
+    lc_out = grid_h * grid_w * units_per_patch
+    layers = [lc, _prelu_layer("local1_act", lc_out)]
+    fan_in = lc_out
+    for i in range(1, 4):
+        layers.append(_dense_layer("fully_connected", f"fc{i}", fan_in, hidden_width))
+        layers.append(_prelu_layer(f"fc{i}_act", hidden_width))
+        fan_in = hidden_width
+    layers.append(_dense_layer("softmax", "output", fan_in, spec.n_classes))
+    return layers
+
+
+def undrawn_network(kind: str, zeta: int, n_classes: int, widths: tuple[int, ...]) -> Network:
+    """The `kind` network with these settings and its weights zero, not yet drawn.
+
+    `widths` are the builder's width arguments in order. The map-level
+    baseline reads one map, so its zeta is 1 whatever is asked.
+    """
+    if kind == "cnn3d":
+        spec = NetworkSpec(kind, (zeta, N_FRAMES, N_COEFFS, 1), n_classes, zeta, widths)
+        return Network(spec, _cnn3d_layers(spec))
+    if kind == "lcn_dvector":
+        spec = NetworkSpec(kind, (N_FRAMES, N_COEFFS), n_classes, 1, widths)
+        return Network(spec, _lcn_layers(spec))
+    raise ConfigError(f"unknown model kind {kind!r} (expected 'cnn3d' or 'lcn_dvector')")
+
+
+def _drawn(network: Network, rng: Rng) -> Network:
+    """`network` with every weight array drawn by variance scaling, in layer order."""
+    for layer in network.layers:
+        if layer.weights is not None:
+            shape = layer.weights.shape
+            # a locally connected unit sees one patch; every other kind sees all but its output axis
+            fan_in = math.prod(shape[3:] if layer.kind == "locally_connected" else shape[:-1])
+            layer.weights = variance_scaling_init(shape, fan_in, rng)
+    return network
 
 
 def build_3dcnn(
@@ -92,35 +166,8 @@ def build_3dcnn(
     channel_widths: tuple[int, int, int, int] = (16, 32, 64, 128),
     embedding_width: int = 128,
 ) -> Network:
-    """Stacked-utterance 3D convolutional network over (zeta, 80, 40, 1) cubes.
-
-    Depth convolution is valid when the stack is deep enough to survive all
-    eight convolutions, and same-padded otherwise (keeping the depth extent at
-    zeta throughout).
-    """
-    spec = NetworkSpec(
-        kind="cnn3d", input_shape=(zeta, N_FRAMES, N_COEFFS, 1), n_classes=n_classes, zeta=zeta
-    )
-    pad_depth = zeta < MIN_DEPTH_FOR_VALID
-    layers: list[LayerParams] = []
-    shape = spec.input_shape  # the running shape chain sets each fan-in
-    for entry in _CNN3D_LAYOUT:
-        if len(entry) == 1:
-            layer = LayerParams(kind="maxpool_freq", name=entry[0], stride=(1, 1, 2))
-        else:
-            name, kext, group, stride = entry
-            layer = _conv_layer(name, kext, shape[-1], channel_widths[group], stride, pad_depth, rng)
-        layers.append(layer)
-        shape = _infer_shape(layer, shape)
-        if layer.kind == "conv3d":
-            layers.append(_batchnorm_layer(layer.name + "_bn", shape[-1]))
-            layers.append(_prelu_layer(layer.name + "_act", shape[-1]))
-    layers.append(LayerParams(kind="flatten", name="flatten"))
-    shape = _infer_shape(layers[-1], shape)
-    layers.append(_dense_layer("fully_connected", "fc5", shape[0], embedding_width, rng))
-    layers.append(_prelu_layer("fc5_act", embedding_width))
-    layers.append(_dense_layer("softmax", "output", embedding_width, n_classes, rng))
-    return Network(spec, layers)
+    """Stacked-utterance 3D convolutional network over (zeta, 80, 40, 1) cubes."""
+    return _drawn(undrawn_network("cnn3d", zeta, n_classes, (*channel_widths, embedding_width)), rng)
 
 
 def build_lcn_baseline(
@@ -130,26 +177,7 @@ def build_lcn_baseline(
     hidden_width: int = 256,
 ) -> Network:
     """Locally connected baseline over single 80x40 maps, d-vector style."""
-    spec = NetworkSpec(kind="lcn_dvector", input_shape=(N_FRAMES, N_COEFFS), n_classes=n_classes, zeta=1)
-    grid_h = -(-N_FRAMES // LCN_PATCH)
-    grid_w = -(-N_COEFFS // LCN_PATCH)
-    lc = LayerParams(
-        kind="locally_connected",
-        name="local1",
-        weights=variance_scaling_init(
-            (grid_h, grid_w, units_per_patch, LCN_PATCH, LCN_PATCH), LCN_PATCH * LCN_PATCH, rng
-        ),
-        bias=np.zeros((grid_h, grid_w, units_per_patch)),
-    )
-    lc_out = grid_h * grid_w * units_per_patch
-    layers = [lc, _prelu_layer("local1_act", lc_out)]
-    fan_in = lc_out
-    for i in range(1, 4):
-        layers.append(_dense_layer("fully_connected", f"fc{i}", fan_in, hidden_width, rng))
-        layers.append(_prelu_layer(f"fc{i}_act", hidden_width))
-        fan_in = hidden_width
-    layers.append(_dense_layer("softmax", "output", fan_in, n_classes, rng))
-    return Network(spec, layers)
+    return _drawn(undrawn_network("lcn_dvector", 1, n_classes, (units_per_patch, hidden_width)), rng)
 
 
 def build_network(kind: str, zeta: int, n_classes: int, rng: Rng) -> Network:

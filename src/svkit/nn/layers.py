@@ -89,10 +89,10 @@ def _in_parallel(n: int, run) -> None:
 class LayerParams:
     """One layer's descriptor plus its parameter arrays.
 
-    Which arrays are present depends on `kind`: `Network` holds a layer only
-    with the arrays its kind names (`svkit.models.network._KINDS`). A
-    softmax layer has a dense layer's arrays; its nonlinearity is fused into
-    the loss, so its forward emits logits.
+    Which arrays are present depends on `kind`; `svkit.models.zoo` builds
+    every layer with its kind's arrays. A softmax layer has a dense layer's
+    arrays; its nonlinearity is fused into the loss, so its forward emits
+    logits.
 
     A conv layer's kernel extent is `weights.shape[:3]`. Conv reads `stride`
     and `pad_depth`; the pool's `stride` only feeds `Network.summary`.

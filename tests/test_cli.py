@@ -422,9 +422,9 @@ class TestEnroll:
     @pytest.mark.parametrize(
         "damage,named",
         [
-            (lambda bn: setattr(bn, "bn_running_var", None), "missing arrays ['bn_running_var']"),
-            (lambda bn: setattr(bn, "bias", np.zeros_like(bn.bn_shift)), "extra arrays ['bias']"),
-            (lambda bn: setattr(bn, "kind", "conv2d"), "unknown layer kind 'conv2d'"),
+            (lambda bn: setattr(bn, "bn_running_var", None), "bytes, expected"),
+            (lambda bn: setattr(bn, "bias", np.zeros_like(bn.bn_shift)), "128 trailing bytes"),
+            (lambda bn: setattr(bn, "kind", "conv2d"), "layer layout"),
         ],
         ids=["missing_array", "extra_array", "unknown_kind"],
     )
@@ -445,9 +445,9 @@ class TestEnroll:
     @pytest.mark.parametrize(
         "kind,field,size,named",
         [
-            ("batchnorm", "bn_running_var", 3, "bn_running_var is shaped (3,), expected (16,)"),
-            ("conv3d", "bias", 5, "bias is shaped (5,), expected (16,)"),
-            ("prelu", "prelu_slope", 17, "prelu_slope is shaped (17,), expected (16,)"),
+            ("batchnorm", "bn_running_var", 3, "bytes, expected"),
+            ("conv3d", "bias", 5, "bytes, expected"),
+            ("prelu", "prelu_slope", 17, "8 trailing bytes"),
         ],
         ids=["batchnorm_running_var", "conv_bias", "prelu_slope"],
     )
@@ -463,6 +463,55 @@ class TestEnroll:
         )
         assert rc == 3
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "x.svsm").exists()
+
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda h, p: (3, h | {"layout": h["layout"] ^ 1}, p), "layer layout"),
+            (lambda h, p: (3, h, p[:-8]), "bytes, expected"),
+            (lambda h, p: (3, h, p + bytes(8)), "8 trailing bytes"),
+            (lambda h, p: (2, h, p), "checkpoint version 2, expected 3"),
+            (lambda h, p: (3, h | {"kind": "cnn2d"}, p), "unknown model kind 'cnn2d'"),
+            (lambda h, p: (3, h | {"widths": [16, 32.0, 64, 128, 128]}, p), "positive integers"),
+        ],
+        ids=["layout", "payload_short", "payload_long", "version_2", "unknown_kind", "float_width"],
+    )
+    def test_edited_v3_file_with_valid_crc_exits_3(self, trained, tmp_path, capsys, edit, named):
+        root, ckpts = trained
+        raw = ckpts["cnn3d"].read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 8)
+        version, header, payload = edit(json.loads(raw[12 : 12 + hlen]), raw[12 + hlen : -4])
+        hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        body = b"SV3D" + struct.pack("<II", version, len(hjson)) + hjson + payload
+        bad = tmp_path / "bad.svck"
+        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))  # a valid CRC
+        rc = main(
+            ["enroll", "--manifest", str(root / "data" / "manifest.csv"), "--checkpoint", str(bad),
+             "--seed", SEED, "--max-slices", "6", "--out", str(tmp_path / "x.svsm")]
+        )
+        assert rc == 3
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "x.svsm").exists()
+
+    def test_tagged_speaker_without_enrollment_audio_exits_2(self, trained, tmp_path, capsys):
+        """spk002's files are both tagged 'evaluation'; spk003's untagged files are split as usual."""
+        root, ckpts = trained
+        data = root / "data"
+        rows = (data / "manifest.csv").read_text().splitlines()
+        tagged = [rows[0]]
+        for row in rows[1:]:
+            speaker, rel, session, split = row.split(",")
+            split = "evaluation" if speaker == "spk002" else split
+            tagged.append(",".join((speaker, str(data / rel), session, split)))
+        manifest = tmp_path / "tagged.csv"
+        manifest.write_text("\n".join(tagged) + "\n")
+        rc = main(
+            ["enroll", "--manifest", str(manifest), "--checkpoint", str(ckpts["cnn3d"]),
+             "--seed", SEED, "--max-slices", "6", "--out", str(tmp_path / "x.svsm")]
+        )
+        assert rc == 2
+        assert "speaker 'spk002' lacks enrollment or evaluation audio" in capsys.readouterr().err
         assert not (tmp_path / "x.svsm").exists()
 
     def test_one_shot_on_lcn_exits_2(self, trained, tmp_path, capsys):
@@ -617,6 +666,26 @@ class TestConfigFile:
                    "--epochs", "0", "--max-slices", "4", "--out", str(out)])
         assert rc == 0
         assert load_checkpoint(out).seed == 33
+
+
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_negative_seed_exits_2(self, micro_corpus, tmp_path, monkeypatch, capsys, source):
+        if source == "flag":
+            rc = main(["synth", "--speakers", "2", "--utterances", "1", "--seed", "-1", "--out", str(tmp_path / "d")])
+            assert not (tmp_path / "d").exists()
+        else:
+            extra = []
+            if source == "config":
+                cfg = tmp_path / "run.cfg"
+                cfg.write_text("seed=-2\n")
+                extra = ["--config", str(cfg)]
+            else:
+                monkeypatch.setenv("SVKIT_SEED", "-3")
+            rc = main(["train", "--manifest", str(micro_corpus / "data" / "manifest.csv"), "--model", "lcn_dvector",
+                       "--epochs", "0", "--max-slices", "4", "--out", str(tmp_path / "x.svck"), *extra])
+            assert not (tmp_path / "x.svck").exists()
+        assert rc == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
 
 class TestZetaSweep:

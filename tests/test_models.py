@@ -3,7 +3,6 @@
 import copy
 import json
 import os
-import re
 import struct
 import subprocess
 import sys
@@ -36,7 +35,6 @@ from svkit.errors import (
 )
 from svkit.models import network as network_module
 from svkit.models.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from svkit.models.network import Network, NetworkSpec
 from svkit.models.zoo import build_3dcnn, build_lcn_baseline, build_network
 from svkit.nn import layers as layers_module
 from svkit.nn.layers import (
@@ -44,7 +42,6 @@ from svkit.nn.layers import (
     BN_MOMENTUM,
     PARAM_FIELDS,
     STATE_FIELDS,
-    LayerParams,
     softmax_xent_batch,
     softmax_xent_batch_gradient,
 )
@@ -138,30 +135,6 @@ class TestBuildLcn:
         prelus = lc_out + 3 * hidden
         head = hidden * n_classes + n_classes
         assert net.parameter_count() == lc + fcs + prelus + head
-
-
-def test_network_rejects_unknown_layer_kind():
-    net = build_lcn_baseline(3, Rng(0))
-    with pytest.raises(ConfigError, match="unknown layer kind 'dropout'"):
-        Network(net.spec, [LayerParams(kind="dropout", name="drop")] + net.layers)
-
-
-@pytest.mark.parametrize(
-    "index,field,shape,named",
-    [
-        (0, "bias", (5, 2, 16), "bias is shaped (5, 2, 16), expected (10, 5, 16)"),
-        (0, "weights", (10, 5, 16, 8, 8, 1), "do not cover an input of (80, 40)"),
-        (1, "prelu_slope", (799,), "prelu_slope is shaped (799,), expected (800,)"),
-        (2, "bias", (255,), "bias is shaped (255,), expected (256,)"),
-        (2, "weights", (800, 256, 1), "fan-in axis"),
-    ],
-    ids=["lc_bias", "lc_weights", "prelu_slope", "dense_bias", "dense_weights"],
-)
-def test_network_rejects_arrays_that_do_not_fit_the_layer_input(index, field, shape, named):
-    layers = build_lcn_baseline(3, Rng(0)).layers
-    setattr(layers[index], field, np.ones(shape))
-    with pytest.raises(DimensionError, match=re.escape(named)):
-        Network(NetworkSpec("lcn_dvector", (80, 40), 3, 1), layers)
 
 
 class TestForwardAndEmbed:
@@ -667,7 +640,7 @@ class TestCheckpoints:
     def test_version_mismatch(self, tmp_path):
         save_checkpoint(self._checkpoint(), tmp_path / "a.svck")
         raw = bytearray((tmp_path / "a.svck").read_bytes())
-        for version in (1, 99):  # 1 is the previous format, which is not read
+        for version in (1, 2, 99):  # 1 and 2 are previous formats, which are not read
             raw[4] = version
             (tmp_path / "v.svck").write_bytes(bytes(raw))
             with pytest.raises(VersionMismatchError):
@@ -676,22 +649,28 @@ class TestCheckpoints:
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda h: h["layers"][0].pop("stride"),
             lambda h: h.pop("zeta"),
-            lambda h: h["layers"][0]["arrays"].update(bias=[-1, -2]),
-            lambda h: h["layers"][0]["arrays"].update(bias=[2.0]),
-            lambda h: h.update(input_shape=5),
+            lambda h: h.pop("layout"),
+            lambda h: h["widths"].__setitem__(0, 2.0),
+            lambda h: h["widths"].__setitem__(0, -2),
+            lambda h: h["widths"].pop(),
+            lambda h: h.update(widths=5),
             lambda h: h.update(n_classes="3"),
-            lambda h: h["layers"][0]["arrays"].update(bias_x=h["layers"][0]["arrays"].pop("bias")),
+            lambda h: h.update(layout=str(h["layout"])),
+            lambda h: h.update(kind="cnn2d"),
+            lambda h: h.update(n_classes=10**16),  # more than any address space maps
         ],
         ids=[
-            "no_stride",
             "no_zeta",
-            "negative_dims",
-            "float_dim",
-            "scalar_input_shape",
+            "no_layout",
+            "float_width",
+            "negative_width",
+            "missing_width",
+            "scalar_widths",
             "string_n_classes",
-            "unknown_array",
+            "string_layout",
+            "unknown_kind",
+            "huge_n_classes",
         ],
     )
     def test_malformed_header_with_valid_crc_raises_checkpoint_error(self, tmp_path, damage):
