@@ -14,6 +14,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig, parse_config_file
 from .corpus.manifest import load_manifest
 from .corpus.slicing import slice_utterances, split_enroll_eval
@@ -26,6 +28,7 @@ from .models.zoo import build_network
 from .protocol.enrollment import (
     D_VECTOR,
     ONE_SHOT,
+    SpeakerModels,
     enroll_dvector,
     enroll_one_shot,
     load_speaker_models,
@@ -197,12 +200,20 @@ def cmd_enroll(args) -> int:
     enroll_maps, _ = _enroll_eval_maps(eval_entries, cfg.seed, args.max_slices, Path(args.manifest).parent.resolve())
     mode = args.mode or ("one_shot" if network.spec.kind == "cnn3d" else "dvector")
     enroll = enroll_one_shot if mode == "one_shot" else enroll_dvector
-    models = [enroll(network, enroll_maps[speaker]) for speaker in sorted(enroll_maps)]
+    speakers = sorted(enroll_maps)
+    models = SpeakerModels(
+        ONE_SHOT if mode == "one_shot" else D_VECTOR,
+        network.spec.zeta,
+        tuple(speakers),
+        np.stack([enroll(network, enroll_maps[speaker]) for speaker in speakers]),
+        ckpt.crc,
+        cfg.seed,
+        args.max_slices,
+    )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_speaker_models(models, out)
-    kinds = {m.kind for m in models}
-    print(f"enrolled {len(models)} speakers ({', '.join(sorted(kinds))}) -> {out}")
+    print(f"enrolled {len(speakers)} speakers ({models.kind}) -> {out}")
     return 0
 
 
@@ -211,6 +222,16 @@ def cmd_evaluate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     network = ckpt.to_network()
     models = load_speaker_models(args.models)
+    for key, enrolled, now in (
+        ("checkpoint_crc", models.checkpoint_crc, ckpt.crc),
+        ("seed", models.seed, cfg.seed),
+        ("max_slices", models.max_slices, args.max_slices),
+    ):
+        if enrolled != now:
+            raise ConfigError(
+                f"{args.models} was enrolled at {key} {enrolled}, this run has {now}; "
+                "evaluate with the checkpoint, seed and --max-slices that enrolled the models"
+            )
     entries = load_manifest(args.manifest)
     _, eval_entries = _phase_entries(entries, cfg.n_dev_speakers)
     _, eval_maps = _enroll_eval_maps(eval_entries, cfg.seed, args.max_slices, Path(args.manifest).parent.resolve())
@@ -218,8 +239,7 @@ def cmd_evaluate(args) -> int:
     summary, score_set = run_evaluation(models, test_maps, network)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model_kind = ONE_SHOT if all(m.kind == ONE_SHOT for m in models) else D_VECTOR
-    write_metrics_json(summary, score_set, network.spec.zeta, model_kind, out_dir / "metrics.json")
+    write_metrics_json(summary, score_set, network.spec.zeta, models.kind, out_dir / "metrics.json")
     write_roc_csv(summary, out_dir / "roc.csv")
     write_roc_svg(summary, out_dir / "roc.svg")
     write_score_log(score_set, out_dir / "scores.csv")

@@ -1,62 +1,66 @@
-"""Speaker model creation: one-shot cube enrollment and d-vector averaging.
+"""Speaker models: one-shot cube enrollment, d-vector averaging, and the file of one enrollment.
 
 One-shot enrollment stacks a speaker's first `zeta` utterance maps into a
 single cube and takes one embedding of it. D-vector enrollment embeds each
-utterance separately, averages, and renormalizes. Either way the speaker
+utterance separately, averages, and renormalizes. Either way a speaker's
 model is a unit-norm vector scored against test embeddings by cosine
-similarity.
+similarity. One enrollment (`SpeakerModels`) is one kind of model, stacked
+as one row per speaker.
 
-Model files: magic "SVSM", u32 version, u32 record count, then per record a
-length-prefixed speaker id, a kind byte, u32 zeta, u32 dimension, and the
-little-endian float64 embedding; a CRC32 over all preceding bytes trails the
-file. A speaker id has at most one record.
+A model file (`.svsm` v2, in the `models.framing` framing) holds one
+enrollment: the matrix as payload, and a header with `kind`, `zeta`, the
+speaker ids, the shape, the CRC32 trailer of the checkpoint that enrolled
+the models, and the `seed` and `max_slices` that split their maps from the
+evaluation maps. Version 1 files (one record per speaker) are not read.
 """
 
 from __future__ import annotations
 
-import struct
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ..dsp.features import FeatureMap, build_feature_cube, replicate_for_eval
-from ..errors import (
-    ChecksumError,
-    ConfigError,
-    FileFormatError,
-    NumericError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from ..errors import ConfigError, FileFormatError, NumericError
+from ..models.framing import Framing, typed
 from ..models.network import Network, NetworkSpec
 
 ONE_SHOT = "one_shot_3d"
 D_VECTOR = "d_vector_avg"
-_KIND_CODES = {ONE_SHOT: 0, D_VECTOR: 1}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
-_MAGIC = b"SVSM"
-_VERSION = 1
+_FRAMING = Framing(b"SVSM", 2, "model file", FileFormatError)
 _NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class SpeakerModel:
-    speaker_id: str
-    embedding: np.ndarray  # unit norm
-    zeta: int
+class SpeakerModels:
+    """One enrollment: a unit-norm row of `vectors` per speaker id, and what it is bound to."""
+
     kind: str
+    zeta: int
+    speaker_ids: tuple[str, ...]
+    vectors: np.ndarray  # (M, D), row i is speaker_ids[i]'s model
+    checkpoint_crc: int
+    seed: int
+    max_slices: int | None
 
     def __post_init__(self):
-        v = np.asarray(self.embedding, dtype=np.float64)
-        object.__setattr__(self, "embedding", v)
-        if self.kind not in _KIND_CODES:
+        v = np.asarray(self.vectors, dtype=np.float64)
+        object.__setattr__(self, "vectors", v)
+        if self.kind not in (ONE_SHOT, D_VECTOR):
             raise ConfigError(f"unknown speaker-model kind {self.kind!r}")
         if self.zeta < 1:
             raise ConfigError(f"zeta must be >= 1, got {self.zeta}")
-        if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:  # written so that NaN fails
-            raise ConfigError(f"speaker model for {self.speaker_id!r} is not unit-norm")
+        ids = self.speaker_ids
+        if not ids:
+            raise ConfigError("no speaker models; an enrollment holds at least one speaker")
+        repeated = sorted({i for i in ids if ids.count(i) > 1})
+        if repeated:
+            raise ConfigError(f"speaker ids {repeated} have more than one model; an enrollment holds one per speaker")
+        if v.ndim != 2 or len(v) != len(ids):
+            raise ConfigError(f"{len(ids)} speaker ids for a matrix of shape {v.shape}; one row per speaker")
+        for speaker, norm in zip(ids, np.linalg.norm(v, axis=1)):
+            if not abs(norm - 1.0) <= 1e-12:  # written so that NaN fails
+                raise ConfigError(f"speaker model for {speaker!r} is not unit-norm")
 
 
 def utterance_input(spec: NetworkSpec, fmap: FeatureMap) -> np.ndarray:
@@ -73,8 +77,8 @@ def utterance_input(spec: NetworkSpec, fmap: FeatureMap) -> np.ndarray:
     return fmap.values
 
 
-def enroll_one_shot(network: Network, maps) -> SpeakerModel:
-    """One forward pass over the cube of a speaker's first zeta maps yields the speaker model."""
+def enroll_one_shot(network: Network, maps) -> np.ndarray:
+    """One forward pass over the cube of a speaker's first zeta maps yields the speaker's model vector."""
     if network.spec.kind != "cnn3d":
         raise ConfigError("one-shot enrollment requires the cube network")
     maps = list(maps)[: network.spec.zeta]
@@ -84,11 +88,10 @@ def enroll_one_shot(network: Network, maps) -> SpeakerModel:
             f"one-shot enrollment stacks exactly {network.spec.zeta} maps (the network's training stack depth); "
             f"speaker {speaker!r} has {len(maps)}"
         )
-    vec = network.embed_vectors([build_feature_cube(maps)])[0]
-    return SpeakerModel(maps[0].speaker_id, vec, network.spec.zeta, ONE_SHOT)
+    return network.embed_vectors([build_feature_cube(maps)])[0]
 
 
-def enroll_dvector(network: Network, maps) -> SpeakerModel:
+def enroll_dvector(network: Network, maps) -> np.ndarray:
     """Average of per-utterance embeddings, renormalized."""
     maps = list(maps)
     if not maps:
@@ -101,71 +104,49 @@ def enroll_dvector(network: Network, maps) -> SpeakerModel:
     norm = np.linalg.norm(mean)
     if norm == 0.0:
         raise NumericError("averaged embeddings cancel to zero; cannot normalize")
-    return SpeakerModel(maps[0].speaker_id, mean / norm, network.spec.zeta, D_VECTOR)
+    return mean / norm
 
 
-def score_trial(model: SpeakerModel, test: np.ndarray) -> float:
-    """Cosine similarity of two unit-norm vectors, clipped into [-1, 1]."""
+def score_trial(model: np.ndarray, test: np.ndarray) -> float:
+    """Cosine similarity of a model row (unit-norm in `SpeakerModels`) and a unit-norm test embedding, in [-1, 1]."""
     if not abs(np.linalg.norm(test) - 1.0) <= _NORM_TOL:  # written so that NaN fails
         raise ConfigError("test embedding is not unit-normalized")
-    if model.embedding.shape != test.shape:
-        raise ConfigError(f"embedding shape {test.shape} does not match model shape {model.embedding.shape}")
-    return float(np.clip(model.embedding @ test, -1.0, 1.0))
+    if model.shape != test.shape:
+        raise ConfigError(f"embedding shape {test.shape} does not match model shape {model.shape}")
+    return float(np.clip(model @ test, -1.0, 1.0))
 
 
-def save_speaker_models(models, path) -> None:
-    """Write `models` to `path`; ConfigError, before anything is written, if a speaker id repeats."""
-    models = list(models)
-    ids = [m.speaker_id for m in models]
-    repeated = sorted({i for i in ids if ids.count(i) > 1})
-    if repeated:
-        raise ConfigError(f"speaker ids {repeated} have more than one model; a model file holds one per speaker")
-    parts = [_MAGIC, struct.pack("<II", _VERSION, len(models))]
-    for m in models:
-        ident = m.speaker_id.encode()
-        parts.append(struct.pack("<H", len(ident)))
-        parts.append(ident)
-        parts.append(struct.pack("<BII", _KIND_CODES[m.kind], m.zeta, m.embedding.size))
-        parts.append(m.embedding.astype("<f8").tobytes())
-    body = b"".join(parts)
-    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+# Every SpeakerModels field but the matrix is a header key, holding one of these JSON types; "shape" is the other key.
+_HEADER_TYPES = {
+    "kind": (str,),
+    "zeta": (int,),
+    "speaker_ids": (list,),
+    "checkpoint_crc": (int,),
+    "seed": (int,),
+    "max_slices": (int, type(None)),
+}
 
 
-def load_speaker_models(path) -> list[SpeakerModel]:
-    data = Path(path).read_bytes()
-    if len(data) < 16:
-        raise TruncatedFileError(f"{path}: {len(data)} bytes is too small for a model file")
-    if data[:4] != _MAGIC:
-        raise FileFormatError(f"{path}: bad magic {data[:4]!r}")
-    version, count = struct.unpack_from("<II", data, 4)
-    if version != _VERSION:
-        raise VersionMismatchError(f"{path}: model-file version {version}, expected {_VERSION}")
-    body = data[:-4]
-    (crc_stored,) = struct.unpack_from("<I", data, len(body))
-    if zlib.crc32(body) != crc_stored:
-        raise ChecksumError(f"{path}: CRC32 mismatch, file is corrupt")
-    offset = 12
-    models: dict[str, SpeakerModel] = {}
-    for _ in range(count):
-        try:
-            (idlen,) = struct.unpack_from("<H", body, offset)
-            offset += 2
-            ident = body[offset : offset + idlen].decode()
-            offset += idlen
-            code, zeta, dim = struct.unpack_from("<BII", body, offset)
-            offset += 9
-            vec = np.frombuffer(body, dtype="<f8", count=dim, offset=offset).astype(np.float64)
-            offset += dim * 8
-        except (struct.error, ValueError) as exc:
-            raise TruncatedFileError(f"{path}: record ends mid-field ({exc})") from exc
-        if code not in _CODE_KINDS:
-            raise FileFormatError(f"{path}: unknown model kind code {code}")
-        if ident in models:
-            raise FileFormatError(f"{path}: speaker {ident!r} has more than one record")
-        try:
-            models[ident] = SpeakerModel(ident, vec, zeta, _CODE_KINDS[code])
-        except ConfigError as exc:  # a record the writer cannot have produced
-            raise FileFormatError(f"{path}: record {ident!r}: {exc}") from exc
-    if offset != len(body):
-        raise FileFormatError(f"{path}: {len(body) - offset} bytes after the last of {count} records")
-    return list(models.values())
+def save_speaker_models(models: SpeakerModels, path) -> None:
+    header = {key: getattr(models, key) for key in _HEADER_TYPES}
+    header.update(speaker_ids=list(models.speaker_ids), shape=list(models.vectors.shape))
+    _FRAMING.write(path, header, [models.vectors])
+
+
+def _parse_header(header):
+    """((the header's fields, the matrix shape), the payload's byte count)."""
+    fields = {key: typed(header[key], *kinds) for key, kinds in _HEADER_TYPES.items()}
+    fields["speaker_ids"] = tuple(typed(i, str) for i in fields["speaker_ids"])
+    rows, dim = (typed(n, int) for n in typed(header["shape"], list))
+    if rows < 0 or dim < 0:
+        raise ValueError(f"negative shape {[rows, dim]}")
+    return (fields, (rows, dim)), rows * dim * 8
+
+
+def load_speaker_models(path) -> SpeakerModels:
+    (fields, shape), payload, _ = _FRAMING.read(path, _parse_header)
+    vectors = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+    try:
+        return SpeakerModels(vectors=vectors, **fields)
+    except ConfigError as exc:  # an enrollment the writer cannot have produced
+        raise FileFormatError(f"{path}: {exc}") from exc

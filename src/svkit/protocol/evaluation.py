@@ -6,11 +6,11 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..models.network import Network
-from .enrollment import ONE_SHOT, SpeakerModel, score_trial, utterance_input
+from .enrollment import SpeakerModels, score_trial, utterance_input
 from .metrics import GENUINE, IMPOSTOR, RocSummary, ScoreSet, compute_roc
 
 
-def run_evaluation(models: list[SpeakerModel], test_maps, network: Network) -> tuple[RocSummary, ScoreSet]:
+def run_evaluation(models: SpeakerModels, test_maps, network: Network) -> tuple[RocSummary, ScoreSet]:
     """Score all (test utterance, speaker model) pairs and compute the ROC.
 
     Each test map carries its true speaker id; a trial is genuine when the
@@ -19,26 +19,19 @@ def run_evaluation(models: list[SpeakerModel], test_maps, network: Network) -> t
     (zeta >= 17) those run collapsed to one depth slice (see
     `Network.embed_vectors`), with the same embeddings as the full cube to
     within 1e-12. Scores fill the (utterances x models) matrix row by row,
-    one `score_trial` call per trial.
+    one `score_trial` call per trial. The models must come from `network`'s
+    own checkpoint; `svkit evaluate` checks that from the model file.
     """
     test_maps = list(test_maps)
-    if not models:
-        raise ConfigError("no speaker models to evaluate against")
     if not test_maps:
         raise ConfigError("no test utterances to evaluate")
-    for m in models:
-        if m.kind == ONE_SHOT and m.zeta != network.spec.zeta:
-            raise ConfigError(
-                f"model for {m.speaker_id!r} was enrolled at stack depth {m.zeta}, "
-                f"network runs at {network.spec.zeta}"
-            )
     vecs = network.embed_vectors([utterance_input(network.spec, m) for m in test_maps])
-    model_ids = tuple(m.speaker_id for m in models)
+    model_ids = models.speaker_ids
     score_set = ScoreSet(
         tuple(m.utterance_id for m in test_maps),
         model_ids,
         [[claimed == m.speaker_id for claimed in model_ids] for m in test_maps],
-        np.array([[score_trial(model, vec) for model in models] for vec in vecs]),
+        np.array([[score_trial(model, vec) for model in models.vectors] for vec in vecs]),
     )
     return compute_roc(score_set.genuine_scores, score_set.impostor_scores), score_set
 

@@ -223,10 +223,10 @@ def one_vs_all_trials(models, test_maps, vecs):
     """
     rows = []
     for fmap, vec in zip(test_maps, vecs):
-        for model in models:
-            label = "genuine" if model.speaker_id == fmap.speaker_id else "impostor"
-            score = float(np.clip(model.embedding @ vec, -1.0, 1.0))
-            rows.append((fmap.utterance_id, model.speaker_id, label, score))
+        for speaker, model in zip(models.speaker_ids, models.vectors):
+            label = "genuine" if speaker == fmap.speaker_id else "impostor"
+            score = float(np.clip(model @ vec, -1.0, 1.0))
+            rows.append((fmap.utterance_id, speaker, label, score))
     return rows
 
 

@@ -44,7 +44,7 @@ from svkit.nn.layers import (
     softmax_xent_batch,
     softmax_xent_batch_gradient,
 )
-from svkit.protocol.enrollment import SpeakerModel, load_speaker_models, save_speaker_models
+from svkit.protocol.enrollment import ONE_SHOT, SpeakerModels, load_speaker_models, save_speaker_models
 from svkit.protocol.metrics import compute_roc
 from svkit.rng import Rng
 
@@ -385,7 +385,7 @@ def test_criterion_8_serialization_round_trips(tmp_path):
         load_checkpoint(tmp_path / "c.svck")
 
     vec = Rng(12).normal((128,))
-    models = [SpeakerModel("spk", vec / np.linalg.norm(vec), 10, "one_shot_3d")]
+    models = SpeakerModels(ONE_SHOT, 10, ("spk",), vec[None] / np.linalg.norm(vec), 0, 11, None)
     save_speaker_models(models, tmp_path / "m.svsm")
     save_speaker_models(load_speaker_models(tmp_path / "m.svsm"), tmp_path / "m2.svsm")
     assert (tmp_path / "m.svsm").read_bytes() == (tmp_path / "m2.svsm").read_bytes()

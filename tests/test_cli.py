@@ -404,9 +404,9 @@ class TestEnroll:
             outs.append(out)
         assert outs[0].read_bytes() == outs[1].read_bytes()
         models = load_speaker_models(outs[0])
-        assert [m.speaker_id for m in models] == ["spk002", "spk003"]
-        assert all(m.kind == "one_shot_3d" for m in models)
-        assert all(m.zeta == 2 for m in models)
+        assert models.speaker_ids == ("spk002", "spk003")
+        assert (models.kind, models.zeta) == ("one_shot_3d", 2)
+        assert (models.checkpoint_crc, models.seed, models.max_slices) == (load_checkpoint(ckpts["cnn3d"]).crc, 33, 6)
 
     def test_dvector_flag_tags_records(self, trained, tmp_path):
         root, ckpts = trained
@@ -417,7 +417,7 @@ class TestEnroll:
              "--mode", "dvector", "--seed", SEED, "--max-slices", "6", "--out", str(out)]
         )
         assert rc == 0
-        assert all(m.kind == "d_vector_avg" for m in load_speaker_models(out))
+        assert load_speaker_models(out).kind == "d_vector_avg"
 
     @pytest.mark.parametrize(
         "damage,named",
@@ -573,7 +573,7 @@ class TestEvaluate:
     def test_score_log_shape(self, evaluated):
         _, _, models_path, out_dir = evaluated
         lines = (out_dir / "scores.csv").read_text().splitlines()
-        n_models = len(load_speaker_models(models_path))
+        n_models = len(load_speaker_models(models_path).speaker_ids)
         assert lines[0] == "utterance_id,claimed_id,label,score"
         assert (len(lines) - 1) % n_models == 0
         labels = {line.split(",")[2] for line in lines[1:]}
@@ -632,6 +632,71 @@ class TestEvaluate:
         )
         assert rc == 3
         assert "unit-norm" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def other_checkpoints(micro_corpus):
+    """cnn3d checkpoints that did not enroll `evaluated`'s models: one at another seed, one at another zeta."""
+    manifest = str(micro_corpus / "data" / "manifest.csv")
+    out = {}
+    for name, zeta, seed in (("other_seed", "2", "34"), ("other_zeta", "3", SEED)):
+        out[name] = micro_corpus / name / "checkpoint.svck"
+        rc = main(
+            ["train", "--manifest", manifest, "--model", "cnn3d", "--zeta", zeta, "--epochs", "1",
+             "--batch", "4", "--seed", seed, "--max-slices", "6", "--out", str(out[name])]
+        )  # fmt: skip
+        assert rc == 0
+    return out
+
+
+class TestModelBinding:
+    """A model file is evaluated only with the checkpoint, seed and --max-slices that enrolled it."""
+
+    @pytest.mark.parametrize("other", ["other_seed", "other_zeta"])
+    def test_models_of_another_checkpoint_exit_2(self, evaluated, other_checkpoints, tmp_path, capsys, other):
+        root, ckpts, models, _ = evaluated
+        rc = main(
+            ["evaluate", "--manifest", str(root / "data" / "manifest.csv"),
+             "--checkpoint", str(other_checkpoints[other]), "--models", str(models),
+             "--seed", SEED, "--max-slices", "6", "--out-dir", str(tmp_path / "out")]
+        )  # fmt: skip
+        assert rc == 2
+        err = capsys.readouterr().err
+        crcs = (load_checkpoint(ckpt).crc for ckpt in (ckpts["cnn3d"], other_checkpoints[other]))
+        assert "enrolled at checkpoint_crc {}, this run has {}".format(*crcs) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "34"), ("--max-slices", "5")], ids=["seed", "max_slices"])
+    def test_another_split_exits_2(self, evaluated, tmp_path, capsys, flag, value):
+        root, ckpts, models, _ = evaluated
+        split = {"--seed": SEED, "--max-slices": "6"} | {flag: value}
+        rc = main(
+            ["evaluate", "--manifest", str(root / "data" / "manifest.csv"), "--checkpoint", str(ckpts["cnn3d"]),
+             "--models", str(models), *(arg for item in split.items() for arg in item),
+             "--out-dir", str(tmp_path / "out")]
+        )  # fmt: skip
+        assert rc == 2
+        key = flag.lstrip("-").replace("-", "_")
+        assert f"enrolled at {key} " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_version_1_model_file_exits_3(self, evaluated, tmp_path, capsys):
+        """A file in the per-speaker record layout that version 1 wrote: re-enroll to read it."""
+        root, ckpts, models, _ = evaluated
+        m = load_speaker_models(models)
+        body = b"SVSM" + struct.pack("<II", 1, len(m.speaker_ids))
+        for speaker, vec in zip(m.speaker_ids, m.vectors):
+            body += struct.pack("<H", len(speaker)) + speaker.encode()
+            body += struct.pack("<BII", 0, m.zeta, vec.size) + vec.astype("<f8").tobytes()
+        v1 = tmp_path / "v1.svsm"
+        v1.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        rc = main(
+            ["evaluate", "--manifest", str(root / "data" / "manifest.csv"), "--checkpoint", str(ckpts["cnn3d"]),
+             "--models", str(v1), "--seed", SEED, "--max-slices", "6", "--out-dir", str(tmp_path / "out")]
+        )  # fmt: skip
+        assert rc == 3
+        assert "model file version 1, expected 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigFile:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import roc_brute_force
 from svkit.errors import ConfigError, MetricError, NumericError
-from svkit.protocol.enrollment import SpeakerModel, score_trial
+from svkit.protocol.enrollment import ONE_SHOT, SpeakerModels, score_trial
 from svkit.protocol.metrics import ScoreSet, compute_roc, roc_points
 from svkit.rng import Rng
 
@@ -78,31 +78,28 @@ class TestComputeRoc:
         assert tpr[k] == 0.5 and far[k] == 1.0
 
 
+def _unit(vec):
+    v = np.asarray(vec, float)
+    return v / np.linalg.norm(v)
+
+
 class TestScoreTrial:
-    def _model(self, vec):
-        v = np.asarray(vec, float)
-        return SpeakerModel("spk", v / np.linalg.norm(v), zeta=5, kind="one_shot_3d")
-
-    def _emb(self, vec):
-        v = np.asarray(vec, float)
-        return v / np.linalg.norm(v)
-
     def test_identical_vectors_score_one(self, rng):
         v = rng.normal((128,))
-        assert score_trial(self._model(v), self._emb(v)) == pytest.approx(1.0, abs=1e-12)
+        assert score_trial(_unit(v), _unit(v)) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_vectors_score_zero(self):
         a = np.zeros(8)
         a[0] = 1.0
         b = np.zeros(8)
         b[3] = 1.0
-        assert score_trial(self._model(a), self._emb(b)) == pytest.approx(0.0, abs=1e-15)
+        assert score_trial(_unit(a), _unit(b)) == pytest.approx(0.0, abs=1e-15)
 
     @given(st.integers(0, 10**6))
     def test_matches_dot_product_oracle(self, seed):
         r = Rng(seed)
         a, b = r.normal((64,)), r.normal((64,))
-        got = score_trial(self._model(a), self._emb(b))
+        got = score_trial(_unit(a), _unit(b))
         want = float(np.dot(a / np.linalg.norm(a), b / np.linalg.norm(b)))
         assert abs(got - min(1.0, max(-1.0, want))) < 1e-15
         assert -1.0 <= got <= 1.0
@@ -110,25 +107,23 @@ class TestScoreTrial:
     @given(st.integers(0, 10**6))
     def test_symmetry(self, seed):
         r = Rng(seed)
-        a, b = r.normal((16,)), r.normal((16,))
-        ma, mb = self._model(a), self._model(b)
-        ea, eb = self._emb(a), self._emb(b)
-        assert score_trial(ma, eb) == pytest.approx(score_trial(mb, ea), abs=1e-15)
+        a, b = _unit(r.normal((16,))), _unit(r.normal((16,)))
+        assert score_trial(a, b) == pytest.approx(score_trial(b, a), abs=1e-15)
 
     def test_unnormalized_embedding_rejected(self):
-        model = self._model(np.ones(4))
+        model = _unit(np.ones(4))
         for test in (np.ones(4) * 2.0, np.full(4, np.nan)):
             with pytest.raises(ConfigError):
                 score_trial(model, test)
 
     @pytest.mark.parametrize("vec", [np.ones(4), np.full(4, np.nan)], ids=["norm_2", "nan"])
     def test_unnormalized_model_rejected(self, vec):
-        with pytest.raises(ConfigError, match="not unit-norm"):
-            SpeakerModel("spk", vec, zeta=5, kind="one_shot_3d")
+        with pytest.raises(ConfigError, match="'spk' is not unit-norm"):
+            SpeakerModels(ONE_SHOT, 5, ("spk",), vec[None], 0, 0, None)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            score_trial(self._model(np.ones(4)), self._emb(np.ones(6)))
+            score_trial(_unit(np.ones(4)), _unit(np.ones(6)))
 
 
 class TestScoreSet:

@@ -21,7 +21,7 @@ from svkit.dsp.features import FeatureMap, read_feature_file, write_feature_file
 from svkit.errors import SvkitError
 from svkit.models.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from svkit.models.zoo import build_lcn_baseline
-from svkit.protocol.enrollment import ONE_SHOT, SpeakerModel, load_speaker_models, save_speaker_models
+from svkit.protocol.enrollment import ONE_SHOT, SpeakerModels, load_speaker_models, save_speaker_models
 from svkit.rng import Rng
 
 LOADERS = {
@@ -47,10 +47,8 @@ def files(tmp_path_factory):
     net = build_lcn_baseline(2, Rng(1), units_per_patch=2, hidden_width=6)
     save_checkpoint(Checkpoint.of(net, epoch=0, seed=1), root / "svck")
     vecs = Rng(2).normal((2, 8))
-    models = [
-        SpeakerModel(f"spk{i:03d}", v / np.linalg.norm(v), 3, ONE_SHOT) for i, v in enumerate(vecs)
-    ]
-    save_speaker_models(models, root / "svsm")
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    save_speaker_models(SpeakerModels(ONE_SHOT, 3, ("spk000", "spk001"), vecs, 1, 1, 6), root / "svsm")
     for fmt, loader in LOADERS.items():
         loader(root / fmt)  # every seed file is valid
     return {fmt: (root / fmt).read_bytes() for fmt in LOADERS}, root

@@ -1,5 +1,6 @@
 """Enrollment, training behavior, and one-vs-all evaluation."""
 
+import json
 import struct
 import zlib
 
@@ -9,12 +10,12 @@ import pytest
 from oracles import forward_logits, one_vs_all_trials
 from svkit.config import RunConfig
 from svkit.dsp.features import FeatureMap
-from svkit.errors import ChecksumError, ConfigError, FileFormatError, MetricError
+from svkit.errors import ChecksumError, ConfigError, FileFormatError, MetricError, TruncatedFileError
 from svkit.models.zoo import build_3dcnn, build_lcn_baseline
 from svkit.protocol.enrollment import (
     D_VECTOR,
     ONE_SHOT,
-    SpeakerModel,
+    SpeakerModels,
     enroll_dvector,
     enroll_one_shot,
     load_speaker_models,
@@ -52,16 +53,13 @@ class TestEnrollment:
     def test_one_shot_produces_unit_model(self):
         net = self._cube_net()
         model = enroll_one_shot(net, [fmap(i, "alice") for i in range(4)])
-        assert model.kind == ONE_SHOT
-        assert model.zeta == 4
-        assert model.embedding.shape == (8,)
-        assert abs(np.linalg.norm(model.embedding) - 1.0) <= 1e-12
+        assert model.shape == (8,)
+        assert abs(np.linalg.norm(model) - 1.0) <= 1e-12
 
     def test_one_shot_full_size_network_gives_128_dim_model(self):
         net = build_3dcnn(20, 2, Rng(0))
         model = enroll_one_shot(net, [fmap(i, "dana") for i in range(20)])
-        assert model.embedding.shape == (128,)
-        assert model.zeta == 20
+        assert model.shape == (128,)
 
     def test_one_shot_wrong_count_rejected(self):
         net = self._cube_net()
@@ -72,7 +70,7 @@ class TestEnrollment:
         net = self._cube_net()
         maps = [fmap(i, "alice") for i in range(7)]
         model = enroll_one_shot(net, maps)
-        assert model.embedding.tobytes() == enroll_one_shot(net, maps[:4]).embedding.tobytes()
+        assert model.tobytes() == enroll_one_shot(net, maps[:4]).tobytes()
 
     def test_one_shot_equals_cube_embedding(self):
         from svkit.dsp.features import build_feature_cube
@@ -81,7 +79,7 @@ class TestEnrollment:
         maps = [fmap(i, "alice") for i in range(4)]
         model = enroll_one_shot(net, maps)
         direct = net.embed_vectors([build_feature_cube(maps)])[0]
-        np.testing.assert_array_equal(model.embedding, direct)
+        np.testing.assert_array_equal(model, direct)
 
     def test_one_shot_order_sensitivity_documented(self):
         # stacking order changes the cube, so models may legitimately differ;
@@ -90,22 +88,21 @@ class TestEnrollment:
         maps = [fmap(i, "alice") for i in range(4)]
         a = enroll_one_shot(net, maps)
         b = enroll_one_shot(net, maps[::-1])
-        assert abs(np.linalg.norm(a.embedding) - 1.0) <= 1e-12
-        assert abs(np.linalg.norm(b.embedding) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(b) - 1.0) <= 1e-12
 
     def test_dvector_single_map_equals_embedding(self):
         net = build_lcn_baseline(2, Rng(1), units_per_patch=2, hidden_width=6)
         m = fmap(3, "bob")
         model = enroll_dvector(net, [m])
-        np.testing.assert_allclose(model.embedding, net.embed_vectors([m.values])[0], atol=1e-12)
-        assert model.kind == D_VECTOR
+        np.testing.assert_allclose(model, net.embed_vectors([m.values])[0], atol=1e-12)
 
     def test_dvector_identical_maps_equal_one(self):
         net = build_lcn_baseline(2, Rng(1), units_per_patch=2, hidden_width=6)
         m = fmap(3, "bob")
         one = enroll_dvector(net, [m])
         many = enroll_dvector(net, [m, m, m])
-        np.testing.assert_allclose(many.embedding, one.embedding, atol=1e-12)
+        np.testing.assert_allclose(many, one, atol=1e-12)
 
     def test_dvector_orthogonal_average_closed_form(self):
         # average of orthogonal unit vectors renormalizes to 1/sqrt(2) each
@@ -126,7 +123,7 @@ class TestEnrollment:
         maps = [fmap(i, "bob") for i in range(5)]
         fwd = enroll_dvector(net, maps)
         rev = enroll_dvector(net, maps[::-1])
-        np.testing.assert_allclose(fwd.embedding, rev.embedding, atol=1e-12)
+        np.testing.assert_allclose(fwd, rev, atol=1e-12)
 
     def test_dvector_empty_rejected(self):
         net = build_lcn_baseline(2, Rng(1))
@@ -140,7 +137,7 @@ class TestEnrollment:
         m = fmap(5, "carol")
         model = enroll_dvector(net, [m])
         direct = net.embed_vectors([replicate_for_eval(m, 3)])[0]
-        np.testing.assert_allclose(model.embedding, direct, atol=1e-12)
+        np.testing.assert_allclose(model, direct, atol=1e-12)
 
     def test_cube_test_input_is_a_view_of_the_map(self):
         net = build_3dcnn(20, 2, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=8)
@@ -150,83 +147,99 @@ class TestEnrollment:
         assert np.shares_memory(cube, m.values)
 
 
-def _resigned(path, edit):
-    """`path`'s payload passed through `edit`, written back under a fresh CRC32, so only the edit is wrong."""
-    body = edit(path.read_bytes()[:-4])
+def unit_rows(seed, rows, dim):
+    v = Rng(seed).normal((rows, dim))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def speaker_models(speakers=("alice", "bob"), kind=ONE_SHOT, zeta=10, dim=128):
+    return SpeakerModels(kind, zeta, tuple(speakers), unit_rows(3, len(speakers), dim), 0x1234ABCD, 7, 40)
+
+
+def _reframed(path, edit):
+    """`path` with its JSON header and payload passed through `edit`, written back under a fresh CRC32."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    header, payload = edit(json.loads(raw[12 : 12 + hlen]), raw[12 + hlen : -4])
+    hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = raw[:8] + struct.pack("<I", len(hjson)) + hjson + payload
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     return path
 
 
-class TestSpeakerModelFile:
-    def _models(self):
-        r = Rng(3)
-        vecs = [r.normal((128,)), r.normal((256,))]
-        return [
-            SpeakerModel("alice", vecs[0] / np.linalg.norm(vecs[0]), 10, ONE_SHOT),
-            SpeakerModel("bob", vecs[1] / np.linalg.norm(vecs[1]), 1, D_VECTOR),
-        ]
+def _scaled_row(payload, row, dim, factor):
+    v = np.frombuffer(payload, "<f8").copy()
+    v[row * dim : (row + 1) * dim] *= factor
+    return v.tobytes()
 
+
+class TestSpeakerModelFile:
     def test_round_trip_bitwise(self, tmp_path):
-        models = self._models()
+        models = speaker_models(kind=D_VECTOR, zeta=1)
         save_speaker_models(models, tmp_path / "m.svsm")
         loaded = load_speaker_models(tmp_path / "m.svsm")
-        assert [m.speaker_id for m in loaded] == ["alice", "bob"]
-        assert [m.kind for m in loaded] == [ONE_SHOT, D_VECTOR]
-        assert [m.zeta for m in loaded] == [10, 1]
-        for a, b in zip(models, loaded):
-            assert np.array_equal(a.embedding, b.embedding)
+        assert loaded.speaker_ids == ("alice", "bob")
+        assert (loaded.kind, loaded.zeta) == (D_VECTOR, 1)
+        assert (loaded.checkpoint_crc, loaded.seed, loaded.max_slices) == (0x1234ABCD, 7, 40)
+        assert loaded.vectors.tobytes() == models.vectors.tobytes()
         save_speaker_models(loaded, tmp_path / "m2.svsm")
         assert (tmp_path / "m.svsm").read_bytes() == (tmp_path / "m2.svsm").read_bytes()
 
     def test_corrupt_byte_raises_checksum(self, tmp_path):
-        save_speaker_models(self._models(), tmp_path / "m.svsm")
+        save_speaker_models(speaker_models(), tmp_path / "m.svsm")
         raw = bytearray((tmp_path / "m.svsm").read_bytes())
-        raw[20] ^= 0x01
+        raw[-100] ^= 0x01
         (tmp_path / "bad.svsm").write_bytes(bytes(raw))
         with pytest.raises(ChecksumError):
             load_speaker_models(tmp_path / "bad.svsm")
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit,error,named",
         [
-            lambda body: body + b"junk",  # bytes after the last record
-            lambda body: body[:8] + struct.pack("<I", 0) + body[12:],  # count 0, one record present
+            (lambda h, p: (h, p + bytes(8)), FileFormatError, "8 trailing bytes"),
+            (lambda h, p: (h | {"shape": [0, 128]}, p), FileFormatError, "2048 trailing bytes"),
+            (lambda h, p: (h, p[:-8]), TruncatedFileError, "bytes, expected"),
         ],
-        ids=["trailing_bytes", "zero_count"],
+        ids=["trailing_bytes", "zero_count", "short_payload"],
     )
-    def test_bytes_beyond_declared_records_rejected(self, tmp_path, edit):
-        save_speaker_models(self._models()[:1], tmp_path / "m.svsm")
-        with pytest.raises(FileFormatError, match="after the last"):
-            load_speaker_models(_resigned(tmp_path / "m.svsm", edit))
+    def test_bytes_beyond_declared_records_rejected(self, tmp_path, edit, error, named):
+        """The payload length is the header's shape, and nothing else."""
+        save_speaker_models(speaker_models(), tmp_path / "m.svsm")
+        path = _reframed(tmp_path / "m.svsm", edit)
+        with pytest.raises(error, match=named) as caught:
+            load_speaker_models(path)
+        assert str(path) in str(caught.value)
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit,named",
         [
-            lambda body: body[:-8] + struct.pack("<d", float("nan")),  # last float of the embedding
-            lambda body: body[:28] + (np.frombuffer(body[28:], "<f8") * 2).tobytes(),  # norm 2
-            lambda body: body[:20] + struct.pack("<I", 0) + body[24:],  # zeta 0
+            (lambda h, p: (h, p[:-8] + struct.pack("<d", float("nan"))), "'bob' is not unit-norm"),
+            (lambda h, p: (h, _scaled_row(p, 0, 128, 2.0)), "'alice' is not unit-norm"),
+            (lambda h, p: (h | {"zeta": 0}, p), "zeta must be >= 1"),
+            (lambda h, p: (h | {"kind": "i_vector"}, p), "unknown speaker-model kind 'i_vector'"),
+            (lambda h, p: (h | {"speaker_ids": ["alice", "alice"]}, p), r"\['alice'\] have more than one model"),
+            (lambda h, p: (h | {"speaker_ids": ["alice"]}, p), "1 speaker ids for a matrix of shape"),
+            (lambda h, p: (h | {"speaker_ids": [], "shape": [0, 128]}, b""), "at least one speaker"),
         ],
-        ids=["nan", "norm_2", "zeta_0"],
+        ids=["nan", "norm_2", "zeta_0", "unknown_kind", "repeated_id", "id_count", "no_speakers"],
     )
-    def test_invalid_record_with_valid_crc_rejected(self, tmp_path, edit):
-        save_speaker_models(self._models()[:1], tmp_path / "m.svsm")  # "alice": embedding at offset 28
-        with pytest.raises(FileFormatError, match="alice"):
-            load_speaker_models(_resigned(tmp_path / "m.svsm", edit))
+    def test_invalid_record_with_valid_crc_rejected(self, tmp_path, edit, named):
+        save_speaker_models(speaker_models(), tmp_path / "m.svsm")
+        path = _reframed(tmp_path / "m.svsm", edit)
+        with pytest.raises(FileFormatError, match=named) as caught:
+            load_speaker_models(path)
+        assert str(path) in str(caught.value)
 
     def test_saving_a_repeated_speaker_id_raises_and_writes_nothing(self, tmp_path):
-        m = self._models()[0]
         with pytest.raises(ConfigError, match="alice"):
-            save_speaker_models([m, m], tmp_path / "m.svsm")
+            save_speaker_models(speaker_models(("alice", "alice")), tmp_path / "m.svsm")
         assert not (tmp_path / "m.svsm").exists()
 
     def test_repeated_speaker_id_rejected(self, tmp_path):
-        # a second "alice" record would give one model two columns of the score matrix
-        save_speaker_models(self._models(), tmp_path / "m.svsm")
-        path = _resigned(
-            tmp_path / "m.svsm",
-            lambda body: body.replace(struct.pack("<H", 3) + b"bob", struct.pack("<H", 5) + b"alice"),
-        )
-        with pytest.raises(FileFormatError, match="'alice' has more than one record"):
+        # a second "alice" row would give one model two columns of the score matrix
+        save_speaker_models(speaker_models(), tmp_path / "m.svsm")
+        path = _reframed(tmp_path / "m.svsm", lambda h, p: (h | {"speaker_ids": ["alice", "alice"]}, p))
+        with pytest.raises(FileFormatError, match="'alice'.* more than one model"):
             load_speaker_models(path)
 
 
@@ -286,11 +299,9 @@ class TestTraining:
 class TestRunEvaluation:
     def _setup(self):
         net = build_lcn_baseline(2, Rng(0), units_per_patch=2, hidden_width=6)
-        models = [
-            enroll_dvector(net, [fmap(i, spk) for i in range(3)])
-            for spk in ("alice", "bob", "carol")
-        ]
-        return net, models
+        speakers = ("alice", "bob", "carol")
+        vecs = np.stack([enroll_dvector(net, [fmap(i, spk) for i in range(3)]) for spk in speakers])
+        return net, SpeakerModels(D_VECTOR, 1, speakers, vecs, 0, 0, None)
 
     def test_trial_counts_one_vs_all(self):
         net, models = self._setup()
@@ -303,15 +314,9 @@ class TestRunEvaluation:
 
     def test_single_speaker_degenerate_case_rejected(self):
         net = build_lcn_baseline(2, Rng(0), units_per_patch=2, hidden_width=6)
-        models = [enroll_dvector(net, [fmap(1, "alice")])]
+        models = SpeakerModels(D_VECTOR, 1, ("alice",), enroll_dvector(net, [fmap(1, "alice")])[None], 0, 0, None)
         with pytest.raises(MetricError):
             run_evaluation(models, [fmap(9, "alice", "t0")], net)
-
-    def test_stack_depth_mismatch_rejected(self):
-        net = build_3dcnn(3, 2, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=4)
-        model = SpeakerModel("alice", np.eye(4)[0], zeta=5, kind=ONE_SHOT)
-        with pytest.raises(ConfigError, match="stack depth"):
-            run_evaluation([model], [fmap(1, "alice", "t")], net)
 
     def test_score_log_format(self):
         net, models = self._setup()
@@ -327,9 +332,8 @@ class TestRunEvaluation:
     def test_score_log_matches_per_trial_loop(self, kind):
         if kind == "cnn3d":
             net = build_3dcnn(20, 3, Rng(2), channel_widths=(2, 2, 2, 2), embedding_width=8)
-            models = [
-                enroll_one_shot(net, [fmap(20 * k + i, spk) for i in range(20)]) for k, spk in enumerate("abc")
-            ]
+            vecs = [enroll_one_shot(net, [fmap(20 * k + i, spk) for i in range(20)]) for k, spk in enumerate("abc")]
+            models = SpeakerModels(ONE_SHOT, 20, tuple("abc"), np.stack(vecs), 0, 0, None)
         else:
             net, models = self._setup()
         tests = [fmap(70 + i, spk, f"t{i}") for i, spk in enumerate(["b", "alice", "c", "bob", "a"])]
