@@ -8,12 +8,18 @@ finite differences in the test suite. Batchnorm is the one op that acts
 differently in training: it trains when its caller passes a cache to fill
 for the backward pass, and infers when it passes none.
 
-The conv, PReLU and batchnorm passes split their per-example work into
-contiguous runs, one per CPU this process may run on, at most
-_MAX_WORKERS (_in_parallel). Each run computes exactly what the serial loop
-computed for its examples, and every sum across examples stays one
-whole-array call or is added in the serial order, so no output depends on
-the CPU count.
+The conv, PReLU, batchnorm and pool-forward passes split their
+per-example work into contiguous runs, one per CPU this process may run
+on, at most _MAX_WORKERS (_in_parallel). Each run computes exactly what the
+serial loop computed for its examples, and every sum across examples stays
+one whole-array call or is added in the serial order, so no output depends
+on the CPU count.
+
+PReLU and the frequency pool only select: each output entry is an input
+entry, the input times a slope or 1.0, or +0.0. They select without
+branches or masked copies, by bit operations on int64 views of the
+float64 arrays (x ^ ((x ^ y) * bit) is x or y exactly), so every output
+keeps its bytes, signed zeros, infinities and NaNs included.
 """
 
 from __future__ import annotations
@@ -323,30 +329,59 @@ def conv3d_backward(x, params: LayerParams, grad_out, input_grad: bool = True):
     return gx, grads
 
 
+def _pool_halves(a):
+    """The first and second element of each width-2 frequency window: two strided views of `a`."""
+    wo = a.shape[3] // 2
+    return a[:, :, :, 0 : 2 * wo : 2], a[:, :, :, 1 : 2 * wo : 2]
+
+
 def maxpool_freq_forward(x):
     """Max over non-overlapping width-2 windows along the frequency axis; returns (y, indices).
 
     Depth, time, and channel extents are untouched; an odd trailing frequency
-    column is dropped. Ties resolve to the first (lower-index) element, and
-    `indices` holds each window's argmax (0 or 1, as uint8) for
-    maxpool_freq_backward.
+    column is dropped. `indices` holds each window's argmax (0 or 1, as
+    uint8) for maxpool_freq_backward, by np.argmax's rule: the first element
+    wins ties, and a NaN wins, the first NaN if both are.
+
+    The index is (first == first) > (second <= first), and y is selected
+    without arithmetic on the values, first ^ ((first ^ second) * index) on
+    their int64 views, so y holds the argmax element's exact bytes (a
+    (-0.0, +0.0) window gives -0.0, where np.maximum would give +0.0). Each
+    example's depth slices are computed one at a time, the examples split
+    across workers; the only scratch is one slice's bool buffer per worker.
     """
     xb = _require_batch(x, 4, "maxpool input")
-    w = xb.shape[3]
-    if w < 2:
-        raise DimensionError(f"freq axis: extent {w} below pooling window 2")
-    wo = w // 2
-    windows = xb[:, :, :, : 2 * wo, :].reshape(xb.shape[:3] + (wo, 2, xb.shape[4]))
-    idx = np.argmax(windows, axis=4).astype(np.uint8)
-    y = np.take_along_axis(windows, idx[:, :, :, :, None, :], axis=4)[:, :, :, :, 0, :]
-    return y, idx
+    if xb.shape[3] < 2:
+        raise DimensionError(f"freq axis: extent {xb.shape[3]} below pooling window 2")
+    first, second = _pool_halves(xb)
+    first_bits, second_bits = _pool_halves(xb.view(np.int64))
+    y = np.empty(first.shape)
+    y_bits = y.view(np.int64)
+    idx = np.empty(first.shape, dtype=bool)
+    ordered = np.empty((_workers(len(xb)),) + first.shape[2:], dtype=bool)
+
+    def run(i, lo, hi):
+        for j in np.ndindex(hi - lo, y.shape[1]):
+            j = (lo + j[0], j[1])  # (example, depth slice)
+            np.equal(first[j], first[j], out=ordered[i])  # False only at a NaN
+            np.less_equal(second[j], first[j], out=idx[j])
+            np.greater(ordered[i], idx[j], out=idx[j])
+            np.bitwise_xor(first_bits[j], second_bits[j], out=y_bits[j])
+            y_bits[j] *= idx[j]
+            y_bits[j] ^= first_bits[j]
+
+    _in_parallel(len(xb), run)
+    return y, idx.view(np.uint8)
 
 
 def maxpool_freq_backward(grad_out, indices, width):
-    """Route grad_out to each window's argmax (first element on ties).
+    """Route grad_out to each window's argmax; the window's other element, and a dropped odd column, get +0.0.
 
-    `indices` are the window argmaxes from maxpool_freq_forward and `width`
-    is the frequency extent of its input; a dropped odd column gets zero.
+    `indices` are the window argmaxes (0 or 1) from maxpool_freq_forward and
+    `width` is the frequency extent of its input. Each gradient is selected
+    on int64 views, second = grad_out * index and first = grad_out ^ second,
+    so it holds grad_out's exact bytes or +0.0's; only an odd column is
+    filled.
     """
     gb = _require_batch(grad_out, 4, "maxpool grad_out")
     wo = width // 2
@@ -354,46 +389,73 @@ def maxpool_freq_backward(grad_out, indices, width):
         raise DimensionError(
             f"grad_out shape {gb.shape} does not match indices {np.shape(indices)} pooled from width {width}"
         )
-    gx = np.zeros(gb.shape[:3] + (width, gb.shape[4]))
-    gview = gx[:, :, :, : 2 * wo, :].reshape(gb.shape[:3] + (wo, 2, gb.shape[4]))
-    np.put_along_axis(gview, indices[:, :, :, :, None, :], gb[:, :, :, :, None, :], axis=4)
+    gx = np.empty(gb.shape[:3] + (width, gb.shape[4]))
+    first, second = _pool_halves(gx.view(np.int64))
+    g_bits = gb.view(np.int64)
+    np.multiply(g_bits, indices, out=second)
+    np.bitwise_xor(g_bits, second, out=first)
+    gx[:, :, :, 2 * wo :] = 0.0
     return gx
+
+
+_ONE_BITS = np.float64(1.0).view(np.int64)
+
+
+def _prelu_slope(slope, channels: int) -> np.ndarray:
+    """`slope` as a contiguous float64 vector of one entry per channel, so that it has an int64 view."""
+    s = np.ascontiguousarray(slope, dtype=np.float64)
+    if s.ndim != 1 or s.shape[0] != channels:
+        raise DimensionError(f"channel axis: slope length {s.shape} does not match channel count {channels}")
+    return s
+
+
+def _prelu_scaled(x, slope, src, out) -> None:
+    """out = src * f, f the PReLU factor of x: exactly slope[c] where x < 0, else exactly 1.0.
+
+    f is selected on int64 views, 1.0 ^ ((1.0 ^ slope) * (x < 0)), so it is
+    one of the two for every x and slope, a NaN x taking 1.0, and each
+    output entry is one rounding or none. The work goes one index of all but
+    the last three axes at a time (one depth slice of one example for a
+    cube; one example for an input of under four axes), the examples split
+    across workers, f in each worker's small buffer.
+    """
+    diff = _ONE_BITS ^ slope.view(np.int64)
+    lead = max(1, x.ndim - 3)  # leading axes looped over, the example axis at least
+    f = np.empty((_workers(len(x)),) + x.shape[lead:], dtype=np.int64)
+
+    def run(i, lo, hi):
+        x_r, src_r, out_r = x[lo:hi], src[lo:hi], out[lo:hi]
+        for j in np.ndindex(x_r.shape[:lead]):
+            np.less(x_r[j], 0.0, out=f[i])
+            f[i] *= diff
+            f[i] ^= _ONE_BITS
+            np.multiply(src_r[j], f[i].view(np.float64), out=out_r[j])
+
+    _in_parallel(len(x), run)
 
 
 def prelu_forward(x, slope) -> np.ndarray:
     """y = x for x >= 0, y = slope[c] * x for x < 0 (per-channel slope).
 
-    Computed as x * slope in one fresh buffer, over which the x >= 0 entries
-    are then copied from x; each entry is one rounding or none, so the bytes
-    are those of the formula. The examples are split across workers, and
-    the sign mask is one caller-allocated buffer. `x` is left unchanged.
+    Computed as x times its PReLU factor (_prelu_scaled) into one fresh
+    buffer: x * 1.0 is x, so every entry has the bytes of the formula, -0.0
+    included. `x` is left unchanged.
     """
     x = _require_channel_batch(x, "prelu input")
-    s = np.asarray(slope, dtype=np.float64)
-    if s.ndim != 1 or s.shape[0] != x.shape[-1]:
-        raise DimensionError(
-            f"channel axis: slope length {s.shape} does not match channel count {x.shape[-1]}"
-        )
     y = np.empty(x.shape)
-    keep = np.empty(x.shape, dtype=bool)
-
-    def run(i, lo, hi):
-        np.multiply(x[lo:hi], s, out=y[lo:hi])
-        np.greater_equal(x[lo:hi], 0.0, out=keep[lo:hi])
-        np.copyto(y[lo:hi], x[lo:hi], where=keep[lo:hi])
-
-    _in_parallel(len(x), run)
+    _prelu_scaled(x, _prelu_slope(slope, x.shape[-1]), x, y)
     return y
 
 
 def prelu_backward(x, slope, grad_out):
     """Gradients of prelu_forward w.r.t. input and slope.
 
-    The input gradient is grad_out with its entries at x < 0 multiplied by
-    their slope, each a single rounding, so its bytes do not depend on how
-    the pass is arranged. The slope gradient sums min(x, 0) * grad_out per
-    channel in one whole-array call; it can differ from a sum that skips the
-    x >= 0 terms only in the sign of an all-zero channel's 0.
+    The input gradient is grad_out times x's PReLU factor (_prelu_scaled):
+    grad_out where x >= 0 and grad_out * slope where x < 0, each a single
+    rounding or none, so its bytes do not depend on how the pass is
+    arranged. The slope gradient sums min(x, 0) * grad_out per channel in
+    one whole-array call; it can differ from a sum that skips the x >= 0
+    terms only in the sign of an all-zero channel's 0.
 
     One fresh buffer serves both: it holds min(x, 0) * grad_out until the
     slope sums are taken, then the input gradient. Both elementwise passes
@@ -401,6 +463,7 @@ def prelu_backward(x, slope, grad_out):
     unchanged.
     """
     x = _require_channel_batch(x, "prelu input")
+    s = _prelu_slope(slope, x.shape[-1])
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != x.shape:
         raise DimensionError(f"grad_out shape {g.shape} does not match input {x.shape}")
@@ -412,14 +475,7 @@ def prelu_backward(x, slope, grad_out):
 
     _in_parallel(len(x), slope_terms)
     gs = buf.reshape(-1, x.shape[-1]).sum(axis=0)
-    negative = np.empty(x.shape, dtype=bool)
-
-    def input_grad(i, lo, hi):
-        np.copyto(buf[lo:hi], g[lo:hi])
-        np.less(x[lo:hi], 0.0, out=negative[lo:hi])
-        np.multiply(g[lo:hi], slope, out=buf[lo:hi], where=negative[lo:hi])
-
-    _in_parallel(len(x), input_grad)
+    _prelu_scaled(x, s, g, buf)
     return buf, {"prelu_slope": gs}
 
 

@@ -150,13 +150,40 @@ def prelu_backward_reference(x, slope, grad_out):
 
 
 def maxpool_freq_direct(x):
-    """Window-by-window max along the frequency axis."""
+    """Window-by-window max along the frequency axis.
+
+    np.maximum gives +0.0 for a (-0.0, +0.0) window, so this is not the
+    pool's byte reference on signed-zero ties; maxpool_freq_reference is.
+    """
     d, h, w, c = x.shape
     wo = w // 2
     y = np.empty((d, h, wo, c))
     for i in range(wo):
         y[:, :, i, :] = np.maximum(x[:, :, 2 * i, :], x[:, :, 2 * i + 1, :])
     return y
+
+
+def maxpool_freq_reference(x):
+    """(y, indices) of the frequency pool of a batch, by np.argmax and np.take_along_axis.
+
+    The arrangement the library's maxpool_freq_forward replaces, kept as its
+    byte reference: each window's first element wins ties, a NaN wins (the
+    first NaN if both are), and y is the winner's exact value.
+    """
+    wo = x.shape[3] // 2
+    windows = x[:, :, :, : 2 * wo, :].reshape(x.shape[:3] + (wo, 2, x.shape[4]))
+    idx = np.argmax(windows, axis=4).astype(np.uint8)
+    y = np.take_along_axis(windows, idx[:, :, :, :, None, :], axis=4)[:, :, :, :, 0, :]
+    return y, idx
+
+
+def maxpool_freq_backward_reference(grad_out, indices, width):
+    """Input gradient of maxpool_freq_reference: grad_out put at each window's argmax into zeros."""
+    wo = width // 2
+    gx = np.zeros(grad_out.shape[:3] + (width, grad_out.shape[4]))
+    gview = gx[:, :, :, : 2 * wo, :].reshape(grad_out.shape[:3] + (wo, 2, grad_out.shape[4]))
+    np.put_along_axis(gview, indices[:, :, :, :, None, :], grad_out[:, :, :, :, None, :], axis=4)
+    return gx
 
 
 def locally_connected_direct(x, weights, bias):

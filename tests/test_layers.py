@@ -21,7 +21,9 @@ from oracles import (
     conv3d_im2col,
     conv3d_im2col_backward,
     locally_connected_direct,
+    maxpool_freq_backward_reference,
     maxpool_freq_direct,
+    maxpool_freq_reference,
     prelu_backward_reference,
     prelu_reference,
     softmax_xent_decimal,
@@ -241,6 +243,94 @@ def test_cnn3d_batchnorm_prelu_match_reference(cnn3d_convs, zeta, name):
     assert np.array_equal(gx, want_gx)
     assert np.array_equal(grads["bn_scale"], want_gscale)
     assert np.array_equal(grads["bn_shift"], want_gshift)
+
+
+# Signed zeros, infinities, a NaN and repeats: drawn often enough that pool windows tie exactly.
+_SPECIALS = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1.5, -1.5, 0.25])
+
+
+def _special_values(r, shape, specials=_SPECIALS):
+    """Normals, about half of them replaced by `specials`."""
+    x = r.normal(shape)
+    pick = r.integers(0, 2 * len(specials), shape)
+    special = pick < len(specials)
+    x[special] = specials[pick[special]]
+    return x
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_prelu_and_pool_keep_the_reference_bytes(monkeypatch, batch, workers):
+    """All four selecting passes give their oracle's bytes on ±0, ±inf, NaN and ties, odd width, any split."""
+    monkeypatch.setattr(layers_module, "_WORKERS", workers)
+    r = Rng(31 + batch)
+    x = _special_values(r, (batch, 3, 4, 7, 4))
+    # grad_out nonzero and finite, so that no inf * 0.0 arises, in the slope terms either:
+    # np.errstate does not reach the pool's threads.
+    g = _special_values(r, x.shape, np.array([1.5, -1.5, 0.25]))
+    slope = np.array([0.25, -0.5, 3.0, 1.0])
+    assert prelu_forward(x, slope).tobytes() == prelu_reference(x, slope).tobytes()
+    with np.errstate(invalid="ignore"):  # inf - inf in the slope sums, on the calling thread
+        gx, _ = prelu_backward(x, slope, g)
+        assert gx.tobytes() == prelu_backward_reference(x, slope, g)[0].tobytes()
+
+    y, idx = maxpool_freq_forward(x)
+    want_y, want_idx = maxpool_freq_reference(x)
+    assert y.tobytes() == want_y.tobytes()
+    assert idx.dtype == np.uint8 and idx.tobytes() == want_idx.tobytes()
+    gy = _special_values(r, y.shape)
+    assert maxpool_freq_backward(gy, idx, x.shape[3]).tobytes() == maxpool_freq_backward_reference(gy, idx, 7).tobytes()
+
+
+def test_prelu_keeps_nonnegative_inputs_under_a_nonfinite_slope(monkeypatch):
+    """x >= 0 passes unchanged and its gradient is grad_out, whatever the slope: 0 * inf never enters."""
+    monkeypatch.setattr(layers_module, "_WORKERS", 1)  # np.errstate holds on the calling thread only
+    x = np.array([[2.0, -0.0, 0.0, -3.0, np.nan]] * 3).T.reshape(1, 5, 3)
+    g = np.full(x.shape, -1.5)
+    slope = np.array([np.inf, -np.inf, np.nan])
+    with np.errstate(invalid="ignore"):
+        assert prelu_forward(x, slope).tobytes() == prelu_reference(x, slope).tobytes()
+        gx, _ = prelu_backward(x, slope, g)
+        assert gx.tobytes() == prelu_backward_reference(x, slope, g)[0].tobytes()
+    assert prelu_forward(x, slope)[0, :3].tobytes() == x[0, :3].tobytes()
+
+
+def test_pool_keeps_a_signed_zero_tie_first():
+    """A (-0.0, +0.0) window gives -0.0 and index 0, and routes its gradient to -0.0; the other gets +0.0."""
+    x = np.array([-0.0, 0.0, 0.0, -0.0]).reshape(1, 1, 1, 4, 1)
+    y, idx = maxpool_freq_forward(x)
+    assert y.tobytes() == np.array([-0.0, 0.0]).tobytes()
+    assert idx.ravel().tolist() == [0, 0]
+    gx = maxpool_freq_backward(np.full((1, 1, 1, 2, 1), -2.0), idx, 5)
+    assert gx.tobytes() == np.array([-2.0, 0.0, -2.0, 0.0, 0.0]).tobytes()
+
+
+@pytest.mark.parametrize("at_cap", [False, True], ids=["workers", "worker_cap"])
+@pytest.mark.parametrize("call", ["prelu_forward", "prelu_backward", "maxpool_freq_forward"])
+@pytest.mark.parametrize("name", ["conv1_1", "conv1_2"])
+def test_selecting_passes_hold_their_outputs_and_slice_scratch(monkeypatch, cnn3d_convs, name, call, at_cap):
+    """At batch 8, beyond the outputs: one depth slice of scratch per worker, no full-size mask or index array.
+
+    A full-size bool mask of conv1_1's output is 6.3 MiB and an intp argmax
+    array of its pooled output 25 MiB; a worker's slice scratch is at most
+    0.4 MiB.
+    """
+    if at_cap:
+        monkeypatch.setattr(layers_module, "_WORKERS", layers_module._MAX_WORKERS)
+    layer, shape = cnn3d_convs[20, name]
+    r = Rng(9)
+    x = r.normal((8, *conv3d_output_shape(shape, layer)))
+    slope = r.uniform(0.05, 0.5, (x.shape[-1],))
+    g = r.normal(x.shape)
+    args = {"prelu_forward": (x, slope), "prelu_backward": (x, slope, g), "maxpool_freq_forward": (x,)}[call]
+    tracemalloc.start()
+    try:
+        out = getattr(layers_module, call)(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out_bytes = sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)) if isinstance(a, np.ndarray))
+    assert peak <= out_bytes + 1 * 2**20
 
 
 def test_batchnorm_and_prelu_leave_their_inputs_alone():
