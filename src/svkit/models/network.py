@@ -8,6 +8,7 @@ that head. Every entry point takes batches, with one leading batch axis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -20,6 +21,7 @@ from ..nn.layers import (
     batchnorm_backward,
     batchnorm_forward,
     batchnorm_output,
+    batchnorm_running_inv,
     conv3d_backward,
     conv3d_forward,
     conv3d_output_shape,
@@ -67,8 +69,11 @@ class Network:
 
         A train pass appends each layer's backward cache to `caches`, and
         batchnorm normalizes with the batch statistics and folds them into
-        its running averages. An inference pass keeps no cache, normalizes
-        with the running statistics, and changes no layer.
+        its running averages; every layer writes a fresh output. An
+        inference pass keeps no cache, normalizes with the running
+        statistics, and changes no layer. It owns every activation it makes,
+        so PReLU writes its output over its input; the caller passes an
+        `xb` the pass may overwrite.
 
         A layer that reads its input keeps it as cache["x"], unless the layer
         before it can recompute its output (`_Kind.output`): then it keeps
@@ -142,21 +147,25 @@ class Network:
     def embed_vectors(self, inputs) -> np.ndarray:
         """Unit-norm rows of penultimate activations for a list of inputs, EMBED_BATCH at a time.
 
-        A batch whose every input is a depth-replicated cube (all depth slices
-        equal, as a single test utterance is) runs through the depth-collapsed
-        layers on one slice when the network's depth convolution is valid;
-        any other batch runs through the full layer list.
+        The inference pass runs on this call's weights with each batchnorm
+        folded into the conv before it (_bn_folded), and with PReLU in place
+        (see _run); the embeddings agree with the unfolded layer list to
+        within 1e-12. A batch whose every input is a depth-replicated cube
+        (all depth slices equal, as a single test utterance is) runs through
+        the depth-collapsed folded layers on one slice when the network's
+        depth convolution is valid; they are built for the first such batch.
+        Any other batch runs through the whole folded list. `inputs` are left
+        unchanged.
         """
         inputs = list(inputs)
-        layers = self.layers[:-1]
-        collapsed = _depth_collapsed(layers, self.spec.input_shape)  # from this call's weights
+        layers = _bn_folded(self.layers[:-1])
+        collapsed = functools.cache(lambda: _depth_collapsed(layers, self.spec.input_shape))
         rows = []
         for start in range(0, len(inputs), EMBED_BATCH):
             batch = [np.asarray(v, dtype=np.float64) for v in inputs[start : start + EMBED_BATCH]]
-            if collapsed is not None and all(
-                v.shape == self.spec.input_shape and (v == v[:1]).all() for v in batch
-            ):
-                rows.append(self._run(np.stack([v[:1] for v in batch]), collapsed))
+            replicated = all(v.shape == self.spec.input_shape and (v == v[:1]).all() for v in batch)
+            if replicated and collapsed() is not None:
+                rows.append(self._run(np.stack([v[:1] for v in batch]), collapsed()))
             else:
                 # pass the stacked batch without holding a name to it, so it is freed after the first layer
                 rows.append(self._run(np.stack(batch), layers))
@@ -201,6 +210,32 @@ def _infer_shape(layer: LayerParams, shape: tuple[int, ...]) -> tuple[int, ...]:
     return _KINDS[layer.kind].shape(layer, shape)
 
 
+def _bn_folded(layers: list[LayerParams]) -> list[LayerParams]:
+    """`layers` for an inference pass, each conv3d → batchnorm pair made one conv.
+
+    Inference batchnorm is the per-channel affine map ((y - mean) * scale) *
+    inv + shift, so it folds into the conv before it: weights W * a, with
+    a = scale * inv, and as bias the inference batchnorm of the conv's bias.
+    The output agrees with the pair's to rounding; padding is on the conv's
+    input side, so a same-pad conv folds alike. The layers are new objects;
+    `layers` is left unchanged.
+    """
+    out: list[LayerParams] = []
+    for layer in layers:
+        if layer.kind == "batchnorm" and out and out[-1].kind == "conv3d":
+            conv = out.pop()
+            out.append(
+                replace(
+                    conv,
+                    weights=conv.weights * (layer.bn_scale * batchnorm_running_inv(layer)),
+                    bias=batchnorm_forward(conv.bias[None], layer)[0],
+                )
+            )
+        else:
+            out.append(layer)
+    return out
+
+
 def _depth_collapsed(layers: list[LayerParams], input_shape) -> list[LayerParams] | None:
     """`layers` rewritten to act on one depth slice of a depth-constant cube, or None.
 
@@ -237,7 +272,8 @@ class _Kind:
     """What Network needs to know about one layer kind.
 
     forward(layer, x, cache) -> y: a train pass with a cache dict to fill
-        for backward, an inference pass with None
+        for backward, an inference pass with None; an inference forward may
+        write y over x (PReLU does)
     backward(layer, grad_out, cache, input_grad) -> (grad_in, parameter gradients)
     shape(layer, per-example input shape) -> per-example output shape
     reads_input: whether backward reads the layer input (see _layer_input)
@@ -301,7 +337,7 @@ _KINDS = {
         reads_input=False,
     ),
     "prelu": _Kind(
-        lambda layer, x, cache: prelu_forward(x, layer.prelu_slope),
+        lambda layer, x, cache: prelu_forward(x, layer.prelu_slope, out=x if cache is None else None),
         lambda layer, g, cache, input_grad: prelu_backward(_layer_input(cache), layer.prelu_slope, g),
         lambda layer, shape: shape,
     ),

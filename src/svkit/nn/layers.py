@@ -24,6 +24,7 @@ keeps its bytes, signed zeros, infinities and NaNs included.
 
 from __future__ import annotations
 
+import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -73,16 +74,18 @@ def _workers(n: int) -> int:
 def _in_parallel(n: int, run) -> None:
     """Call run(worker, lo, hi) on contiguous runs [lo, hi) covering range(n), _workers(n) of them.
 
-    Run 0 goes on the calling thread and the others on _POOL. A run calls
-    numpy only (which releases the GIL in matmul, copyto and ufuncs), writes
-    only its own rows, and uses scratch the caller allocated, indexed by
-    `worker`: buffers allocated in pool threads would come from glibc
-    per-thread arenas and stay resident. Returns once every run has
-    finished, then re-raises the first exception a run raised, in run order.
+    Run 0 goes on the calling thread and the others on _POOL, each in a
+    copy of the caller's context, so that the caller's `np.errstate` holds
+    in every run. A run calls numpy only (which releases the GIL in
+    matmul, copyto and ufuncs), writes only its own rows, and uses scratch
+    the caller allocated, indexed by `worker`: buffers allocated in pool
+    threads would come from glibc per-thread arenas and stay resident.
+    Returns once every run has finished, then re-raises the first exception
+    a run raised, in run order.
     """
     k = _workers(n)
     bounds = [n * i // k for i in range(k + 1)]
-    futures = [_POOL.submit(run, i, bounds[i], bounds[i + 1]) for i in range(1, k)]
+    futures = [_POOL.submit(contextvars.copy_context().run, run, i, bounds[i], bounds[i + 1]) for i in range(1, k)]
     try:
         run(0, bounds[0], bounds[1])
     finally:
@@ -434,15 +437,17 @@ def _prelu_scaled(x, slope, src, out) -> None:
     _in_parallel(len(x), run)
 
 
-def prelu_forward(x, slope) -> np.ndarray:
+def prelu_forward(x, slope, out=None) -> np.ndarray:
     """y = x for x >= 0, y = slope[c] * x for x < 0 (per-channel slope).
 
-    Computed as x times its PReLU factor (_prelu_scaled) into one fresh
-    buffer: x * 1.0 is x, so every entry has the bytes of the formula, -0.0
-    included. `x` is left unchanged.
+    Computed as x times its PReLU factor (_prelu_scaled): x * 1.0 is x, so
+    every entry has the bytes of the formula, -0.0 included. y goes into
+    `out`, a float64 array of x's shape, which may be x itself (each slice's
+    factor is taken before the slice is written); without one it goes into
+    one fresh buffer and `x` is left unchanged.
     """
     x = _require_channel_batch(x, "prelu input")
-    y = np.empty(x.shape)
+    y = np.empty(x.shape) if out is None else out
     _prelu_scaled(x, _prelu_slope(slope, x.shape[-1]), x, y)
     return y
 
@@ -498,6 +503,11 @@ def _batchnorm_affine(xh, params: LayerParams, y) -> None:
     y += params.bn_shift
 
 
+def batchnorm_running_inv(params: LayerParams) -> np.ndarray:
+    """1/sqrt(running_var + eps): the per-channel factor inference batchnorm normalizes with."""
+    return 1.0 / np.sqrt(params.bn_running_var + BN_EPS)
+
+
 def batchnorm_forward(x, params: LayerParams, cache: dict | None = None) -> np.ndarray:
     """Per-channel normalization over all leading axes, then affine scale/shift.
 
@@ -518,7 +528,9 @@ def batchnorm_forward(x, params: LayerParams, cache: dict | None = None) -> np.n
     around them are split by example across workers, and one pass both
     normalizes a run and writes its output (_batchnorm_affine). The
     inference output is ((x - mean) * scale) * inv + shift, rounded in that
-    order into one fresh buffer, split by example across workers.
+    order into one fresh buffer, split by example across workers, with inv
+    from batchnorm_running_inv. `Network.embed_vectors` folds this map into
+    the conv before it and calls this function only on that conv's bias.
     `x` is left unchanged.
     """
     x = _require_channel_batch(x, "batchnorm input")
@@ -526,7 +538,7 @@ def batchnorm_forward(x, params: LayerParams, cache: dict | None = None) -> np.n
     if params.bn_scale.shape != (c,):
         raise DimensionError(f"channel axis: batchnorm params sized for {params.bn_scale.shape}, input has {c} channels")
     if cache is None:
-        inv = 1.0 / np.sqrt(params.bn_running_var + BN_EPS)
+        inv = batchnorm_running_inv(params)
         y = np.empty(x.shape)
 
         def infer(i, lo, hi):

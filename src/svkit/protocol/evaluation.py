@@ -16,9 +16,10 @@ def run_evaluation(models: SpeakerModels, test_maps, network: Network) -> tuple[
     Each test map carries its true speaker id; a trial is genuine when the
     claimed model's id matches it. Single test utterances reach the cube
     network as depth-replicated views of their maps; at valid depth
-    (zeta >= 17) those run collapsed to one depth slice (see
-    `Network.embed_vectors`), with the same embeddings as the full cube to
-    within 1e-12. Scores fill the (utterances x models) matrix row by row,
+    (zeta >= 17) those run collapsed to one depth slice, and every batch
+    runs with each batchnorm folded into the conv before it (see
+    `Network.embed_vectors`), with the same embeddings as the full, unfolded
+    cube to within 1e-12. Scores fill the (utterances x models) matrix row by row,
     one `score_trial` call per trial. The models must come from `network`'s
     own checkpoint; `svkit evaluate` checks that from the model file.
     """

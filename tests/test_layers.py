@@ -265,12 +265,11 @@ def test_prelu_and_pool_keep_the_reference_bytes(monkeypatch, batch, workers):
     monkeypatch.setattr(layers_module, "_WORKERS", workers)
     r = Rng(31 + batch)
     x = _special_values(r, (batch, 3, 4, 7, 4))
-    # grad_out nonzero and finite, so that no inf * 0.0 arises, in the slope terms either:
-    # np.errstate does not reach the pool's threads.
+    # grad_out nonzero and finite, so that no inf * 0.0 arises, in the slope terms either.
     g = _special_values(r, x.shape, np.array([1.5, -1.5, 0.25]))
     slope = np.array([0.25, -0.5, 3.0, 1.0])
     assert prelu_forward(x, slope).tobytes() == prelu_reference(x, slope).tobytes()
-    with np.errstate(invalid="ignore"):  # inf - inf in the slope sums, on the calling thread
+    with np.errstate(invalid="ignore"):  # inf - inf in the slope sums
         gx, _ = prelu_backward(x, slope, g)
         assert gx.tobytes() == prelu_backward_reference(x, slope, g)[0].tobytes()
 
@@ -284,7 +283,7 @@ def test_prelu_and_pool_keep_the_reference_bytes(monkeypatch, batch, workers):
 
 def test_prelu_keeps_nonnegative_inputs_under_a_nonfinite_slope(monkeypatch):
     """x >= 0 passes unchanged and its gradient is grad_out, whatever the slope: 0 * inf never enters."""
-    monkeypatch.setattr(layers_module, "_WORKERS", 1)  # np.errstate holds on the calling thread only
+    monkeypatch.setattr(layers_module, "_WORKERS", 1)
     x = np.array([[2.0, -0.0, 0.0, -3.0, np.nan]] * 3).T.reshape(1, 5, 3)
     g = np.full(x.shape, -1.5)
     slope = np.array([np.inf, -np.inf, np.nan])
@@ -381,6 +380,20 @@ def test_in_parallel_waits_for_every_run_and_reraises(monkeypatch, failing):
     assert sorted(callers) == [(0, True), (1, False), (2, False)]
     assert out[4:].tolist() == [3.0, 3.0]  # the sleeping run finished before the raise reached the caller
     assert out[2 * failing : 2 * failing + 2].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_in_parallel_runs_under_the_callers_errstate(monkeypatch, workers):
+    """The caller's np.errstate holds in every run: an inf * 0 in the last example is silent or raises as asked."""
+    monkeypatch.setattr(layers_module, "_WORKERS", workers)
+    x = np.ones((3, 4, 2))
+    x[-1, -1, -1] = -np.inf  # times a zero slope
+    slope = np.zeros(2)
+    with np.errstate(invalid="ignore"):
+        y = prelu_forward(x, slope)
+    assert np.isnan(y[-1, -1, -1]) and np.isnan(y).sum() == 1
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        prelu_forward(x, slope)
 
 
 def test_in_parallel_splits_into_contiguous_runs(monkeypatch):

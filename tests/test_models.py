@@ -404,9 +404,19 @@ class TestDepthCollapse:
         np.testing.assert_allclose(net.embed_vectors(cubes), _full_layer_loop(net, cubes), rtol=0, atol=1e-12)
 
     def test_same_pad_depth_is_byte_equal_to_full_path(self):
+        """A same-pad net has no collapsed form: replicated cubes take the whole folded layer list."""
         net = _trained_like_3dcnn(10)
         cubes = [_replicated(10, seed) for seed in (7, 8)]
-        np.testing.assert_array_equal(net.embed_vectors(cubes), _full_layer_loop(net, cubes))
+        acts = net._run(np.stack(cubes), network_module._bn_folded(net.layers[:-1]))
+        np.testing.assert_array_equal(net.embed_vectors(cubes), acts / np.linalg.norm(acts, axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("zeta,replicated", [(20, False), (20, True), (10, False)])
+    def test_folded_inference_matches_the_layer_list(self, zeta, replicated):
+        """Batchnorm folded into each conv, PReLU in place: within 1e-12 of the unfolded conv → batchnorm → PReLU list."""
+        net = _trained_like_3dcnn(zeta)
+        assert [layer.kind for layer in network_module._bn_folded(net.layers)].count("batchnorm") == 0
+        cubes = [_replicated(zeta, seed) if replicated else Rng(seed).normal(net.spec.input_shape) for seed in (9, 10)]
+        np.testing.assert_allclose(net.embed_vectors(cubes), _full_layer_loop(net, cubes), rtol=0, atol=1e-12)
 
     def test_replicated_batch_runs_convs_at_depth_1(self, monkeypatch):
         depths = []
@@ -423,6 +433,52 @@ class TestDepthCollapse:
         depths.clear()
         net.embed_vectors([Rng(3).normal((20, 80, 40, 1))])  # an enrollment cube of distinct maps
         assert depths[0] == 20 and len(depths) == 8
+
+
+def test_embed_vectors_leaves_writable_inputs_unchanged():
+    """The in-place PReLU of an inference pass writes only activations the pass made."""
+    net = _trained_like_3dcnn(20)
+    cubes = [Rng(12).normal(net.spec.input_shape), _replicated(20, 13)]
+    before = [cube.tobytes() for cube in cubes]
+    net.embed_vectors(cubes[:1])
+    net.embed_vectors(cubes[1:])
+    assert all(cube.flags.writeable for cube in cubes)
+    assert [cube.tobytes() for cube in cubes] == before
+
+
+def test_lcn_training_pass_keeps_each_prelu_input():
+    """A cached pass writes PReLU into a fresh buffer: each PReLU's cached input is still its layer's output."""
+    net = build_lcn_baseline(4, Rng(14), units_per_patch=2, hidden_width=5)
+    _, caches = net.forward_with_cache(Rng(15).normal((3, *net.spec.input_shape)))
+    checked = 0
+    for i, layer in enumerate(net.layers):
+        if layer.kind == "prelu":
+            before = net.layers[i - 1]
+            want = network_module._KINDS[before.kind].forward(before, caches[i - 1]["x"], None)
+            assert caches[i]["x"].tobytes() == want.tobytes(), layer.name
+            checked += 1
+    assert checked == 4
+
+
+@pytest.mark.parametrize("replicated", [False, True], ids=["enrollment_cube", "replicated_cubes"])
+def test_embed_vectors_calls_batchnorm_and_prelu_through_the_module(monkeypatch, replicated):
+    """Folded or not, one embed_vectors call looks up batchnorm_forward and prelu_forward in the network module."""
+    calls = []
+
+    def recording(name):
+        fn = getattr(network_module, name)
+
+        def record(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return record
+
+    for name in ("batchnorm_forward", "prelu_forward"):
+        monkeypatch.setattr(network_module, name, recording(name))
+    net = _trained_like_3dcnn(20)
+    net.embed_vectors([_replicated(20, 16), _replicated(20, 17)] if replicated else [Rng(16).normal(net.spec.input_shape)])
+    assert {"batchnorm_forward", "prelu_forward"} <= set(calls)
 
 
 def _reference_forward(layer, x):
