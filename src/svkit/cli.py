@@ -1,5 +1,9 @@
 """Command-line surface: svkit <synth|train|enroll|evaluate|zeta-sweep>.
 
+zeta-sweep is the experiment engine: it runs train, enroll and evaluate for
+each system in --models, the cube network once per zeta, each step parsed
+from its own argument list by this module's parser.
+
 Exit codes: 0 success, 2 configuration/validation error, 3 I/O or file-format
 error, 4 numeric failure (NaN/Inf). Every command is deterministic under a
 fixed --seed at an equal BLAS thread count; the SVKIT_SEED environment
@@ -16,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, parse_config_file
+from .config import MODEL_KINDS, RunConfig, parse_config_file
 from .corpus.manifest import load_manifest
 from .corpus.slicing import slice_utterances, split_enroll_eval
 from .dsp.audio import load_wav, require_sample_rate
@@ -36,7 +40,7 @@ from .protocol.enrollment import (
 )
 from .protocol.evaluation import run_evaluation, write_score_log
 from .protocol.training import train_development
-from .report import format_sweep_table, write_metrics_json, write_roc_csv, write_roc_svg
+from .report import write_metrics_json, write_roc_csv, write_roc_svg
 from .rng import Rng
 
 
@@ -248,41 +252,58 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_zeta_sweep(args) -> int:
-    zetas = _parse_zetas(args.zetas)
-    out_dir = Path(args.out_dir)
-    rows = []
-    for zeta in zetas:
-        step_dir = out_dir / f"zeta_{zeta:03d}"
-        ns = argparse.Namespace(**vars(args))
-        ns.zeta = zeta
-        ns.model = "cnn3d"
-        ns.out = str(step_dir / "checkpoint.svck")
-        ns.loss_log = None
-        ns.dump_features = None
-        cmd_train(ns)
-        ns.checkpoint = ns.out
-        ns.mode = None
-        ns.out = str(step_dir / "models.svsm")
-        cmd_enroll(ns)
-        ns.models = ns.out
-        ns.out_dir = str(step_dir)
-        cmd_evaluate(ns)
-        metrics = json.loads((step_dir / "metrics.json").read_text())
-        rows.append((zeta, metrics["eer"], metrics["auc"]))
-    table = format_sweep_table(rows)
+    """Train, enroll and evaluate each of --models, the cube network once per zeta.
+
+    Each step is one `train`, `enroll` and `evaluate` argv run through
+    `build_parser()`, into <out-dir>/<model>/zeta_<zeta:03d>. `lcn_dvector`
+    reads one map, so it runs once, at zeta 1, whatever --zetas holds.
+    sweep.txt gets one row per step.
+    """
+    zetas = _parse_list("--zetas", args.zetas, int)
+    if min(zetas) < 1:
+        raise ConfigError(f"--zetas must be positive integers, got {args.zetas!r}")
+    models = _parse_list("--models", args.models, str)
+    if set(models) - set(MODEL_KINDS):
+        raise ConfigError(f"--models takes {','.join(MODEL_KINDS)}, got {args.models!r}")
+    common = _flags(args, ("manifest", "seed", "dev_speakers", "max_slices", "config"))
+    train = _flags(args, ("epochs", "lr", "momentum", "batch"))
+    parser, out_dir = build_parser(), Path(args.out_dir)
+    lines = [f"{'system':<12} {'zeta':>4}  {'model_kind':<12} {'eer':>8} {'auc':>8}"]
+    for model in models:
+        for zeta in zetas if model == "cnn3d" else [1]:
+            step = out_dir / model / f"zeta_{zeta:03d}"
+            ckpt, svsm = step / "checkpoint.svck", step / "models.svsm"
+            for argv in (
+                ["train", f"--model={model}", f"--zeta={zeta}", *train, f"--out={ckpt}"],
+                ["enroll", f"--checkpoint={ckpt}", f"--out={svsm}"],
+                ["evaluate", f"--checkpoint={ckpt}", f"--models={svsm}", f"--out-dir={step}"],
+            ):
+                parsed = parser.parse_args(argv + common)
+                parsed.func(parsed)
+            metrics = json.loads((step / "metrics.json").read_text())
+            lines.append(
+                f"{model:<12} {zeta:>4}  {metrics['model_kind']:<12} {metrics['eer']:>8.4f} {metrics['auc']:>8.4f}"
+            )
+    table = "\n".join(lines)
     (out_dir / "sweep.txt").write_text(table + "\n")
     print(table)
     return 0
 
 
-def _parse_zetas(text: str) -> list[int]:
+def _parse_list(flag: str, text: str, kind) -> list:
+    """A comma list's distinct items, sorted; exits 2 on an empty list or an item `kind` rejects."""
     try:
-        zetas = sorted({int(z) for z in text.split(",") if z.strip()})
+        items = sorted({kind(item.strip()) for item in text.split(",") if item.strip()})
     except ValueError as exc:
-        raise ConfigError(f"bad --zetas list {text!r}: {exc}") from exc
-    if not zetas or min(zetas) < 1:
-        raise ConfigError(f"--zetas must be positive integers, got {text!r}")
-    return zetas
+        raise ConfigError(f"bad {flag} list {text!r}: {exc}") from exc
+    if not items:
+        raise ConfigError(f"{flag} is empty")
+    return items
+
+
+def _flags(args, dests) -> list[str]:
+    """`--name=value` for each of `dests` that `args` sets."""
+    return [f"--{dest.replace('_', '-')}={getattr(args, dest)}" for dest in dests if getattr(args, dest) is not None]
 
 
 # -- parser -------------------------------------------------------------------
@@ -336,9 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("zeta-sweep", help="train/enroll/evaluate the cube network per zeta")
+    p = sub.add_parser("zeta-sweep", help="train/enroll/evaluate each system; the cube network per zeta")
     _add_common(p)
     p.add_argument("--zetas", required=True, help="comma-separated list, e.g. 5,10,20")
+    p.add_argument("--models", default="cnn3d", help="comma-separated systems: cnn3d, lcn_dvector (default: cnn3d)")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--momentum", type=float, default=None)

@@ -527,28 +527,18 @@ def batchnorm_forward(x, params: LayerParams, cache: dict | None = None) -> np.n
     squares are single whole-array reductions; the elementwise passes
     around them are split by example across workers, and one pass both
     normalizes a run and writes its output (_batchnorm_affine). The
-    inference output is ((x - mean) * scale) * inv + shift, rounded in that
-    order into one fresh buffer, split by example across workers, with inv
-    from batchnorm_running_inv. `Network.embed_vectors` folds this map into
-    the conv before it and calls this function only on that conv's bias.
-    `x` is left unchanged.
+    inference output is the one expression ((x - mean) * scale) * inv +
+    shift, rounded in that order, with inv from batchnorm_running_inv. Its
+    one production input is a conv's (1, C) bias row: `Network.embed_vectors`
+    folds this map into the conv before it (_bn_folded) and calls this
+    function only on that bias. `x` is left unchanged.
     """
     x = _require_channel_batch(x, "batchnorm input")
     c = x.shape[-1]
     if params.bn_scale.shape != (c,):
         raise DimensionError(f"channel axis: batchnorm params sized for {params.bn_scale.shape}, input has {c} channels")
     if cache is None:
-        inv = batchnorm_running_inv(params)
-        y = np.empty(x.shape)
-
-        def infer(i, lo, hi):
-            np.subtract(x[lo:hi], params.bn_running_mean, out=y[lo:hi])
-            y[lo:hi] *= params.bn_scale
-            y[lo:hi] *= inv
-            y[lo:hi] += params.bn_shift
-
-        _in_parallel(len(x), infer)
-        return y
+        return ((x - params.bn_running_mean) * params.bn_scale) * batchnorm_running_inv(params) + params.bn_shift
     axes = tuple(range(x.ndim - 1))
     mu = x.mean(axis=axes)
     xh = np.empty(x.shape)

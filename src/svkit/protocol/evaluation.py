@@ -20,18 +20,19 @@ def run_evaluation(models: SpeakerModels, test_maps, network: Network) -> tuple[
     runs with each batchnorm folded into the conv before it (see
     `Network.embed_vectors`), with the same embeddings as the full, unfolded
     cube to within 1e-12. Scores fill the (utterances x models) matrix row by row,
-    one `score_trial` call per trial. The models must come from `network`'s
-    own checkpoint; `svkit evaluate` checks that from the model file.
+    one `score_trial` call per trial; the genuine mask is one comparison of
+    the test maps' speaker ids against the models'. The models must come
+    from `network`'s own checkpoint; `svkit evaluate` checks that from the
+    model file.
     """
     test_maps = list(test_maps)
     if not test_maps:
         raise ConfigError("no test utterances to evaluate")
     vecs = network.embed_vectors([utterance_input(network.spec, m) for m in test_maps])
-    model_ids = models.speaker_ids
     score_set = ScoreSet(
         tuple(m.utterance_id for m in test_maps),
-        model_ids,
-        [[claimed == m.speaker_id for claimed in model_ids] for m in test_maps],
+        models.speaker_ids,
+        np.array([m.speaker_id for m in test_maps])[:, None] == np.array(models.speaker_ids)[None, :],
         np.array([[score_trial(model, vec) for model in models.vectors] for vec in vecs]),
     )
     return compute_roc(score_set.genuine_scores, score_set.impostor_scores), score_set

@@ -67,10 +67,3 @@ def write_roc_svg(summary: RocSummary, path) -> None:
     ]
     Path(path).write_text("\n".join(parts) + "\n")
 
-
-def format_sweep_table(rows) -> str:
-    """Text table of (zeta, eer, auc) rows sorted by zeta ascending."""
-    lines = [f"{'zeta':>6}  {'eer':>8}  {'auc':>8}"]
-    for zeta, eer, auc in sorted(rows):
-        lines.append(f"{zeta:>6}  {eer:>8.4f}  {auc:>8.4f}")
-    return "\n".join(lines)

@@ -282,8 +282,12 @@ def test_criterion_5_feature_contract():
 # -- end-to-end experiment -----------------------------------------------------
 
 
+# each system's step directory under the sweep's --out-dir
+STEPS = {"cnn3d": Path("cnn3d", "zeta_010"), "lcn": Path("lcn_dvector", "zeta_001")}
+
+
 def run_experiment(root: Path) -> dict:
-    """Synth + train/enroll/evaluate both models; returns artifacts and metrics."""
+    """Synth, then one zeta-sweep over both models at their default learning rates; returns the root and metrics."""
     root.mkdir(parents=True, exist_ok=True)
     assert (
         main(
@@ -292,37 +296,17 @@ def run_experiment(root: Path) -> dict:
         )
         == 0
     )
-    manifest = str(root / "data" / "manifest.csv")
+    assert (
+        main(
+            ["zeta-sweep", "--manifest", str(root / "data" / "manifest.csv"), "--models", "cnn3d,lcn_dvector",
+             "--zetas", "10", "--epochs", "8", "--batch", "8", "--seed", str(SEED), "--max-slices", "40",
+             "--out-dir", str(root)]
+        )
+        == 0
+    )
     out = {"root": root}
-    for tag, model, lr, epochs in (
-        ("cnn3d", "cnn3d", "0.003", "8"),
-        ("lcn", "lcn_dvector", "0.0003", "8"),
-    ):
-        d = root / tag
-        assert (
-            main(
-                ["train", "--manifest", manifest, "--model", model, "--zeta", "10",
-                 "--epochs", epochs, "--lr", lr, "--batch", "8", "--seed", str(SEED),
-                 "--max-slices", "40", "--out", str(d / "checkpoint.svck")]
-            )
-            == 0
-        )
-        assert (
-            main(
-                ["enroll", "--manifest", manifest, "--checkpoint", str(d / "checkpoint.svck"),
-                 "--seed", str(SEED), "--max-slices", "40", "--out", str(d / "models.svsm")]
-            )
-            == 0
-        )
-        assert (
-            main(
-                ["evaluate", "--manifest", manifest, "--checkpoint", str(d / "checkpoint.svck"),
-                 "--models", str(d / "models.svsm"), "--seed", str(SEED),
-                 "--max-slices", "40", "--out-dir", str(d)]
-            )
-            == 0
-        )
-        out[tag] = json.loads((d / "metrics.json").read_text())
+    for tag, step in STEPS.items():
+        out[tag] = json.loads((root / step / "metrics.json").read_text())
     return out
 
 
@@ -359,11 +343,11 @@ def test_criterion_7_determinism(experiment, tmp_path_factory):
     run_experiment(rerun_root)
     first = experiment["root"]
     compared = 0
-    for tag in ("cnn3d", "lcn"):
+    for step in STEPS.values():
         for name in ("checkpoint.svck", "models.svsm", "scores.csv", "metrics.json", "roc.csv"):
-            a = (first / tag / name).read_bytes()
-            b = (rerun_root / tag / name).read_bytes()
-            assert a == b, f"{tag}/{name} differs between identical runs"
+            a = (first / step / name).read_bytes()
+            b = (rerun_root / step / name).read_bytes()
+            assert a == b, f"{step}/{name} differs between identical runs"
             compared += 1
     wavs = sorted(p.name for p in (first / "data").glob("*.wav"))
     for name in wavs:

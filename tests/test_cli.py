@@ -758,22 +758,37 @@ class TestZetaSweep:
         manifest = str(micro_corpus / "data" / "manifest.csv")
         out_dir = tmp_path / "sweep"
         rc = main(
-            ["zeta-sweep", "--manifest", manifest, "--zetas", "3,2", "--epochs", "1",
-             "--lr", "0.003", "--batch", "4", "--seed", SEED, "--max-slices", "6",
-             "--out-dir", str(out_dir)]
+            ["zeta-sweep", "--manifest", manifest, "--zetas", "3,2", "--models", "cnn3d,lcn_dvector",
+             "--epochs", "1", "--batch", "4", "--seed", SEED, "--max-slices", "6", "--out-dir", str(out_dir)]
         )
         assert rc == 0
         table = (out_dir / "sweep.txt").read_text().splitlines()
-        assert len(table) == 3  # header + one row per depth
-        zetas = [int(row.split()[0]) for row in table[1:]]
-        assert zetas == [2, 3]  # ascending regardless of flag order
-        for z in zetas:
-            assert (out_dir / f"zeta_{z:03d}" / "metrics.json").exists()
+        rows = [row.split() for row in table[1:]]
+        # the cube rows ascend whatever the flag order; the baseline reads one map, so it runs once, at zeta 1
+        assert [(system, int(zeta), kind) for system, zeta, kind, _, _ in rows] == [
+            ("cnn3d", 2, "one_shot_3d"), ("cnn3d", 3, "one_shot_3d"), ("lcn_dvector", 1, "d_vector_avg"),
+        ]  # fmt: skip
+        for system, zeta, *_ in rows:
+            assert (out_dir / system / f"zeta_{int(zeta):03d}" / "metrics.json").exists()
+        # a sweep step writes what the three commands write when run by hand at the same flags
+        hand = tmp_path / "hand"
+        ckpt, svsm = str(hand / "checkpoint.svck"), str(hand / "models.svsm")
+        shared = ["--manifest", manifest, "--seed", SEED, "--max-slices", "6"]
+        assert main(["train", *shared, "--model", "cnn3d", "--zeta", "3", "--epochs", "1", "--batch", "4",
+                     "--out", ckpt]) == 0  # fmt: skip
+        assert main(["enroll", *shared, "--checkpoint", ckpt, "--out", svsm]) == 0
+        assert main(["evaluate", *shared, "--checkpoint", ckpt, "--models", svsm, "--out-dir", str(hand)]) == 0
+        for name in ("checkpoint.svck", "models.svsm", "scores.csv"):
+            assert (out_dir / "cnn3d" / "zeta_003" / name).read_bytes() == (hand / name).read_bytes(), name
 
     def test_bad_zeta_list_exits_2(self, micro_corpus, tmp_path):
-        rc = main(["zeta-sweep", "--manifest", str(micro_corpus / "data" / "manifest.csv"),
-                   "--zetas", "a,b", "--out-dir", str(tmp_path)])
+        manifest = str(micro_corpus / "data" / "manifest.csv")
+        rc = main(["zeta-sweep", "--manifest", manifest, "--zetas", "a,b", "--out-dir", str(tmp_path)])
         assert rc == 2
+        rc = main(["zeta-sweep", "--manifest", manifest, "--zetas", "2", "--models", "cnn3d,foo",
+                   "--out-dir", str(tmp_path)])  # fmt: skip
+        assert rc == 2
+        assert not list(tmp_path.iterdir())
 
     def test_rejected_run_leaves_no_step_directory(self, micro_corpus, tmp_path):
         out_dir = tmp_path / "sweep"
