@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the development-phase classifier")
     _add_common(p)
-    p.add_argument("--model", choices=("cnn3d", "lcn_dvector"), default=None)
+    p.add_argument("--model", choices=MODEL_KINDS, default=None)
     p.add_argument("--zeta", type=int, default=None, help="utterance maps stacked per cube")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None, help="default: 0.003 for cnn3d, 0.0003 for lcn_dvector")

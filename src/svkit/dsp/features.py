@@ -11,22 +11,13 @@ one speaker stack along depth into the network-input cubes, plain
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ..errors import (
-    ConfigError,
-    DimensionError,
-    FileFormatError,
-    ProvenanceError,
-    SignalTooShortError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from ..errors import ConfigError, DimensionError, FileFormatError, ProvenanceError, SignalTooShortError
 from ..corpus.slicing import SLICE_SECONDS
+from ..models.framing import Framing, typed
 from .audio import CANONICAL_RATE, AudioSignal
 
 N_FRAMES = 80
@@ -35,8 +26,7 @@ N_FFT = 512
 WINDOW_MS = 20.0
 HOP_MS = 10.0
 LOG_FLOOR = 1e-10
-_FEATURE_MAGIC = b"MFEC"
-_FEATURE_VERSION = 1
+_FRAMING = Framing(b"MFEC", 2, "feature file", FileFormatError)
 
 
 def hz_to_mel(f):
@@ -161,24 +151,16 @@ def replicate_for_eval(fmap: FeatureMap, depth: int) -> np.ndarray:
 
 
 def write_feature_file(fmap: FeatureMap, path) -> None:
-    """Dump one map: magic, version, rows, cols, then row-major little-endian f64."""
-    header = _FEATURE_MAGIC + struct.pack("<III", _FEATURE_VERSION, *fmap.values.shape)
-    Path(path).write_bytes(header + fmap.values.astype("<f8").tobytes())
+    """Dump one map (`.mfec` v2, in the `models.framing` framing): its ids in the header, its 80x40 floats as payload."""
+    _FRAMING.write(path, {"speaker_id": fmap.speaker_id, "utterance_id": fmap.utterance_id}, [fmap.values])
+
+
+def _parse_header(header):
+    """((speaker id, utterance id), the payload's byte count)."""
+    return (typed(header["speaker_id"], str), typed(header["utterance_id"], str)), N_FRAMES * N_COEFFS * 8
 
 
 def read_feature_file(path) -> FeatureMap:
-    data = Path(path).read_bytes()
-    if len(data) < 16:
-        raise TruncatedFileError(f"{path}: too small for a feature-file header")
-    if data[:4] != _FEATURE_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {data[:4]!r}")
-    version, rows, cols = struct.unpack_from("<III", data, 4)
-    if version != _FEATURE_VERSION:
-        raise VersionMismatchError(f"{path}: feature-file version {version}, expected {_FEATURE_VERSION}")
-    expected = 16 + rows * cols * 8
-    if len(data) < expected:
-        raise TruncatedFileError(f"{path}: {len(data)} bytes, expected {expected}")
-    if len(data) > expected:
-        raise FileFormatError(f"{path}: {len(data) - expected} bytes after the {rows}x{cols} payload")
-    values = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=16).reshape(rows, cols)
-    return FeatureMap(values.copy())
+    (speaker_id, utterance_id), payload, _ = _FRAMING.read(path, _parse_header)
+    values = np.frombuffer(payload, dtype="<f8").reshape(N_FRAMES, N_COEFFS)
+    return FeatureMap(values.copy(), speaker_id, utterance_id)

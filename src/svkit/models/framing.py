@@ -1,4 +1,4 @@
-"""The file framing that checkpoints (`.svck`) and speaker-model files (`.svsm`) share.
+"""The file framing that checkpoints (`.svck`), speaker-model files (`.svsm`) and feature dumps (`.mfec`) share.
 
 A framed file is 4 magic bytes, a u32 version, a u32 header length, a
 canonical-JSON header (sorted keys, no spaces), a little-endian float64
@@ -32,7 +32,7 @@ def typed(value, *kinds: type):
 class Framing:
     magic: bytes
     version: int
-    noun: str  # names the format in messages: "checkpoint", "model file"
+    noun: str  # names the format in messages: "checkpoint", "model file", "feature file"
     error: type[FileFormatError]
 
     def write(self, path, header: dict, arrays) -> None:

@@ -1,16 +1,16 @@
-"""Builders for the two concrete speaker networks.
+"""The two concrete speaker networks, built by one `build_network`.
 
-`build_3dcnn` assembles the stacked-utterance convolutional network: four
-pairs of factorized (depth x time x 1 / depth x 1 x freq) kernels with
-frequency-only max pooling, batchnorm after every convolution, PReLU after
-every weighted layer except the classifier head, and a 128-unit embedding
-layer. `build_lcn_baseline` assembles the map-level baseline: one locally
-connected layer over 8x8 patches followed by three 256-unit fully connected
-layers and the softmax head.
+`cnn3d` is the stacked-utterance convolutional network: four pairs of
+factorized (depth x time x 1 / depth x 1 x freq) kernels with frequency-only
+max pooling, batchnorm after every convolution, PReLU after every weighted
+layer except the classifier head, and an embedding layer. `lcn_dvector` is
+the map-level baseline: one locally connected layer over 8x8 patches
+followed by three fully connected layers and the softmax head.
 
 `undrawn_network` is the one description of each network's layers and
-arrays: the builders draw its weights, and `load_checkpoint` fills it from a
-file.
+arrays: `build_network` draws its weights, and `load_checkpoint` fills it
+from a file. Both take the same `widths` tuple, which `NetworkSpec.widths`
+and the checkpoint header hold; `DEFAULT_WIDTHS` has svkit's.
 """
 
 from __future__ import annotations
@@ -133,11 +133,17 @@ def _lcn_layers(spec: NetworkSpec) -> list[LayerParams]:
     return layers
 
 
+# svkit's widths per kind, in the order `widths` takes them: the cube network's
+# four channel groups and its embedding, the baseline's units per patch and
+# its hidden width.
+DEFAULT_WIDTHS = {"cnn3d": (16, 32, 64, 128, 128), "lcn_dvector": (16, 256)}
+
+
 def undrawn_network(kind: str, zeta: int, n_classes: int, widths: tuple[int, ...]) -> Network:
     """The `kind` network with these settings and its weights zero, not yet drawn.
 
-    `widths` are the builder's width arguments in order. The map-level
-    baseline reads one map, so its zeta is 1 whatever is asked.
+    The cube network reads (zeta, 80, 40, 1) cubes. The map-level baseline
+    reads one 80x40 map, so its zeta is 1 whatever is asked.
     """
     if kind == "cnn3d":
         spec = NetworkSpec(kind, (zeta, N_FRAMES, N_COEFFS, 1), n_classes, zeta, widths)
@@ -148,8 +154,16 @@ def undrawn_network(kind: str, zeta: int, n_classes: int, widths: tuple[int, ...
     raise ConfigError(f"unknown model kind {kind!r} (expected 'cnn3d' or 'lcn_dvector')")
 
 
-def _drawn(network: Network, rng: Rng) -> Network:
-    """`network` with every weight array drawn by variance scaling, in layer order."""
+def build_network(
+    kind: str, zeta: int, n_classes: int, rng: Rng, widths: tuple[int, ...] | None = None
+) -> Network:
+    """The `kind` network with every weight array drawn by variance scaling from `rng`, in layer order.
+
+    `widths` defaults to `DEFAULT_WIDTHS[kind]`.
+    """
+    if widths is None:
+        widths = DEFAULT_WIDTHS.get(kind, ())  # an unknown kind fails in undrawn_network
+    network = undrawn_network(kind, zeta, n_classes, widths)
     for layer in network.layers:
         if layer.weights is not None:
             shape = layer.weights.shape
@@ -157,32 +171,3 @@ def _drawn(network: Network, rng: Rng) -> Network:
             fan_in = math.prod(shape[3:] if layer.kind == "locally_connected" else shape[:-1])
             layer.weights = variance_scaling_init(shape, fan_in, rng)
     return network
-
-
-def build_3dcnn(
-    zeta: int,
-    n_classes: int,
-    rng: Rng,
-    channel_widths: tuple[int, int, int, int] = (16, 32, 64, 128),
-    embedding_width: int = 128,
-) -> Network:
-    """Stacked-utterance 3D convolutional network over (zeta, 80, 40, 1) cubes."""
-    return _drawn(undrawn_network("cnn3d", zeta, n_classes, (*channel_widths, embedding_width)), rng)
-
-
-def build_lcn_baseline(
-    n_classes: int,
-    rng: Rng,
-    units_per_patch: int = 16,
-    hidden_width: int = 256,
-) -> Network:
-    """Locally connected baseline over single 80x40 maps, d-vector style."""
-    return _drawn(undrawn_network("lcn_dvector", 1, n_classes, (units_per_patch, hidden_width)), rng)
-
-
-def build_network(kind: str, zeta: int, n_classes: int, rng: Rng) -> Network:
-    if kind == "cnn3d":
-        return build_3dcnn(zeta, n_classes, rng)
-    if kind == "lcn_dvector":
-        return build_lcn_baseline(n_classes, rng)
-    raise ConfigError(f"unknown model kind {kind!r} (expected 'cnn3d' or 'lcn_dvector')")

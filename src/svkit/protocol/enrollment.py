@@ -64,17 +64,15 @@ class SpeakerModels:
 
 
 def utterance_input(spec: NetworkSpec, fmap: FeatureMap) -> np.ndarray:
-    """Network input for a single test utterance.
+    """Network input for a single test utterance: the map seen zeta times along depth, shaped to `spec.input_shape`.
 
-    The cube network takes zeta-deep cubes, so a lone map is seen zeta times
-    along depth, as a view of the map that copies nothing; the map-level
-    baseline consumes the map directly. At valid depth (zeta >= 17)
-    `Network.embed_vectors` runs a batch of such cubes collapsed to one depth
-    slice, which gives the full cube's embedding.
+    This is the one input rule, so the map-level baseline (zeta = 1) takes
+    the map itself. The input is a read-only view of the map that copies
+    nothing. At valid depth (zeta >= 17) `Network.embed_vectors` runs a batch
+    of such cubes collapsed to one depth slice, which gives the full cube's
+    embedding.
     """
-    if spec.kind == "cnn3d":
-        return replicate_for_eval(fmap, spec.zeta)
-    return fmap.values
+    return replicate_for_eval(fmap, spec.zeta).reshape(spec.input_shape)
 
 
 def enroll_one_shot(network: Network, maps) -> np.ndarray:

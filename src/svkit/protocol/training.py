@@ -1,10 +1,10 @@
 """Development-phase training: softmax speaker classification.
 
-For the cube network each training example is one stack of `zeta` maps from a
-single speaker (consecutive non-overlapping groups in corpus order); for the
-map-level baseline each example is one 80x40 map. Training is plain SGD with
-momentum over shuffled minibatches, deterministic under a fixed seed at an
-equal BLAS thread count.
+Every training example is one stack of `zeta` maps from a single speaker
+(consecutive non-overlapping groups in corpus order), shaped to the
+network's input; the map-level baseline is zeta = 1, one map per example.
+Training is plain SGD with momentum over shuffled minibatches, deterministic
+under a fixed seed at an equal BLAS thread count.
 """
 
 from __future__ import annotations
@@ -29,27 +29,18 @@ def speaker_labels(maps_by_speaker: dict) -> dict[str, int]:
 
 
 def training_examples(network: Network, maps_by_speaker: dict) -> list[tuple[np.ndarray, int]]:
-    """(input, class label) pairs for the given network kind."""
+    """(input, class label) pairs: each speaker's maps in consecutive groups of zeta, each group one input."""
     if len(maps_by_speaker) < 2:
         raise ConfigError(f"development needs >= 2 speakers, got {len(maps_by_speaker)}")
     labels = speaker_labels(maps_by_speaker)
+    zeta, shape = network.spec.zeta, network.spec.input_shape
     examples: list[tuple[np.ndarray, int]] = []
-    if network.spec.kind == "cnn3d":
-        zeta = network.spec.zeta
-        for sid in sorted(maps_by_speaker):
-            maps = list(maps_by_speaker[sid])
-            if len(maps) < zeta:
-                raise ConfigError(
-                    f"speaker {sid!r} has {len(maps)} utterance maps, fewer than the stack depth {zeta}"
-                )
-            for start in range(0, len(maps) - zeta + 1, zeta):
-                examples.append((build_feature_cube(maps[start : start + zeta]), labels[sid]))
-    else:
-        for sid in sorted(maps_by_speaker):
-            if not maps_by_speaker[sid]:
-                raise ConfigError(f"speaker {sid!r} has no utterance maps")
-            for m in maps_by_speaker[sid]:
-                examples.append((m.values, labels[sid]))
+    for sid in sorted(maps_by_speaker):
+        maps = list(maps_by_speaker[sid])
+        if len(maps) < zeta:
+            raise ConfigError(f"speaker {sid!r} has {len(maps)} utterance maps, fewer than the stack depth {zeta}")
+        for start in range(0, len(maps) - zeta + 1, zeta):
+            examples.append((build_feature_cube(maps[start : start + zeta]).reshape(shape), labels[sid]))
     return examples
 
 

@@ -26,7 +26,7 @@ from svkit.dsp.audio import AudioSignal
 from svkit.dsp.features import N_FFT, mel_filterbank, signal_to_feature_map
 from svkit.errors import ChecksumError
 from svkit.models.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from svkit.models.zoo import build_3dcnn
+from svkit.models.zoo import build_network
 from svkit.nn.layers import (
     LayerParams,
     batchnorm_backward,
@@ -72,7 +72,7 @@ def report(n, text):
 
 def test_criterion_1_table_shape_conformance():
     t0 = time.time()
-    net = build_3dcnn(20, 511, Rng(0))
+    net = build_network("cnn3d", 20, 511, Rng(0))
     xb = Rng(1).normal((1, 20, 80, 40, 1))
     outputs = {}
     for layer in net.layers[:-1]:
@@ -220,7 +220,7 @@ def test_criterion_3_gradient_checks():
     for kind, err in errors.items():
         assert err < 1e-6, f"{kind}: {err:.3e}"
 
-    net = build_3dcnn(2, 2, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
+    net = build_network("cnn3d", 2, 2, Rng(0), widths=(2, 2, 2, 2, 6))
     stack_err = finite_diff_check(net, Rng(5).normal((2, 80, 40, 1))[None], [1], eps=eps)
     assert stack_err < 1e-4
     elapsed = time.time() - t0
@@ -356,7 +356,7 @@ def test_criterion_7_determinism(experiment, tmp_path_factory):
 
 
 def test_criterion_8_serialization_round_trips(tmp_path):
-    net = build_3dcnn(3, 3, Rng(11), channel_widths=(2, 2, 2, 2), embedding_width=6)
+    net = build_network("cnn3d", 3, 3, Rng(11), widths=(2, 2, 2, 2, 6))
     ck = Checkpoint.of(net, epoch=2, seed=11)
     save_checkpoint(ck, tmp_path / "a.svck")
     save_checkpoint(load_checkpoint(tmp_path / "a.svck"), tmp_path / "b.svck")

@@ -42,6 +42,7 @@ from svkit.errors import (
     ProvenanceError,
     SignalTooShortError,
     UnsupportedEncodingError,
+    VersionMismatchError,
 )
 from svkit.rng import Rng
 
@@ -445,13 +446,24 @@ class TestFeatureCubes:
 
 
 def test_feature_file_round_trip(tmp_path, mel_bank):
-    fmap = FeatureMap(signal_to_feature_map(AudioSignal(tone(600.0, 0.8, 0.4), SR), mel_bank, [0])[0])
+    values = signal_to_feature_map(AudioSignal(tone(600.0, 0.8, 0.4), SR), mel_bank, [0])[0]
+    fmap = FeatureMap(values, speaker_id="spk007", utterance_id="spk007/u1.wav#3")
     write_feature_file(fmap, tmp_path / "x.mfec")
     back = read_feature_file(tmp_path / "x.mfec")
     np.testing.assert_array_equal(back.values, fmap.values)
+    assert (back.speaker_id, back.utterance_id) == ("spk007", "spk007/u1.wav#3")
     raw = (tmp_path / "x.mfec").read_bytes()
     assert raw[:4] == b"MFEC"
-    assert struct.unpack_from("<III", raw, 4) == (1, 80, 40)
+    assert struct.unpack_from("<I", raw, 4) == (2,)
+
+
+def test_version_1_feature_file_exits_3(tmp_path):
+    """A dump in the layout that version 1 wrote (magic, version, rows, cols, floats; no ids, no CRC)."""
+    path = tmp_path / "v1.mfec"
+    path.write_bytes(b"MFEC" + struct.pack("<III", 1, 80, 40) + np.zeros((80, 40)).astype("<f8").tobytes())
+    with pytest.raises(VersionMismatchError, match="feature file version 1, expected 2") as info:
+        read_feature_file(path)
+    assert info.value.exit_code == 3
 
 
 def test_feature_file_trailing_bytes_rejected(tmp_path):

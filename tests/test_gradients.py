@@ -9,7 +9,7 @@ import pytest
 from oracles import finite_diff_check, max_relative_error, numeric_gradient
 from svkit.errors import ConfigError
 from svkit.models import network as network_module
-from svkit.models.zoo import build_3dcnn
+from svkit.models.zoo import build_network
 from svkit.nn.layers import (
     LayerParams,
     batchnorm_backward,
@@ -314,7 +314,7 @@ def test_rng_child_streams_stable():
 
 @pytest.mark.slow
 def test_full_reduced_stack_gradient_check():
-    net = build_3dcnn(2, 2, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
+    net = build_network("cnn3d", 2, 2, Rng(0), widths=(2, 2, 2, 2, 6))
     x = Rng(5).normal((2, 80, 40, 1))[None]
     assert finite_diff_check(net, x, [1], eps=EPS) < 1e-4
 
@@ -329,6 +329,6 @@ def test_full_stack_check_catches_a_scaled_gradient(monkeypatch):
         return g, {**grads, "weights": grads["weights"] * (1 + 1e-3)}
 
     monkeypatch.setitem(network_module._KINDS, "softmax", replace(kind, backward=scaled_backward))
-    net = build_3dcnn(1, 2, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
+    net = build_network("cnn3d", 1, 2, Rng(0), widths=(2, 2, 2, 2, 6))
     x = Rng(5).normal((1, 80, 40, 1))[None]
     assert finite_diff_check(net, x, [1], eps=EPS) > 1e-4

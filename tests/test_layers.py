@@ -29,7 +29,7 @@ from oracles import (
     softmax_xent_decimal,
 )
 from svkit.errors import ConfigError, DimensionError
-from svkit.models.zoo import build_3dcnn
+from svkit.models.zoo import build_network
 from svkit.nn import layers as layers_module
 from svkit.nn.layers import (
     BN_EPS,
@@ -137,7 +137,7 @@ def cnn3d_convs():
     """
     convs = {}
     for zeta in (20, 10):
-        net = build_3dcnn(zeta, 4, Rng(zeta))
+        net = build_network("cnn3d", zeta, 4, Rng(zeta))
         shapes = [net.spec.input_shape] + [shape for _, shape in net.layer_output_shapes()]
         for layer, shape in zip(net.layers, shapes):
             if layer.kind == "conv3d":

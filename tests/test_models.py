@@ -35,7 +35,7 @@ from svkit.errors import (
 )
 from svkit.models import network as network_module
 from svkit.models.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from svkit.models.zoo import build_3dcnn, build_lcn_baseline, build_network
+from svkit.models.zoo import build_network
 from svkit.nn import layers as layers_module
 from svkit.nn.layers import (
     BN_EPS,
@@ -67,14 +67,14 @@ EXPECTED_CHAIN_20 = {
 
 class TestBuild3dcnn:
     def test_inferred_shape_chain_at_depth_20(self):
-        net = build_3dcnn(20, 511, Rng(0))
+        net = build_network("cnn3d", 20, 511, Rng(0))
         shapes = dict(net.layer_output_shapes())
         for name, expected in EXPECTED_CHAIN_20.items():
             assert shapes[name] == expected, name
         assert shapes["output"] == (511,)
 
     def test_forward_pass_shapes_at_depth_20(self):
-        net = build_3dcnn(20, 8, Rng(0))
+        net = build_network("cnn3d", 20, 8, Rng(0))
         xb = Rng(1).normal((1, 20, 80, 40, 1))
         by_name = {}
         for layer in net.layers:
@@ -84,33 +84,33 @@ class TestBuild3dcnn:
             assert by_name[name] == expected, name
 
     def test_depth_trace_valid_mode(self):
-        net = build_3dcnn(20, 8, Rng(0))
+        net = build_network("cnn3d", 20, 8, Rng(0))
         depths = [shape[0] for name, shape in net.layer_output_shapes() if name.startswith("conv")]
         assert depths[::3] == [18, 16, 14, 12, 10, 8, 6, 4]  # conv, then its bn/act repeats
 
     def test_same_depth_padding_below_threshold(self):
-        net = build_3dcnn(5, 8, Rng(0))
+        net = build_network("cnn3d", 5, 8, Rng(0))
         shapes = dict(net.layer_output_shapes())
         assert shapes["conv4_2"] == (5, 3, 3, 128)
         assert shapes["flatten"] == (5 * 3 * 3 * 128,)
         assert net.layers[0].pad_depth
 
     def test_depth_20_uses_valid_convolution(self):
-        net = build_3dcnn(20, 8, Rng(0))
+        net = build_network("cnn3d", 20, 8, Rng(0))
         assert not net.layers[0].pad_depth
 
     def test_bad_arguments(self):
         with pytest.raises(ConfigError, match="stack depth"):
-            build_3dcnn(0, 8, Rng(0))
+            build_network("cnn3d", 0, 8, Rng(0))
         with pytest.raises(ConfigError, match="development speakers"):
-            build_3dcnn(20, 1, Rng(0))
+            build_network("cnn3d", 20, 1, Rng(0))
         with pytest.raises(ConfigError, match="development speakers"):
-            build_lcn_baseline(1, Rng(0))
+            build_network("lcn_dvector", 1, 1, Rng(0))
 
 
 class TestBuildLcn:
     def test_hidden_widths(self):
-        net = build_lcn_baseline(12, Rng(0))
+        net = build_network("lcn_dvector", 1, 12, Rng(0))
         shapes = [s for _, s in net.layer_output_shapes()]
         assert shapes[0] == (800,)  # 10*5 patches * 16 units
         widths = [s[0] for name, s in net.layer_output_shapes() if name in ("fc1", "fc2", "fc3")]
@@ -118,7 +118,7 @@ class TestBuildLcn:
         assert shapes[-1] == (12,)
 
     def test_zero_input_uniform_softmax(self):
-        net = build_lcn_baseline(5, Rng(0))
+        net = build_network("lcn_dvector", 1, 5, Rng(0))
         for layer in net.layers:
             if layer.bias is not None:
                 assert not layer.bias.any()
@@ -127,7 +127,7 @@ class TestBuildLcn:
 
     def test_parameter_count_closed_form(self):
         n_classes, units, hidden = 7, 16, 256
-        net = build_lcn_baseline(n_classes, Rng(0), units_per_patch=units, hidden_width=hidden)
+        net = build_network("lcn_dvector", 1, n_classes, Rng(0), widths=(units, hidden))
         patches = 10 * 5
         lc = patches * units * 64 + patches * units
         lc_out = patches * units
@@ -139,7 +139,7 @@ class TestBuildLcn:
 
 class TestForwardAndEmbed:
     def test_logits_length_and_determinism(self):
-        net = build_lcn_baseline(9, Rng(2))
+        net = build_network("lcn_dvector", 1, 9, Rng(2))
         x = Rng(3).normal((1, 80, 40))
         a = forward_logits(net, x)
         b = forward_logits(net, x)
@@ -149,7 +149,7 @@ class TestForwardAndEmbed:
     def test_reduced_network_matches_manual_composition(self):
         from svkit.nn.layers import fully_connected_forward, prelu_forward
 
-        net = build_lcn_baseline(3, Rng(4), units_per_patch=2, hidden_width=5)
+        net = build_network("lcn_dvector", 1, 3, Rng(4), widths=(2, 5))
         x = Rng(5).normal((80, 40))
         from svkit.nn.layers import locally_connected_forward
 
@@ -162,7 +162,7 @@ class TestForwardAndEmbed:
         np.testing.assert_allclose(forward_logits(net, x[None])[0], head[0], rtol=1e-14)
 
     def test_embedding_is_normalized_128(self):
-        net = build_3dcnn(5, 4, Rng(0))
+        net = build_network("cnn3d", 5, 4, Rng(0))
         emb = net.embed_vectors([Rng(1).normal((5, 80, 40, 1))])[0]
         assert emb.shape == (128,)
         assert abs(np.linalg.norm(emb) - 1.0) <= 1e-12
@@ -170,7 +170,7 @@ class TestForwardAndEmbed:
     def test_embed_equals_truncated_forward_normalized(self):
         from svkit.nn.layers import fully_connected_forward
 
-        net = build_lcn_baseline(4, Rng(6))
+        net = build_network("lcn_dvector", 1, 4, Rng(6))
         x = Rng(7).normal((80, 40))
         emb = net.embed_vectors([x])[0]
         assert emb.shape == (256,)  # last hidden layer width of the baseline
@@ -187,7 +187,7 @@ class TestForwardAndEmbed:
 
 
 def test_conv_caches_hold_only_the_input():
-    net = build_3dcnn(3, 3, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
+    net = build_network("cnn3d", 3, 3, Rng(0), widths=(2, 2, 2, 2, 6))
     _, caches = net.forward_with_cache(Rng(1).normal((2, 3, 80, 40, 1)))
     conv_caches = [cache for layer, cache in zip(net.layers, caches) if layer.kind == "conv3d"]
     assert len(conv_caches) == 8
@@ -196,7 +196,7 @@ def test_conv_caches_hold_only_the_input():
 
 def test_prelu_caches_after_batchnorm_hold_no_array():
     """A PReLU after batchnorm refers to that batchnorm's cache; the baseline's PReLUs, after dense layers, keep their input."""
-    net = build_3dcnn(3, 3, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
+    net = build_network("cnn3d", 3, 3, Rng(0), widths=(2, 2, 2, 2, 6))
     _, caches = net.forward_with_cache(Rng(1).normal((2, 3, 80, 40, 1)))
     after_bn = [
         cache
@@ -206,7 +206,7 @@ def test_prelu_caches_after_batchnorm_hold_no_array():
     assert len(after_bn) == 8
     for cache in after_bn:
         assert not any(isinstance(v, np.ndarray) for v in cache.values())
-    net = build_lcn_baseline(3, Rng(0), units_per_patch=2, hidden_width=8)
+    net = build_network("lcn_dvector", 1, 3, Rng(0), widths=(2, 8))
     x = Rng(1).normal((2, *net.spec.input_shape))
     _, caches = net.forward_with_cache(x)
     prelu_caches = [cache for layer, cache in zip(net.layers, caches) if layer.kind == "prelu"]
@@ -215,7 +215,7 @@ def test_prelu_caches_after_batchnorm_hold_no_array():
 
 
 def test_flatten_cache_holds_the_shape_and_no_array():
-    net = build_3dcnn(3, 3, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
+    net = build_network("cnn3d", 3, 3, Rng(0), widths=(2, 2, 2, 2, 6))
     _, caches = net.forward_with_cache(Rng(1).normal((2, 3, 80, 40, 1)))
     (cache,) = [cache for layer, cache in zip(net.layers, caches) if layer.kind == "flatten"]
     assert cache == {"shape": (2, 3, 3, 3, 2)}
@@ -223,13 +223,13 @@ def test_flatten_cache_holds_the_shape_and_no_array():
 
 
 def test_forward_with_cache_rejects_a_single_example():
-    net = build_3dcnn(3, 3, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
+    net = build_network("cnn3d", 3, 3, Rng(0), widths=(2, 2, 2, 2, 6))
     with pytest.raises(DimensionError, match="not a batch"):
         net.forward_with_cache(Rng(1).normal((3, 80, 40, 1)))
 
 
 def test_pool_caches_hold_uint8_indices_and_no_float_array():
-    net = build_3dcnn(3, 3, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
+    net = build_network("cnn3d", 3, 3, Rng(0), widths=(2, 2, 2, 2, 6))
     _, caches = net.forward_with_cache(Rng(1).normal((2, 3, 80, 40, 1)))
     pool_caches = [cache for layer, cache in zip(net.layers, caches) if layer.kind == "maxpool_freq"]
     assert len(pool_caches) == 2
@@ -242,10 +242,10 @@ _GRADIENT_STEP = """
 import sys
 import numpy as np
 from oracles import loss_and_gradients
-from svkit.models.zoo import build_3dcnn
+from svkit.models.zoo import build_network
 from svkit.rng import Rng
 
-net = build_3dcnn(3, 4, Rng(0))
+net = build_network("cnn3d", 3, 4, Rng(0))
 loss, gx, grads = loss_and_gradients(net, Rng(1).normal((4, 3, 80, 40, 1)), [0, 1, 2, 3])
 arrays = {"loss": np.array([loss]), "gx": gx}
 arrays.update({f"{i}.{field}": g for i, layer in enumerate(grads) for field, g in layer.items()})
@@ -291,7 +291,7 @@ class TestBlasThreadDeterminism:
 
 def _trained_like_3dcnn(zeta):
     """A cube network whose biases, PReLU slopes and batchnorm statistics are not at their init values."""
-    net = build_3dcnn(zeta, 4, Rng(10))
+    net = build_network("cnn3d", zeta, 4, Rng(10))
     rng = Rng(11)
     for layer in net.layers:
         if layer.bias is not None:
@@ -448,7 +448,7 @@ def test_embed_vectors_leaves_writable_inputs_unchanged():
 
 def test_lcn_training_pass_keeps_each_prelu_input():
     """A cached pass writes PReLU into a fresh buffer: each PReLU's cached input is still its layer's output."""
-    net = build_lcn_baseline(4, Rng(14), units_per_patch=2, hidden_width=5)
+    net = build_network("lcn_dvector", 1, 4, Rng(14), widths=(2, 5))
     _, caches = net.forward_with_cache(Rng(15).normal((3, *net.spec.input_shape)))
     checked = 0
     for i, layer in enumerate(net.layers):
@@ -595,7 +595,7 @@ def test_training_step_consumes_caches_and_keeps_gradient_bytes():
 
 def test_training_step_peak_memory():
     """One zeta=20, batch-2 step holds at most 110 MiB of Python-allocated arrays at its peak."""
-    net = build_3dcnn(20, 4, Rng(0))
+    net = build_network("cnn3d", 20, 4, Rng(0))
     x = Rng(1).normal((2, *net.spec.input_shape))
     tracemalloc.start()
     try:
@@ -608,7 +608,7 @@ def test_training_step_peak_memory():
 
 def test_training_step_peak_memory_without_prelu_copies():
     """The same step as above peaks at most at 70 MiB: no PReLU keeps a copy of its batchnorm's output."""
-    net = build_3dcnn(20, 4, Rng(0))
+    net = build_network("cnn3d", 20, 4, Rng(0))
     x = Rng(1).normal((2, *net.spec.input_shape))
     tracemalloc.start()
     try:
@@ -627,7 +627,7 @@ def test_training_step_memory_bounds_hold_at_the_worker_cap(monkeypatch, bounded
 
 
 def test_backward_twice_over_one_cache_list_raises():
-    net = build_3dcnn(3, 3, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=6)
+    net = build_network("cnn3d", 3, 3, Rng(0), widths=(2, 2, 2, 2, 6))
     logits, caches = net.forward_with_cache(Rng(1).normal((2, 3, 80, 40, 1)))
     net.backward(caches, np.ones_like(logits))
     with pytest.raises(SvkitError):
@@ -641,7 +641,7 @@ def _pre_norm(net, x):
 
 class TestCheckpoints:
     def _checkpoint(self, seed=0):
-        net = build_3dcnn(3, 3, Rng(seed), channel_widths=(2, 2, 2, 2), embedding_width=6)
+        net = build_network("cnn3d", 3, 3, Rng(seed), widths=(2, 2, 2, 2, 6))
         return Checkpoint.of(net, epoch=4, seed=seed)
 
     def test_save_load_save_byte_identical(self, tmp_path):
@@ -750,7 +750,7 @@ class TestCheckpoints:
         np.testing.assert_array_equal(before, after)
 
     def test_summary_mentions_every_layer(self):
-        net = build_3dcnn(20, 6, Rng(0))
+        net = build_network("cnn3d", 20, 6, Rng(0))
         text = net.summary()
         for name in EXPECTED_CHAIN_20:
             assert name in text

@@ -20,7 +20,7 @@ from svkit.dsp.audio import AudioSignal, load_wav, write_wav
 from svkit.dsp.features import FeatureMap, read_feature_file, write_feature_file
 from svkit.errors import SvkitError
 from svkit.models.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from svkit.models.zoo import build_lcn_baseline
+from svkit.models.zoo import build_network
 from svkit.protocol.enrollment import ONE_SHOT, SpeakerModels, load_speaker_models, save_speaker_models
 from svkit.rng import Rng
 
@@ -31,7 +31,7 @@ LOADERS = {
     "svck": load_checkpoint,
     "svsm": load_speaker_models,
 }
-CRC_FORMATS = ("svck", "svsm")
+CRC_FORMATS = ("mfec", "svck", "svsm")
 MUTATE = settings(max_examples=100, derandomize=True, deadline=None)
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in a mutated payload
 
@@ -44,7 +44,7 @@ def files(tmp_path_factory):
     write_wav(root / "wav_pcm16", signal)
     write_wav(root / "wav_float32", signal, encoding="float32")
     write_feature_file(FeatureMap(Rng(0).normal((80, 40))), root / "mfec")
-    net = build_lcn_baseline(2, Rng(1), units_per_patch=2, hidden_width=6)
+    net = build_network("lcn_dvector", 1, 2, Rng(1), widths=(2, 6))
     save_checkpoint(Checkpoint.of(net, epoch=0, seed=1), root / "svck")
     vecs = Rng(2).normal((2, 8))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)

@@ -11,7 +11,7 @@ from oracles import forward_logits, one_vs_all_trials
 from svkit.config import RunConfig
 from svkit.dsp.features import FeatureMap
 from svkit.errors import ChecksumError, ConfigError, FileFormatError, MetricError, TruncatedFileError
-from svkit.models.zoo import build_3dcnn, build_lcn_baseline
+from svkit.models.zoo import build_network
 from svkit.protocol.enrollment import (
     D_VECTOR,
     ONE_SHOT,
@@ -48,7 +48,7 @@ def separable_maps(n_speakers=2, maps_per_speaker=8, scale=4.0):
 
 class TestEnrollment:
     def _cube_net(self, zeta=4):
-        return build_3dcnn(zeta, 2, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=8)
+        return build_network("cnn3d", zeta, 2, Rng(0), widths=(2, 2, 2, 2, 8))
 
     def test_one_shot_produces_unit_model(self):
         net = self._cube_net()
@@ -57,7 +57,7 @@ class TestEnrollment:
         assert abs(np.linalg.norm(model) - 1.0) <= 1e-12
 
     def test_one_shot_full_size_network_gives_128_dim_model(self):
-        net = build_3dcnn(20, 2, Rng(0))
+        net = build_network("cnn3d", 20, 2, Rng(0))
         model = enroll_one_shot(net, [fmap(i, "dana") for i in range(20)])
         assert model.shape == (128,)
 
@@ -92,13 +92,13 @@ class TestEnrollment:
         assert abs(np.linalg.norm(b) - 1.0) <= 1e-12
 
     def test_dvector_single_map_equals_embedding(self):
-        net = build_lcn_baseline(2, Rng(1), units_per_patch=2, hidden_width=6)
+        net = build_network("lcn_dvector", 1, 2, Rng(1), widths=(2, 6))
         m = fmap(3, "bob")
         model = enroll_dvector(net, [m])
         np.testing.assert_allclose(model, net.embed_vectors([m.values])[0], atol=1e-12)
 
     def test_dvector_identical_maps_equal_one(self):
-        net = build_lcn_baseline(2, Rng(1), units_per_patch=2, hidden_width=6)
+        net = build_network("lcn_dvector", 1, 2, Rng(1), widths=(2, 6))
         m = fmap(3, "bob")
         one = enroll_dvector(net, [m])
         many = enroll_dvector(net, [m, m, m])
@@ -119,14 +119,14 @@ class TestEnrollment:
         np.testing.assert_allclose(mean2 / np.linalg.norm(mean2), expected)
 
     def test_dvector_order_invariant(self):
-        net = build_lcn_baseline(2, Rng(1), units_per_patch=2, hidden_width=6)
+        net = build_network("lcn_dvector", 1, 2, Rng(1), widths=(2, 6))
         maps = [fmap(i, "bob") for i in range(5)]
         fwd = enroll_dvector(net, maps)
         rev = enroll_dvector(net, maps[::-1])
         np.testing.assert_allclose(fwd, rev, atol=1e-12)
 
     def test_dvector_empty_rejected(self):
-        net = build_lcn_baseline(2, Rng(1))
+        net = build_network("lcn_dvector", 1, 2, Rng(1))
         with pytest.raises(ConfigError):
             enroll_dvector(net, [])
 
@@ -140,11 +140,15 @@ class TestEnrollment:
         np.testing.assert_allclose(model, direct, atol=1e-12)
 
     def test_cube_test_input_is_a_view_of_the_map(self):
-        net = build_3dcnn(20, 2, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=8)
         m = fmap(6, "carol")
-        cube = utterance_input(net.spec, m)
-        assert cube.shape == (20, 80, 40, 1)
-        assert np.shares_memory(cube, m.values)
+        for net in (
+            build_network("cnn3d", 20, 2, Rng(0), widths=(2, 2, 2, 2, 8)),
+            build_network("lcn_dvector", 1, 2, Rng(0), widths=(2, 6)),
+        ):
+            cube = utterance_input(net.spec, m)
+            assert cube.shape == net.spec.input_shape
+            assert np.shares_memory(cube, m.values)
+        assert net.spec.input_shape == (80, 40)
 
 
 def unit_rows(seed, rows, dim):
@@ -246,7 +250,7 @@ class TestSpeakerModelFile:
 class TestTraining:
     def test_separable_corpus_reaches_high_accuracy(self):
         maps = separable_maps()
-        net = build_lcn_baseline(2, Rng(0), units_per_patch=4, hidden_width=16)
+        net = build_network("lcn_dvector", 1, 2, Rng(0), widths=(4, 16))
         _, history = train_development(net, maps, RunConfig(lr=3e-4, epochs=12, seed=0))
         examples = training_examples(net, maps)
         predicted = forward_logits(net, np.stack([x for x, _ in examples])).argmax(axis=1)
@@ -258,7 +262,7 @@ class TestTraining:
         from svkit.models.checkpoint import save_checkpoint
 
         maps = separable_maps()
-        net = build_lcn_baseline(2, Rng(7), units_per_patch=2, hidden_width=6)
+        net = build_network("lcn_dvector", 1, 2, Rng(7), widths=(2, 6))
         before = [arr.copy() for layer in net.layers for _, arr in layer.learnable()]
         ckpt, history = train_development(net, maps, RunConfig(epochs=0, seed=1))
         assert history == []
@@ -271,34 +275,41 @@ class TestTraining:
         maps = separable_maps()
         hists = []
         for _ in range(2):
-            net = build_lcn_baseline(2, Rng(3), units_per_patch=2, hidden_width=8)
+            net = build_network("lcn_dvector", 1, 2, Rng(3), widths=(2, 8))
             _, h = train_development(net, maps, RunConfig(lr=3e-4, epochs=4, seed=9))
             hists.append(h)
         assert hists[0] == hists[1]
 
     def test_cube_examples_group_disjoint_blocks(self):
         maps = separable_maps(n_speakers=2, maps_per_speaker=7)
-        net = build_3dcnn(3, 2, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=4)
+        net = build_network("cnn3d", 3, 2, Rng(0), widths=(2, 2, 2, 2, 4))
         examples = training_examples(net, maps)
         assert len(examples) == 4  # floor(7/3) = 2 cubes per speaker
         assert examples[0][0].shape == (3, 80, 40, 1)
+        # the map-level baseline is zeta = 1: one example per map, the map itself
+        examples = training_examples(build_network("lcn_dvector", 1, 2, Rng(0), widths=(2, 6)), maps)
+        assert len(examples) == 14
+        for (x, label), m in zip(examples, maps["spk0"] + maps["spk1"]):
+            assert x.shape == (80, 40)
+            assert x.tobytes() == m.values.tobytes()
+            assert label == int(m.speaker_id == "spk1")
 
     def test_insufficient_maps_for_stack_rejected(self):
         maps = separable_maps(n_speakers=2, maps_per_speaker=2)
-        net = build_3dcnn(3, 2, Rng(0), channel_widths=(2, 2, 2, 2), embedding_width=4)
+        net = build_network("cnn3d", 3, 2, Rng(0), widths=(2, 2, 2, 2, 4))
         with pytest.raises(ConfigError, match="fewer than the stack depth"):
             training_examples(net, maps)
 
     def test_single_speaker_rejected(self):
         maps = separable_maps(n_speakers=1)
-        net = build_lcn_baseline(2, Rng(0))
+        net = build_network("lcn_dvector", 1, 2, Rng(0))
         with pytest.raises(ConfigError, match="speakers"):
             training_examples(net, maps)
 
 
 class TestRunEvaluation:
     def _setup(self):
-        net = build_lcn_baseline(2, Rng(0), units_per_patch=2, hidden_width=6)
+        net = build_network("lcn_dvector", 1, 2, Rng(0), widths=(2, 6))
         speakers = ("alice", "bob", "carol")
         vecs = np.stack([enroll_dvector(net, [fmap(i, spk) for i in range(3)]) for spk in speakers])
         return net, SpeakerModels(D_VECTOR, 1, speakers, vecs, 0, 0, None)
@@ -313,7 +324,7 @@ class TestRunEvaluation:
         assert 0.0 <= summary.eer <= 1.0
 
     def test_single_speaker_degenerate_case_rejected(self):
-        net = build_lcn_baseline(2, Rng(0), units_per_patch=2, hidden_width=6)
+        net = build_network("lcn_dvector", 1, 2, Rng(0), widths=(2, 6))
         models = SpeakerModels(D_VECTOR, 1, ("alice",), enroll_dvector(net, [fmap(1, "alice")])[None], 0, 0, None)
         with pytest.raises(MetricError):
             run_evaluation(models, [fmap(9, "alice", "t0")], net)
@@ -331,7 +342,7 @@ class TestRunEvaluation:
     @pytest.mark.parametrize("kind", ["cnn3d", "lcn_dvector"])
     def test_score_log_matches_per_trial_loop(self, kind):
         if kind == "cnn3d":
-            net = build_3dcnn(20, 3, Rng(2), channel_widths=(2, 2, 2, 2), embedding_width=8)
+            net = build_network("cnn3d", 20, 3, Rng(2), widths=(2, 2, 2, 2, 8))
             vecs = [enroll_one_shot(net, [fmap(20 * k + i, spk) for i in range(20)]) for k, spk in enumerate("abc")]
             models = SpeakerModels(ONE_SHOT, 20, tuple("abc"), np.stack(vecs), 0, 0, None)
         else:
