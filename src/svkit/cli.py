@@ -35,6 +35,7 @@ from .protocol.enrollment import (
     SpeakerModels,
     enroll_dvector,
     enroll_one_shot,
+    enrollment_crc,
     load_speaker_models,
     save_speaker_models,
 )
@@ -98,6 +99,17 @@ def _phase_entries(entries, n_dev: int | None):
     return dev, eval_phase
 
 
+def _evaluation_phase(args):
+    """(network, checkpoint CRC, enrollment maps, evaluation maps): the one front end of `enroll` and `evaluate`."""
+    cfg = _resolve_config(args)
+    ckpt = load_checkpoint(args.checkpoint)
+    _, eval_entries = _phase_entries(load_manifest(args.manifest), cfg.n_dev_speakers)
+    if not eval_entries:
+        raise ConfigError("manifest has no enrollment/evaluation entries")
+    maps = _enroll_eval_maps(eval_entries, cfg.seed, args.max_slices, Path(args.manifest).parent.resolve())
+    return (ckpt.to_network(), ckpt.crc, *maps)
+
+
 def _enroll_eval_maps(eval_entries, seed: int, max_slices: int | None, root: Path):
     """Per-speaker (enrollment maps, evaluation maps).
 
@@ -124,25 +136,18 @@ def _enroll_eval_maps(eval_entries, seed: int, max_slices: int | None, root: Pat
 def _resolve_config(args) -> RunConfig:
     file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
     cfg = RunConfig()
-    for key in ("zeta", "n_dev_speakers", "lr", "momentum", "batch", "epochs", "model"):
-        flag = getattr(args, _FLAG_NAMES.get(key, key), None)
+    for key in ("zeta", "n_dev_speakers", "lr", "momentum", "batch", "epochs", "model", "seed"):
+        flag = getattr(args, "dev_speakers" if key == "n_dev_speakers" else key, None)
         if flag is not None:
             setattr(cfg, key, flag)
         elif key in file_values:
             setattr(cfg, key, file_values[key])
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    elif "seed" in file_values:
-        cfg.seed = file_values["seed"]
-    elif os.environ.get("SVKIT_SEED"):
-        try:
-            cfg.seed = int(os.environ["SVKIT_SEED"])
-        except ValueError as exc:
-            raise ConfigError(f"SVKIT_SEED must be an integer: {exc}") from exc
+        elif key == "seed" and os.environ.get("SVKIT_SEED"):
+            try:
+                cfg.seed = int(os.environ["SVKIT_SEED"])
+            except ValueError as exc:
+                raise ConfigError(f"SVKIT_SEED must be an integer: {exc}") from exc
     return cfg.validate()
-
-
-_FLAG_NAMES = {"n_dev_speakers": "dev_speakers"}
 
 
 # -- commands -----------------------------------------------------------------
@@ -194,25 +199,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_enroll(args) -> int:
-    cfg = _resolve_config(args)
-    ckpt = load_checkpoint(args.checkpoint)
-    network = ckpt.to_network()
-    entries = load_manifest(args.manifest)
-    _, eval_entries = _phase_entries(entries, cfg.n_dev_speakers)
-    if not eval_entries:
-        raise ConfigError("manifest has no enrollment/evaluation entries")
-    enroll_maps, _ = _enroll_eval_maps(eval_entries, cfg.seed, args.max_slices, Path(args.manifest).parent.resolve())
+    network, checkpoint_crc, enroll_maps, _ = _evaluation_phase(args)
     mode = args.mode or ("one_shot" if network.spec.kind == "cnn3d" else "dvector")
     enroll = enroll_one_shot if mode == "one_shot" else enroll_dvector
     speakers = sorted(enroll_maps)
     models = SpeakerModels(
         ONE_SHOT if mode == "one_shot" else D_VECTOR,
-        network.spec.zeta,
         tuple(speakers),
         np.stack([enroll(network, enroll_maps[speaker]) for speaker in speakers]),
-        ckpt.crc,
-        cfg.seed,
-        args.max_slices,
+        checkpoint_crc,
+        enrollment_crc(enroll_maps),
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -222,23 +218,17 @@ def cmd_enroll(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _resolve_config(args)
-    ckpt = load_checkpoint(args.checkpoint)
-    network = ckpt.to_network()
     models = load_speaker_models(args.models)
+    network, checkpoint_crc, enroll_maps, eval_maps = _evaluation_phase(args)
     for key, enrolled, now in (
-        ("checkpoint_crc", models.checkpoint_crc, ckpt.crc),
-        ("seed", models.seed, cfg.seed),
-        ("max_slices", models.max_slices, args.max_slices),
+        ("checkpoint_crc", models.checkpoint_crc, checkpoint_crc),
+        ("enrollment_crc", models.enrollment_crc, enrollment_crc(enroll_maps)),
     ):
         if enrolled != now:
             raise ConfigError(
-                f"{args.models} was enrolled at {key} {enrolled}, this run has {now}; "
-                "evaluate with the checkpoint, seed and --max-slices that enrolled the models"
+                f"{args.models} was enrolled at {key} {enrolled}, this run has {now}; evaluate with the "
+                "checkpoint, manifest, --seed, --dev-speakers, --max-slices and --config that enrolled the models"
             )
-    entries = load_manifest(args.manifest)
-    _, eval_entries = _phase_entries(entries, cfg.n_dev_speakers)
-    _, eval_maps = _enroll_eval_maps(eval_entries, cfg.seed, args.max_slices, Path(args.manifest).parent.resolve())
     test_maps = [m for speaker in sorted(eval_maps) for m in eval_maps[speaker]]
     summary, score_set = run_evaluation(models, test_maps, network)
     out_dir = Path(args.out_dir)
@@ -266,7 +256,7 @@ def cmd_zeta_sweep(args) -> int:
     if set(models) - set(MODEL_KINDS):
         raise ConfigError(f"--models takes {','.join(MODEL_KINDS)}, got {args.models!r}")
     common = _flags(args, ("manifest", "seed", "dev_speakers", "max_slices", "config"))
-    train = _flags(args, ("epochs", "lr", "momentum", "batch"))
+    train = _flags(args, _TRAINING_OPTIONS)
     parser, out_dir = build_parser(), Path(args.out_dir)
     lines = [f"{'system':<12} {'zeta':>4}  {'model_kind':<12} {'eer':>8} {'auc':>8}"]
     for model in models:
@@ -309,6 +299,16 @@ def _flags(args, dests) -> list[str]:
 # -- parser -------------------------------------------------------------------
 
 
+# train's options, which zeta-sweep passes on to each train step
+_TRAINING_OPTIONS = {"epochs": int, "lr": float, "momentum": float, "batch": int}
+
+
+def _add_training(p):
+    for dest, kind in _TRAINING_OPTIONS.items():
+        text = "default: 0.003 for cnn3d, 0.0003 for lcn_dvector" if dest == "lr" else None
+        p.add_argument(f"--{dest}", type=kind, default=None, help=text)
+
+
 def _add_common(p):
     p.add_argument("--manifest", required=True, help="corpus manifest CSV")
     p.add_argument("--seed", type=int, default=None)
@@ -334,10 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--model", choices=MODEL_KINDS, default=None)
     p.add_argument("--zeta", type=int, default=None, help="utterance maps stacked per cube")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None, help="default: 0.003 for cnn3d, 0.0003 for lcn_dvector")
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--batch", type=int, default=None)
+    _add_training(p)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--loss-log", default=None, help="per-epoch loss text log (default: alongside checkpoint)")
     p.add_argument("--dump-features", default=None, help="also dump each training feature map here")
@@ -361,10 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--zetas", required=True, help="comma-separated list, e.g. 5,10,20")
     p.add_argument("--models", default="cnn3d", help="comma-separated systems: cnn3d, lcn_dvector (default: cnn3d)")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--batch", type=int, default=None)
+    _add_training(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_zeta_sweep)
 

@@ -17,7 +17,6 @@ CRC. Saving is canonical, so save -> load -> save is byte-identical. Versions
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from ..errors import CheckpointError
 from ..nn.layers import PARAM_FIELDS, STATE_FIELDS, LayerParams
-from .framing import Framing, typed
+from .framing import Framing, canonical_json, typed
 from .network import Network, NetworkSpec
 from .zoo import undrawn_network
 
@@ -62,7 +61,7 @@ def _arrays(layers: list[LayerParams]) -> list[tuple[LayerParams, str, np.ndarra
 def _layout(arrays) -> int:
     """CRC32 of every array's (layer name, kind, field, shape), in payload order."""
     rows = [[layer.name, layer.kind, field, list(arr.shape)] for layer, field, arr in arrays]
-    return zlib.crc32(json.dumps(rows, separators=(",", ":")).encode())
+    return zlib.crc32(canonical_json(rows))
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

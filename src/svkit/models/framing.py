@@ -21,6 +21,11 @@ import numpy as np
 from ..errors import ChecksumError, ConfigError, FileFormatError, TruncatedFileError, VersionMismatchError
 
 
+def canonical_json(value) -> bytes:
+    """`value` as JSON with sorted keys and no spaces: the header encoding, and what svkit's content CRCs hash."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
 def typed(value, *kinds: type):
     """`value`, if its type is exactly one of `kinds` (so a bool is not an int); else TypeError."""
     if type(value) not in kinds:
@@ -36,7 +41,7 @@ class Framing:
     error: type[FileFormatError]
 
     def write(self, path, header: dict, arrays) -> None:
-        hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        hjson = canonical_json(header)
         parts = [self.magic, struct.pack("<II", self.version, len(hjson)), hjson]
         parts += [np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in arrays]
         body = b"".join(parts)

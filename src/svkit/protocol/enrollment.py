@@ -7,27 +7,28 @@ model is a unit-norm vector scored against test embeddings by cosine
 similarity. One enrollment (`SpeakerModels`) is one kind of model, stacked
 as one row per speaker.
 
-A model file (`.svsm` v2, in the `models.framing` framing) holds one
-enrollment: the matrix as payload, and a header with `kind`, `zeta`, the
-speaker ids, the shape, the CRC32 trailer of the checkpoint that enrolled
-the models, and the `seed` and `max_slices` that split their maps from the
-evaluation maps. Version 1 files (one record per speaker) are not read.
+A model file (`.svsm` v3, in the `models.framing` framing) holds one
+enrollment: the matrix as payload, and a header with `kind`, the speaker
+ids, the shape, the CRC32 trailer of the checkpoint that enrolled the
+models (it fixes zeta) and the `enrollment_crc` of the maps they were
+enrolled from: the split's result, not its inputs. Versions 1 and 2 are not read.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..dsp.features import FeatureMap, build_feature_cube, replicate_for_eval
 from ..errors import ConfigError, FileFormatError, NumericError
-from ..models.framing import Framing, typed
+from ..models.framing import Framing, canonical_json, typed
 from ..models.network import Network, NetworkSpec
 
 ONE_SHOT = "one_shot_3d"
 D_VECTOR = "d_vector_avg"
-_FRAMING = Framing(b"SVSM", 2, "model file", FileFormatError)
+_FRAMING = Framing(b"SVSM", 3, "model file", FileFormatError)
 _NORM_TOL = 1e-9
 
 
@@ -36,20 +37,16 @@ class SpeakerModels:
     """One enrollment: a unit-norm row of `vectors` per speaker id, and what it is bound to."""
 
     kind: str
-    zeta: int
     speaker_ids: tuple[str, ...]
     vectors: np.ndarray  # (M, D), row i is speaker_ids[i]'s model
     checkpoint_crc: int
-    seed: int
-    max_slices: int | None
+    enrollment_crc: int  # of the maps the models were enrolled from
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=np.float64)
         object.__setattr__(self, "vectors", v)
         if self.kind not in (ONE_SHOT, D_VECTOR):
             raise ConfigError(f"unknown speaker-model kind {self.kind!r}")
-        if self.zeta < 1:
-            raise ConfigError(f"zeta must be >= 1, got {self.zeta}")
         ids = self.speaker_ids
         if not ids:
             raise ConfigError("no speaker models; an enrollment holds at least one speaker")
@@ -61,6 +58,11 @@ class SpeakerModels:
         for speaker, norm in zip(ids, np.linalg.norm(v, axis=1)):
             if not abs(norm - 1.0) <= 1e-12:  # written so that NaN fails
                 raise ConfigError(f"speaker model for {speaker!r} is not unit-norm")
+
+
+def enrollment_crc(maps) -> int:
+    """CRC32 of each speaker's map utterance ids, in order, speakers sorted: what binds a model file to its split."""
+    return zlib.crc32(canonical_json({speaker: [m.utterance_id for m in ms] for speaker, ms in maps.items()}))
 
 
 def utterance_input(spec: NetworkSpec, fmap: FeatureMap) -> np.ndarray:
@@ -117,11 +119,9 @@ def score_trial(model: np.ndarray, test: np.ndarray) -> float:
 # Every SpeakerModels field but the matrix is a header key, holding one of these JSON types; "shape" is the other key.
 _HEADER_TYPES = {
     "kind": (str,),
-    "zeta": (int,),
     "speaker_ids": (list,),
     "checkpoint_crc": (int,),
-    "seed": (int,),
-    "max_slices": (int, type(None)),
+    "enrollment_crc": (int,),
 }
 
 

@@ -369,7 +369,7 @@ def test_criterion_8_serialization_round_trips(tmp_path):
         load_checkpoint(tmp_path / "c.svck")
 
     vec = Rng(12).normal((128,))
-    models = SpeakerModels(ONE_SHOT, 10, ("spk",), vec[None] / np.linalg.norm(vec), 0, 11, None)
+    models = SpeakerModels(ONE_SHOT, ("spk",), vec[None] / np.linalg.norm(vec), 0, 11)
     save_speaker_models(models, tmp_path / "m.svsm")
     save_speaker_models(load_speaker_models(tmp_path / "m.svsm"), tmp_path / "m2.svsm")
     assert (tmp_path / "m.svsm").read_bytes() == (tmp_path / "m2.svsm").read_bytes()

@@ -405,8 +405,18 @@ class TestEnroll:
         assert outs[0].read_bytes() == outs[1].read_bytes()
         models = load_speaker_models(outs[0])
         assert models.speaker_ids == ("spk002", "spk003")
-        assert (models.kind, models.zeta) == ("one_shot_3d", 2)
-        assert (models.checkpoint_crc, models.seed, models.max_slices) == (load_checkpoint(ckpts["cnn3d"]).crc, 33, 6)
+        assert models.kind == "one_shot_3d"
+        # the enrollment CRC hashes the enrolled maps' ids: the per-slice oracle's ids, halved by the seed
+        from oracles import feature_maps_per_slice
+        from svkit.corpus.manifest import load_manifest
+        from svkit.corpus.slicing import split_enroll_eval
+        from svkit.dsp.features import mel_filterbank
+
+        entries = [e for e in load_manifest(manifest) if e.speaker_id in models.speaker_ids]
+        ids = {s: [uid for uid, _ in maps] for s, maps in feature_maps_per_slice(entries, mel_filterbank(), 6).items()}
+        enrolled, _ = split_enroll_eval(ids, int(SEED))
+        want = zlib.crc32(json.dumps(enrolled, sort_keys=True, separators=(",", ":")).encode())
+        assert (models.checkpoint_crc, models.enrollment_crc) == (load_checkpoint(ckpts["cnn3d"]).crc, want)
 
     def test_dvector_flag_tags_records(self, trained, tmp_path):
         root, ckpts = trained
@@ -649,8 +659,26 @@ def other_checkpoints(micro_corpus):
     return out
 
 
+@pytest.fixture(scope="module")
+def auto_enrolled(trained, tmp_path_factory):
+    """A copy of the micro corpus under an all-`auto` manifest, and cnn3d models enrolled from it at --dev-speakers 2."""
+    root, ckpts = trained
+    corpus = shutil.copytree(root / "data", tmp_path_factory.mktemp("auto") / "data")
+    rows = (corpus / "manifest.csv").read_text().splitlines()
+    auto = [rows[0], *(",".join([*row.split(",")[:3], "auto"]) for row in rows[1:])]
+    (corpus / "manifest.csv").write_text("\n".join(auto) + "\n")
+    models = corpus.parent / "models.svsm"
+    rc = main(
+        ["enroll", "--manifest", str(corpus / "manifest.csv"), "--checkpoint", str(ckpts["cnn3d"]),
+         "--dev-speakers", "2", "--seed", SEED, "--out", str(models)]
+    )  # fmt: skip
+    assert rc == 0
+    return corpus / "manifest.csv", models
+
+
 class TestModelBinding:
-    """A model file is evaluated only with the checkpoint, seed and --max-slices that enrolled it."""
+    """A model file is evaluated only with the checkpoint that enrolled it, and only where the split gives the
+    enrollment maps it was enrolled from (its `enrollment_crc`), whichever inputs of the split differ."""
 
     @pytest.mark.parametrize("other", ["other_seed", "other_zeta"])
     def test_models_of_another_checkpoint_exit_2(self, evaluated, other_checkpoints, tmp_path, capsys, other):
@@ -666,19 +694,55 @@ class TestModelBinding:
         assert "enrolled at checkpoint_crc {}, this run has {}".format(*crcs) in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flag,value", [("--seed", "34"), ("--max-slices", "5")], ids=["seed", "max_slices"])
-    def test_another_split_exits_2(self, evaluated, tmp_path, capsys, flag, value):
-        root, ckpts, models, _ = evaluated
-        split = {"--seed": SEED, "--max-slices": "6"} | {flag: value}
+    @pytest.mark.parametrize(
+        "source,change",
+        [
+            ("tagged", {"--seed": "34"}),
+            ("tagged", {"--max-slices": "5"}),
+            ("auto", {"--dev-speakers": "1"}),  # spk001 becomes an evaluation speaker
+            ("auto", "appended_file"),  # one more file for spk002 after enroll
+        ],
+        ids=["seed", "max_slices", "dev_speakers", "appended_file"],
+    )
+    def test_another_split_exits_2(self, evaluated, auto_enrolled, tmp_path, capsys, source, change):
+        root, ckpts, tagged_models, _ = evaluated
+        manifest, models, flags = {
+            "tagged": (root / "data" / "manifest.csv", tagged_models, {"--seed": SEED, "--max-slices": "6"}),
+            "auto": (*auto_enrolled, {"--seed": SEED, "--dev-speakers": "2"}),
+        }[source]
+        if change == "appended_file":
+            corpus = shutil.copytree(manifest.parent, tmp_path / "corpus")  # same ids: they are manifest-relative
+            shutil.copyfile(corpus / "spk002_u01.wav", corpus / "spk002_u02.wav")
+            with open(corpus / "manifest.csv", "a") as fh:
+                fh.write("spk002,spk002_u02.wav,s3,auto\n")
+            manifest, change = corpus / "manifest.csv", {}
         rc = main(
-            ["evaluate", "--manifest", str(root / "data" / "manifest.csv"), "--checkpoint", str(ckpts["cnn3d"]),
-             "--models", str(models), *(arg for item in split.items() for arg in item),
-             "--out-dir", str(tmp_path / "out")]
+            ["evaluate", "--manifest", str(manifest), "--checkpoint", str(ckpts["cnn3d"]), "--models", str(models),
+             *(arg for item in (flags | change).items() for arg in item), "--out-dir", str(tmp_path / "out")]
         )  # fmt: skip
         assert rc == 2
-        key = flag.lstrip("-").replace("-", "_")
-        assert f"enrolled at {key} " in capsys.readouterr().err
+        assert "enrolled at enrollment_crc " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_file_tagged_split_ignores_the_seed(self, trained, tmp_path):
+        """With every evaluation speaker's files tagged, the split never reads --seed: another seed scores the same."""
+        root, ckpts = trained
+        data = root / "data"
+        rows = (data / "manifest.csv").read_text().splitlines()
+        tagged = [rows[0]]
+        for row in rows[1:]:
+            speaker, rel, session, split = row.split(",")
+            if split != "development":
+                split = "evaluation" if rel.endswith("_u01.wav") else "enrollment"
+            tagged.append(",".join((speaker, str(data / rel), session, split)))
+        manifest = tmp_path / "tagged.csv"
+        manifest.write_text("\n".join(tagged) + "\n")
+        common = ["--manifest", str(manifest), "--checkpoint", str(ckpts["cnn3d"]), "--max-slices", "6"]
+        models = str(tmp_path / "m.svsm")
+        assert main(["enroll", *common, "--seed", SEED, "--out", models]) == 0
+        for seed in (SEED, "34"):
+            assert main(["evaluate", *common, "--models", models, "--seed", seed, "--out-dir", str(tmp_path / seed)]) == 0
+        assert (tmp_path / "34" / "scores.csv").read_bytes() == (tmp_path / SEED / "scores.csv").read_bytes()
 
     def test_version_1_model_file_exits_3(self, evaluated, tmp_path, capsys):
         """A file in the per-speaker record layout that version 1 wrote: re-enroll to read it."""
@@ -687,7 +751,7 @@ class TestModelBinding:
         body = b"SVSM" + struct.pack("<II", 1, len(m.speaker_ids))
         for speaker, vec in zip(m.speaker_ids, m.vectors):
             body += struct.pack("<H", len(speaker)) + speaker.encode()
-            body += struct.pack("<BII", 0, m.zeta, vec.size) + vec.astype("<f8").tobytes()
+            body += struct.pack("<BII", 0, 2, vec.size) + vec.astype("<f8").tobytes()  # zeta 2, the checkpoint's
         v1 = tmp_path / "v1.svsm"
         v1.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         rc = main(
@@ -695,7 +759,25 @@ class TestModelBinding:
              "--models", str(v1), "--seed", SEED, "--max-slices", "6", "--out-dir", str(tmp_path / "out")]
         )  # fmt: skip
         assert rc == 3
-        assert "model file version 1, expected 2" in capsys.readouterr().err
+        assert "model file version 1, expected 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_version_2_model_file_exits_3(self, evaluated, tmp_path, capsys):
+        """A file whose header holds the split's seed and max_slices, as version 2 wrote it: re-enroll to read it."""
+        root, ckpts, models, _ = evaluated
+        m = load_speaker_models(models)
+        header = {"kind": m.kind, "zeta": 2, "speaker_ids": list(m.speaker_ids), "shape": list(m.vectors.shape),
+                  "checkpoint_crc": m.checkpoint_crc, "seed": int(SEED), "max_slices": 6}  # fmt: skip
+        hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        body = b"SVSM" + struct.pack("<II", 2, len(hjson)) + hjson + m.vectors.astype("<f8").tobytes()
+        v2 = tmp_path / "v2.svsm"
+        v2.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        rc = main(
+            ["evaluate", "--manifest", str(root / "data" / "manifest.csv"), "--checkpoint", str(ckpts["cnn3d"]),
+             "--models", str(v2), "--seed", SEED, "--max-slices", "6", "--out-dir", str(tmp_path / "out")]
+        )  # fmt: skip
+        assert rc == 3
+        assert "model file version 2, expected 3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

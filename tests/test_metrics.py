@@ -119,7 +119,7 @@ class TestScoreTrial:
     @pytest.mark.parametrize("vec", [np.ones(4), np.full(4, np.nan)], ids=["norm_2", "nan"])
     def test_unnormalized_model_rejected(self, vec):
         with pytest.raises(ConfigError, match="'spk' is not unit-norm"):
-            SpeakerModels(ONE_SHOT, 5, ("spk",), vec[None], 0, 0, None)
+            SpeakerModels(ONE_SHOT, ("spk",), vec[None], 0, 0)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigError):

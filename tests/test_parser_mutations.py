@@ -48,7 +48,7 @@ def files(tmp_path_factory):
     save_checkpoint(Checkpoint.of(net, epoch=0, seed=1), root / "svck")
     vecs = Rng(2).normal((2, 8))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    save_speaker_models(SpeakerModels(ONE_SHOT, 3, ("spk000", "spk001"), vecs, 1, 1, 6), root / "svsm")
+    save_speaker_models(SpeakerModels(ONE_SHOT, ("spk000", "spk001"), vecs, 1, 1), root / "svsm")
     for fmt, loader in LOADERS.items():
         loader(root / fmt)  # every seed file is valid
     return {fmt: (root / fmt).read_bytes() for fmt in LOADERS}, root

@@ -156,8 +156,8 @@ def unit_rows(seed, rows, dim):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def speaker_models(speakers=("alice", "bob"), kind=ONE_SHOT, zeta=10, dim=128):
-    return SpeakerModels(kind, zeta, tuple(speakers), unit_rows(3, len(speakers), dim), 0x1234ABCD, 7, 40)
+def speaker_models(speakers=("alice", "bob"), kind=ONE_SHOT, dim=128):
+    return SpeakerModels(kind, tuple(speakers), unit_rows(3, len(speakers), dim), 0x1234ABCD, 7)
 
 
 def _reframed(path, edit):
@@ -179,12 +179,12 @@ def _scaled_row(payload, row, dim, factor):
 
 class TestSpeakerModelFile:
     def test_round_trip_bitwise(self, tmp_path):
-        models = speaker_models(kind=D_VECTOR, zeta=1)
+        models = speaker_models(kind=D_VECTOR)
         save_speaker_models(models, tmp_path / "m.svsm")
         loaded = load_speaker_models(tmp_path / "m.svsm")
         assert loaded.speaker_ids == ("alice", "bob")
-        assert (loaded.kind, loaded.zeta) == (D_VECTOR, 1)
-        assert (loaded.checkpoint_crc, loaded.seed, loaded.max_slices) == (0x1234ABCD, 7, 40)
+        assert loaded.kind == D_VECTOR
+        assert (loaded.checkpoint_crc, loaded.enrollment_crc) == (0x1234ABCD, 7)
         assert loaded.vectors.tobytes() == models.vectors.tobytes()
         save_speaker_models(loaded, tmp_path / "m2.svsm")
         assert (tmp_path / "m.svsm").read_bytes() == (tmp_path / "m2.svsm").read_bytes()
@@ -219,13 +219,13 @@ class TestSpeakerModelFile:
         [
             (lambda h, p: (h, p[:-8] + struct.pack("<d", float("nan"))), "'bob' is not unit-norm"),
             (lambda h, p: (h, _scaled_row(p, 0, 128, 2.0)), "'alice' is not unit-norm"),
-            (lambda h, p: (h | {"zeta": 0}, p), "zeta must be >= 1"),
+            (lambda h, p: (h | {"enrollment_crc": 7.0}, p), "expected int, got 7.0"),
             (lambda h, p: (h | {"kind": "i_vector"}, p), "unknown speaker-model kind 'i_vector'"),
             (lambda h, p: (h | {"speaker_ids": ["alice", "alice"]}, p), r"\['alice'\] have more than one model"),
             (lambda h, p: (h | {"speaker_ids": ["alice"]}, p), "1 speaker ids for a matrix of shape"),
             (lambda h, p: (h | {"speaker_ids": [], "shape": [0, 128]}, b""), "at least one speaker"),
         ],
-        ids=["nan", "norm_2", "zeta_0", "unknown_kind", "repeated_id", "id_count", "no_speakers"],
+        ids=["nan", "norm_2", "crc_float", "unknown_kind", "repeated_id", "id_count", "no_speakers"],
     )
     def test_invalid_record_with_valid_crc_rejected(self, tmp_path, edit, named):
         save_speaker_models(speaker_models(), tmp_path / "m.svsm")
@@ -312,7 +312,7 @@ class TestRunEvaluation:
         net = build_network("lcn_dvector", 1, 2, Rng(0), widths=(2, 6))
         speakers = ("alice", "bob", "carol")
         vecs = np.stack([enroll_dvector(net, [fmap(i, spk) for i in range(3)]) for spk in speakers])
-        return net, SpeakerModels(D_VECTOR, 1, speakers, vecs, 0, 0, None)
+        return net, SpeakerModels(D_VECTOR, speakers, vecs, 0, 0)
 
     def test_trial_counts_one_vs_all(self):
         net, models = self._setup()
@@ -325,7 +325,7 @@ class TestRunEvaluation:
 
     def test_single_speaker_degenerate_case_rejected(self):
         net = build_network("lcn_dvector", 1, 2, Rng(0), widths=(2, 6))
-        models = SpeakerModels(D_VECTOR, 1, ("alice",), enroll_dvector(net, [fmap(1, "alice")])[None], 0, 0, None)
+        models = SpeakerModels(D_VECTOR, ("alice",), enroll_dvector(net, [fmap(1, "alice")])[None], 0, 0)
         with pytest.raises(MetricError):
             run_evaluation(models, [fmap(9, "alice", "t0")], net)
 
@@ -344,7 +344,7 @@ class TestRunEvaluation:
         if kind == "cnn3d":
             net = build_network("cnn3d", 20, 3, Rng(2), widths=(2, 2, 2, 2, 8))
             vecs = [enroll_one_shot(net, [fmap(20 * k + i, spk) for i in range(20)]) for k, spk in enumerate("abc")]
-            models = SpeakerModels(ONE_SHOT, 20, tuple("abc"), np.stack(vecs), 0, 0, None)
+            models = SpeakerModels(ONE_SHOT, tuple("abc"), np.stack(vecs), 0, 0)
         else:
             net, models = self._setup()
         tests = [fmap(70 + i, spk, f"t{i}") for i, spk in enumerate(["b", "alice", "c", "bob", "a"])]
