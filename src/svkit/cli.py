@@ -4,10 +4,13 @@ zeta-sweep is the experiment engine: it runs train, enroll and evaluate for
 each system in --models, the cube network once per zeta, each step parsed
 from its own argument list by this module's parser.
 
+Settings come from each command's flags, with RunConfig's defaults for the
+rest; a speaker's phase (development, or enrollment and evaluation) comes
+from its manifest rows' split tags.
+
 Exit codes: 0 success, 2 configuration/validation error, 3 I/O or file-format
 error, 4 numeric failure (NaN/Inf). Every command is deterministic under a
-fixed --seed at an equal BLAS thread count; the SVKIT_SEED environment
-variable is the fallback when no flag or config-file value is given.
+fixed --seed at an equal BLAS thread count.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import MODEL_KINDS, RunConfig, parse_config_file
+from .config import MODEL_KINDS, RunConfig
 from .corpus.manifest import load_manifest
 from .corpus.slicing import slice_utterances, split_enroll_eval
 from .dsp.audio import load_wav, require_sample_rate
@@ -75,24 +79,10 @@ def _feature_maps(entries, max_slices: int | None, root: Path):
     return maps
 
 
-def _phase_entries(entries, n_dev: int | None):
-    """Partition manifest entries into development and enrollment/evaluation."""
+def _phase_entries(entries):
+    """Partition manifest entries by split tag into development and enrollment/evaluation."""
     dev = [e for e in entries if e.split == "development"]
     eval_phase = [e for e in entries if e.split in ("enrollment", "evaluation")]
-    autos = [e for e in entries if e.split == "auto"]
-    if autos:
-        if dev or eval_phase:
-            raise ConfigError("manifest mixes split=auto with explicit split tags")
-        speakers = sorted({e.speaker_id for e in autos})
-        if n_dev is None:
-            raise ConfigError("manifest uses split=auto; pass --dev-speakers to partition it")
-        if not 0 < n_dev < len(speakers):
-            raise ConfigError(
-                f"--dev-speakers {n_dev} must leave at least one of {len(speakers)} speakers for evaluation"
-            )
-        dev_ids = set(speakers[:n_dev])
-        dev = [e for e in autos if e.speaker_id in dev_ids]
-        eval_phase = [e for e in autos if e.speaker_id not in dev_ids]
     overlap = {e.speaker_id for e in dev} & {e.speaker_id for e in eval_phase}
     if overlap:
         raise ConfigError(f"speakers {sorted(overlap)} appear in both development and evaluation phases")
@@ -103,7 +93,7 @@ def _evaluation_phase(args):
     """(network, checkpoint CRC, enrollment maps, evaluation maps): the one front end of `enroll` and `evaluate`."""
     cfg = _resolve_config(args)
     ckpt = load_checkpoint(args.checkpoint)
-    _, eval_entries = _phase_entries(load_manifest(args.manifest), cfg.n_dev_speakers)
+    _, eval_entries = _phase_entries(load_manifest(args.manifest))
     if not eval_entries:
         raise ConfigError("manifest has no enrollment/evaluation entries")
     maps = _enroll_eval_maps(eval_entries, cfg.seed, args.max_slices, Path(args.manifest).parent.resolve())
@@ -134,20 +124,10 @@ def _enroll_eval_maps(eval_entries, seed: int, max_slices: int | None, root: Pat
 
 
 def _resolve_config(args) -> RunConfig:
-    file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    cfg = RunConfig()
-    for key in ("zeta", "n_dev_speakers", "lr", "momentum", "batch", "epochs", "model", "seed"):
-        flag = getattr(args, "dev_speakers" if key == "n_dev_speakers" else key, None)
-        if flag is not None:
-            setattr(cfg, key, flag)
-        elif key in file_values:
-            setattr(cfg, key, file_values[key])
-        elif key == "seed" and os.environ.get("SVKIT_SEED"):
-            try:
-                cfg.seed = int(os.environ["SVKIT_SEED"])
-            except ValueError as exc:
-                raise ConfigError(f"SVKIT_SEED must be an integer: {exc}") from exc
-    return cfg.validate()
+    """The validated settings: each RunConfig field a flag in `args` sets, the default for the rest."""
+    return RunConfig(
+        **{f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name, None) is not None}
+    ).validate()
 
 
 # -- commands -----------------------------------------------------------------
@@ -161,8 +141,8 @@ def cmd_synth(args) -> int:
         utterances_per_speaker=args.utterances,
         seed=_resolve_config(args).seed,
         out_dir=args.out,
+        dev_speakers=args.dev_speakers,
         duration_s=args.duration,
-        n_dev_speakers=args.dev_speakers,
     )
     print(f"wrote {len(entries)} utterances for {args.speakers} speakers under {args.out}")
     return 0
@@ -171,7 +151,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     entries = load_manifest(args.manifest)
-    dev_entries, _ = _phase_entries(entries, cfg.n_dev_speakers)
+    dev_entries, _ = _phase_entries(entries)
     if not dev_entries:
         raise ConfigError("manifest has no development entries")
     root = Path(args.manifest).parent.resolve()
@@ -190,8 +170,7 @@ def cmd_train(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, out)
     out.with_suffix(".summary.txt").write_text(network.summary() + "\n")
-    log_path = Path(args.loss_log) if args.loss_log else out.with_suffix(".loss.log")
-    log_path.write_text("".join(f"{i},{loss!r}\n" for i, loss in enumerate(history, start=1)))
+    out.with_suffix(".loss.log").write_text("".join(f"{i},{loss!r}\n" for i, loss in enumerate(history, start=1)))
     print(f"trained {cfg.model} on {len(maps)} speakers for {cfg.epochs} epochs -> {out}")
     if history:
         print(f"final epoch loss {history[-1]:.6f}")
@@ -227,7 +206,7 @@ def cmd_evaluate(args) -> int:
         if enrolled != now:
             raise ConfigError(
                 f"{args.models} was enrolled at {key} {enrolled}, this run has {now}; evaluate with the "
-                "checkpoint, manifest, --seed, --dev-speakers, --max-slices and --config that enrolled the models"
+                "checkpoint, manifest, --seed and --max-slices that enrolled the models"
             )
     test_maps = [m for speaker in sorted(eval_maps) for m in eval_maps[speaker]]
     summary, score_set = run_evaluation(models, test_maps, network)
@@ -255,7 +234,7 @@ def cmd_zeta_sweep(args) -> int:
     models = _parse_list("--models", args.models, str)
     if set(models) - set(MODEL_KINDS):
         raise ConfigError(f"--models takes {','.join(MODEL_KINDS)}, got {args.models!r}")
-    common = _flags(args, ("manifest", "seed", "dev_speakers", "max_slices", "config"))
+    common = _flags(args, ("manifest", "seed", "max_slices"))
     train = _flags(args, _TRAINING_OPTIONS)
     parser, out_dir = build_parser(), Path(args.out_dir)
     lines = [f"{'system':<12} {'zeta':>4}  {'model_kind':<12} {'eer':>8} {'auc':>8}"]
@@ -312,9 +291,14 @@ def _add_training(p):
 def _add_common(p):
     p.add_argument("--manifest", required=True, help="corpus manifest CSV")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--dev-speakers", type=int, default=None, help="development speaker count for split=auto manifests")
-    p.add_argument("--max-slices", type=int, default=None, help="cap sliced utterances per speaker")
-    p.add_argument("--config", default=None, help="optional key=value config file (flags override it)")
+    p.add_argument(
+        "--max-slices",
+        type=int,
+        default=None,
+        help="cap sliced utterances per speaker, before enroll and evaluate halve them by seed: one-shot "
+        "enrollment at zeta needs a cap of at least 2*zeta-1 for a speaker with no 'evaluation'-tagged "
+        "files, and at least zeta for a speaker with them",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--duration", type=float, default=3.0, help="seconds per utterance file")
-    p.add_argument("--dev-speakers", type=int, default=None, help="tag the first N speakers as development")
+    p.add_argument("--dev-speakers", type=int, required=True, help="tag the first N speakers as development")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train the development-phase classifier")
@@ -336,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=int, default=None, help="utterance maps stacked per cube")
     _add_training(p)
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--loss-log", default=None, help="per-epoch loss text log (default: alongside checkpoint)")
     p.add_argument("--dump-features", default=None, help="also dump each training feature map here")
     p.set_defaults(func=cmd_train)
 

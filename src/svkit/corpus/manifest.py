@@ -12,7 +12,7 @@ from pathlib import Path
 from ..errors import ManifestError
 
 HEADER = "speaker_id,path,session,split"
-SPLITS = ("development", "enrollment", "evaluation", "auto")
+SPLITS = ("development", "enrollment", "evaluation")
 
 
 @dataclass(frozen=True)

@@ -100,14 +100,13 @@ def make_synthetic_corpus(
     utterances_per_speaker: int,
     seed: int,
     out_dir,
+    dev_speakers: int,
     duration_s: float = 3.0,
-    n_dev_speakers: int | None = None,
 ) -> list[ManifestEntry]:
     """Write per-speaker WAVs plus manifest.csv; returns the manifest entries.
 
-    When `n_dev_speakers` is given, the first speakers (by id order) are
-    tagged 'development' and the rest 'enrollment'; otherwise every entry is
-    tagged 'auto' and the consumer decides.
+    The first `dev_speakers` speakers (by id order) are tagged 'development'
+    and the rest 'enrollment'.
     """
     if n_speakers < 2:
         raise ConfigError(f"need at least 2 speakers, got {n_speakers}")
@@ -115,9 +114,9 @@ def make_synthetic_corpus(
         raise ConfigError(f"need at least 1 utterance per speaker, got {utterances_per_speaker}")
     if not (math.isfinite(duration_s) and round(duration_s * CANONICAL_RATE) >= 1):
         raise ConfigError(f"utterance duration must be finite and give at least one sample, got {duration_s} s")
-    if n_dev_speakers is not None and not 0 < n_dev_speakers < n_speakers:
+    if not 0 < dev_speakers < n_speakers:
         raise ConfigError(
-            f"n_dev_speakers must leave at least one enrollment speaker, got {n_dev_speakers}/{n_speakers}"
+            f"dev_speakers must leave at least one speaker in each phase, got {dev_speakers}/{n_speakers}"
         )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -125,9 +124,7 @@ def make_synthetic_corpus(
     for s in range(n_speakers):
         speaker_id = f"spk{s:03d}"
         params = speaker_params(seed, s)
-        split = "auto"
-        if n_dev_speakers is not None:
-            split = "development" if s < n_dev_speakers else "enrollment"
+        split = "development" if s < dev_speakers else "enrollment"
         for u in range(utterances_per_speaker):
             signal = synth_utterance(params, duration_s, Rng(seed).child(2, s, u))
             wav_path = out_dir / f"{speaker_id}_u{u:02d}.wav"

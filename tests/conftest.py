@@ -31,7 +31,7 @@ def tiny_corpus(tmp_path_factory):
     from svkit.corpus.synthesis import make_synthetic_corpus
 
     root = tmp_path_factory.mktemp("tiny_corpus")
-    entries = make_synthetic_corpus(3, 2, seed=101, out_dir=root, duration_s=3.0)
+    entries = make_synthetic_corpus(3, 2, seed=101, out_dir=root, dev_speakers=1, duration_s=3.0)
     return root, entries
 
 

@@ -110,16 +110,28 @@ class TestSynth:
             assert (tmp_path / "data" / wav).read_bytes() == (micro_corpus / "data" / wav).read_bytes()
 
     def test_single_speaker_exits_2(self, tmp_path, capsys):
-        rc = main(["synth", "--speakers", "1", "--utterances", "2", "--seed", "0", "--out", str(tmp_path)])
+        rc = main(
+            ["synth", "--speakers", "1", "--utterances", "2", "--seed", "0", "--out", str(tmp_path),
+             "--dev-speakers", "1"]
+        )
         assert rc == 2
         assert "speakers" in capsys.readouterr().err
+
+    def test_without_dev_speakers_exits_2(self, tmp_path, capsys):
+        """Every manifest synth writes tags each speaker's phase, so the development speaker count is required."""
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--speakers", "2", "--utterances", "1", "--seed", "0", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--dev-speakers" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("duration", ["0", "1e-5", "-1", "nan", "inf"])
     def test_duration_without_samples_exits_2(self, tmp_path, capsys, duration):
         out = tmp_path / "data"
         rc = main(
             ["synth", "--speakers", "2", "--utterances", "1", "--seed", "0", "--out", str(out),
-             "--duration", duration]
+             "--duration", duration, "--dev-speakers", "1"]
         )
         assert rc == 2
         assert "duration" in capsys.readouterr().err
@@ -141,6 +153,30 @@ def test_max_slices_below_1_exits_2(trained, tmp_path, capsys, command, value):
     )
     assert rc == 2
     assert f"--max-slices must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "enroll"])
+def test_auto_tagged_row_exits_2(trained, tmp_path, capsys, command):
+    """A speaker's phase comes from its rows' tags alone: a row tagged 'auto' is rejected at load, by line."""
+    root, ckpts = trained
+    data = root / "data"
+    rows = (data / "manifest.csv").read_text().splitlines()
+    retagged = [rows[0]]
+    for row in rows[1:]:
+        speaker, rel, session, split = row.split(",")
+        retagged.append(",".join((speaker, str(data / rel), session, "auto" if rel == "spk002_u00.wav" else split)))
+    manifest = tmp_path / "auto.csv"
+    manifest.write_text("\n".join(retagged) + "\n")
+    out = tmp_path / "out"
+    extra = {
+        "train": ["--model", "lcn_dvector", "--epochs", "0", "--out", str(out / "x.svck")],
+        "enroll": ["--checkpoint", str(ckpts["cnn3d"]), "--out", str(out / "x.svsm")],
+    }[command]
+    rc = main([command, "--manifest", str(manifest), "--seed", SEED, *extra])
+    assert rc == 2
+    valid = "('development', 'enrollment', 'evaluation')"
+    assert f"{manifest}:6: split 'auto' not one of {valid}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -524,6 +560,18 @@ class TestEnroll:
         assert "speaker 'spk002' lacks enrollment or evaluation audio" in capsys.readouterr().err
         assert not (tmp_path / "x.svsm").exists()
 
+    def test_cap_below_the_one_shot_rule_exits_2(self, trained, tmp_path, capsys):
+        """--max-slices caps each speaker before the seeded halving: at zeta 2, a cap of 2 leaves one enrollment map."""
+        root, ckpts = trained
+        out = tmp_path / "x.svsm"
+        rc = main(
+            ["enroll", "--manifest", str(root / "data" / "manifest.csv"), "--checkpoint", str(ckpts["cnn3d"]),
+             "--seed", SEED, "--max-slices", "2", "--out", str(out)]
+        )  # fmt: skip
+        assert rc == 2
+        assert "speaker 'spk002' has 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_shot_on_lcn_exits_2(self, trained, tmp_path, capsys):
         root, ckpts = trained
         manifest = str(root / "data" / "manifest.csv")
@@ -659,23 +707,6 @@ def other_checkpoints(micro_corpus):
     return out
 
 
-@pytest.fixture(scope="module")
-def auto_enrolled(trained, tmp_path_factory):
-    """A copy of the micro corpus under an all-`auto` manifest, and cnn3d models enrolled from it at --dev-speakers 2."""
-    root, ckpts = trained
-    corpus = shutil.copytree(root / "data", tmp_path_factory.mktemp("auto") / "data")
-    rows = (corpus / "manifest.csv").read_text().splitlines()
-    auto = [rows[0], *(",".join([*row.split(",")[:3], "auto"]) for row in rows[1:])]
-    (corpus / "manifest.csv").write_text("\n".join(auto) + "\n")
-    models = corpus.parent / "models.svsm"
-    rc = main(
-        ["enroll", "--manifest", str(corpus / "manifest.csv"), "--checkpoint", str(ckpts["cnn3d"]),
-         "--dev-speakers", "2", "--seed", SEED, "--out", str(models)]
-    )  # fmt: skip
-    assert rc == 0
-    return corpus / "manifest.csv", models
-
-
 class TestModelBinding:
     """A model file is evaluated only with the checkpoint that enrolled it, and only where the split gives the
     enrollment maps it was enrolled from (its `enrollment_crc`), whichever inputs of the split differ."""
@@ -695,27 +726,24 @@ class TestModelBinding:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "source,change",
-        [
-            ("tagged", {"--seed": "34"}),
-            ("tagged", {"--max-slices": "5"}),
-            ("auto", {"--dev-speakers": "1"}),  # spk001 becomes an evaluation speaker
-            ("auto", "appended_file"),  # one more file for spk002 after enroll
-        ],
-        ids=["seed", "max_slices", "dev_speakers", "appended_file"],
+        "change",
+        [{"--seed": "34"}, {"--max-slices": "5"}, "appended_file"],  # the last: one more file for spk002 after enroll
+        ids=["seed", "max_slices", "appended_file"],
     )
-    def test_another_split_exits_2(self, evaluated, auto_enrolled, tmp_path, capsys, source, change):
-        root, ckpts, tagged_models, _ = evaluated
-        manifest, models, flags = {
-            "tagged": (root / "data" / "manifest.csv", tagged_models, {"--seed": SEED, "--max-slices": "6"}),
-            "auto": (*auto_enrolled, {"--seed": SEED, "--dev-speakers": "2"}),
-        }[source]
+    def test_another_split_exits_2(self, evaluated, tmp_path, capsys, change):
+        root, ckpts, models, _ = evaluated
+        manifest, flags = root / "data" / "manifest.csv", {"--seed": SEED, "--max-slices": "6"}
         if change == "appended_file":
+            # models enrolled without a cap, so the appended file's maps reach the split
             corpus = shutil.copytree(manifest.parent, tmp_path / "corpus")  # same ids: they are manifest-relative
+            manifest, models = corpus / "manifest.csv", tmp_path / "uncapped.svsm"
+            flags, change = {"--seed": SEED}, {}
+            rc = main(["enroll", "--manifest", str(manifest), "--checkpoint", str(ckpts["cnn3d"]), "--seed", SEED,
+                       "--out", str(models)])  # fmt: skip
+            assert rc == 0
             shutil.copyfile(corpus / "spk002_u01.wav", corpus / "spk002_u02.wav")
-            with open(corpus / "manifest.csv", "a") as fh:
-                fh.write("spk002,spk002_u02.wav,s3,auto\n")
-            manifest, change = corpus / "manifest.csv", {}
+            with open(manifest, "a") as fh:
+                fh.write("spk002,spk002_u02.wav,s3,enrollment\n")
         rc = main(
             ["evaluate", "--manifest", str(manifest), "--checkpoint", str(ckpts["cnn3d"]), "--models", str(models),
              *(arg for item in (flags | change).items() for arg in item), "--out-dir", str(tmp_path / "out")]
@@ -782,57 +810,26 @@ class TestModelBinding:
 
 
 class TestConfigFile:
-    def test_file_supplies_defaults_flags_override(self, micro_corpus, tmp_path):
-        manifest = str(micro_corpus / "data" / "manifest.csv")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("zeta=2\nepochs=0\nseed=33\nmodel=lcn_dvector\nlr=0.0003  # comment\n")
-        out1 = tmp_path / "from_file.svck"
-        rc = main(["train", "--manifest", manifest, "--config", str(cfg),
-                   "--max-slices", "4", "--out", str(out1)])
-        assert rc == 0
-        assert load_checkpoint(out1).spec.kind == "lcn_dvector"
-        out2 = tmp_path / "flag_wins.svck"
-        rc = main(["train", "--manifest", manifest, "--config", str(cfg), "--model", "cnn3d",
-                   "--max-slices", "4", "--out", str(out2)])
-        assert rc == 0
-        assert load_checkpoint(out2).spec.kind == "cnn3d"
+    """A run's settings come from its flags and RunConfig's defaults: no file, no environment variable."""
 
-    def test_bad_config_line_exits_2(self, micro_corpus, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("zeta: 2\n")
-        rc = main(["train", "--manifest", str(micro_corpus / "data" / "manifest.csv"),
-                   "--config", str(cfg), "--out", str(tmp_path / "x.svck")])
-        assert rc == 2
-        assert "key=value" in capsys.readouterr().err
+    def test_seed_environment_variable_is_ignored(self, micro_corpus, tmp_path, monkeypatch):
+        argv = ["train", "--manifest", str(micro_corpus / "data" / "manifest.csv"), "--model", "lcn_dvector",
+                "--epochs", "0", "--max-slices", "4"]  # fmt: skip
+        assert main([*argv, "--out", str(tmp_path / "unset.svck")]) == 0
+        monkeypatch.setenv("SVKIT_SEED", "7")
+        assert main([*argv, "--out", str(tmp_path / "set.svck")]) == 0
+        assert (tmp_path / "set.svck").read_bytes() == (tmp_path / "unset.svck").read_bytes()
+        assert load_checkpoint(tmp_path / "set.svck").seed == 0
 
-    def test_env_seed_fallback(self, micro_corpus, tmp_path, monkeypatch):
-        manifest = str(micro_corpus / "data" / "manifest.csv")
-        monkeypatch.setenv("SVKIT_SEED", "33")
-        out = tmp_path / "env.svck"
-        rc = main(["train", "--manifest", manifest, "--model", "lcn_dvector", "--zeta", "2",
-                   "--epochs", "0", "--max-slices", "4", "--out", str(out)])
-        assert rc == 0
-        assert load_checkpoint(out).seed == 33
-
-
-    @pytest.mark.parametrize("source", ["flag", "config", "env"])
-    def test_negative_seed_exits_2(self, micro_corpus, tmp_path, monkeypatch, capsys, source):
-        if source == "flag":
-            rc = main(["synth", "--speakers", "2", "--utterances", "1", "--seed", "-1", "--out", str(tmp_path / "d")])
-            assert not (tmp_path / "d").exists()
-        else:
-            extra = []
-            if source == "config":
-                cfg = tmp_path / "run.cfg"
-                cfg.write_text("seed=-2\n")
-                extra = ["--config", str(cfg)]
-            else:
-                monkeypatch.setenv("SVKIT_SEED", "-3")
-            rc = main(["train", "--manifest", str(micro_corpus / "data" / "manifest.csv"), "--model", "lcn_dvector",
-                       "--epochs", "0", "--max-slices", "4", "--out", str(tmp_path / "x.svck"), *extra])
-            assert not (tmp_path / "x.svck").exists()
+    @pytest.mark.parametrize("source", ["flag"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, source):
+        rc = main(
+            ["synth", "--speakers", "2", "--utterances", "1", "--seed", "-1", "--out", str(tmp_path / "d"),
+             "--dev-speakers", "1"]
+        )
         assert rc == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
 
 class TestZetaSweep:

@@ -27,18 +27,18 @@ class TestManifest:
             f"{HEADER}\n"
             "spk1,a.wav,s1,development\n"
             "spk1,b.wav,s2,enrollment\n"
-            "spk2,c.wav,s1,auto\n"
+            "spk2,c.wav,s1,evaluation\n"
         )
         entries = load_manifest(path)
         assert [e.speaker_id for e in entries] == ["spk1", "spk1", "spk2"]
         assert [e.session for e in entries] == ["s1", "s2", "s1"]
-        assert [e.split for e in entries] == ["development", "enrollment", "auto"]
+        assert [e.split for e in entries] == ["development", "enrollment", "evaluation"]
         assert entries[0].path == (tmp_path / "a.wav").resolve()
 
     def test_duplicate_entry_rejected_with_line_number(self, tmp_path):
         (tmp_path / "a.wav").write_bytes(b"x")
         path = tmp_path / "m.csv"
-        path.write_text(f"{HEADER}\nspk1,a.wav,s1,auto\nspk1,a.wav,s2,auto\n")
+        path.write_text(f"{HEADER}\nspk1,a.wav,s1,enrollment\nspk1,a.wav,s2,enrollment\n")
         with pytest.raises(ManifestError, match=":3"):
             load_manifest(path)
 
@@ -46,26 +46,26 @@ class TestManifest:
         (tmp_path / "a.wav").write_bytes(b"x")
         (tmp_path / "b.wav").write_bytes(b"x")
         path = tmp_path / "m.csv"
-        path.write_text(f"{HEADER}\nspk1,a.wav,s1,enrollment\nspk1,b.wav,s1,auto\nspk1,./a.wav,s2,evaluation\n")
+        path.write_text(f"{HEADER}\nspk1,a.wav,s1,enrollment\nspk1,b.wav,s1,enrollment\nspk1,./a.wav,s2,evaluation\n")
         with pytest.raises(ManifestError, match=r":4: .*a\.wav is already listed on line 2"):
             load_manifest(path)
 
     def test_header_after_comment_lines(self, tmp_path):
         (tmp_path / "a.wav").write_bytes(b"x")
         path = tmp_path / "m.csv"
-        path.write_text(f"# note\n\n{HEADER}\nspk1,a.wav,s1,auto\n")
+        path.write_text(f"# note\n\n{HEADER}\nspk1,a.wav,s1,enrollment\n")
         assert [e.speaker_id for e in load_manifest(path)] == ["spk1"]
 
     def test_header_after_a_data_line_rejected(self, tmp_path):
         (tmp_path / "a.wav").write_bytes(b"x")
         path = tmp_path / "m.csv"
-        path.write_text(f"spk1,a.wav,s1,auto\n{HEADER}\n")
+        path.write_text(f"spk1,a.wav,s1,enrollment\n{HEADER}\n")
         with pytest.raises(ManifestError, match=":2"):
             load_manifest(path)
 
     def test_missing_audio_file_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
-        path.write_text(f"{HEADER}\nspk1,ghost.wav,s1,auto\n")
+        path.write_text(f"{HEADER}\nspk1,ghost.wav,s1,enrollment\n")
         with pytest.raises(ManifestError, match="ghost.wav"):
             load_manifest(path)
 
@@ -142,14 +142,14 @@ class TestSynthesis:
     def test_regeneration_is_byte_identical(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        make_synthetic_corpus(2, 2, seed=5, out_dir=a, duration_s=1.0)
-        make_synthetic_corpus(2, 2, seed=5, out_dir=b, duration_s=1.0)
+        make_synthetic_corpus(2, 2, seed=5, out_dir=a, dev_speakers=1, duration_s=1.0)
+        make_synthetic_corpus(2, 2, seed=5, out_dir=b, dev_speakers=1, duration_s=1.0)
         for wav in sorted(p.name for p in a.glob("*.wav")):
             assert (a / wav).read_bytes() == (b / wav).read_bytes(), wav
         assert (a / "manifest.csv").read_text() == (b / "manifest.csv").read_text()
 
     def test_entry_count(self, tmp_path):
-        entries = make_synthetic_corpus(2, 3, seed=1, out_dir=tmp_path, duration_s=1.0)
+        entries = make_synthetic_corpus(2, 3, seed=1, out_dir=tmp_path, dev_speakers=1, duration_s=1.0)
         assert len(entries) == 6
         assert len(load_manifest(tmp_path / "manifest.csv")) == 6
 
@@ -184,9 +184,9 @@ class TestSynthesis:
 
     def test_single_speaker_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            make_synthetic_corpus(1, 2, seed=0, out_dir=tmp_path)
+            make_synthetic_corpus(1, 2, seed=0, out_dir=tmp_path, dev_speakers=1)
 
     def test_dev_speaker_tagging(self, tmp_path):
-        entries = make_synthetic_corpus(3, 1, seed=0, out_dir=tmp_path, duration_s=1.0, n_dev_speakers=2)
+        entries = make_synthetic_corpus(3, 1, seed=0, out_dir=tmp_path, dev_speakers=2, duration_s=1.0)
         splits = {e.speaker_id: e.split for e in entries}
         assert splits == {"spk000": "development", "spk001": "development", "spk002": "enrollment"}

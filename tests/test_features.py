@@ -396,7 +396,8 @@ class TestOneFramingPerFile:
 @pytest.fixture(scope="module")
 def capped_corpus(tmp_path_factory):
     """2 speakers x 3 files of 2 s: 5 to 8 slices per file, 21 and 23 per speaker, so caps cross each boundary."""
-    return make_synthetic_corpus(2, 3, seed=9, out_dir=tmp_path_factory.mktemp("capped"), duration_s=2.0)
+    out = tmp_path_factory.mktemp("capped")
+    return make_synthetic_corpus(2, 3, seed=9, out_dir=out, dev_speakers=1, duration_s=2.0)
 
 
 # -- cubes ------------------------------------------------------------------------
