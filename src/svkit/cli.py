@@ -93,11 +93,15 @@ def _evaluation_phase(args):
     """(network, checkpoint CRC, enrollment maps, evaluation maps): the one front end of `enroll` and `evaluate`."""
     cfg = _resolve_config(args)
     ckpt = load_checkpoint(args.checkpoint)
+    return (ckpt.to_network(), ckpt.crc, *_evaluation_maps(args, cfg.seed))
+
+
+def _evaluation_maps(args, seed: int):
+    """(enrollment maps, evaluation maps) of the manifest's enrollment/evaluation speakers (_enroll_eval_maps)."""
     _, eval_entries = _phase_entries(load_manifest(args.manifest))
     if not eval_entries:
         raise ConfigError("manifest has no enrollment/evaluation entries")
-    maps = _enroll_eval_maps(eval_entries, cfg.seed, args.max_slices, Path(args.manifest).parent.resolve())
-    return (ckpt.to_network(), ckpt.crc, *maps)
+    return _enroll_eval_maps(eval_entries, seed, args.max_slices, Path(args.manifest).parent.resolve())
 
 
 def _enroll_eval_maps(eval_entries, seed: int, max_slices: int | None, root: Path):
@@ -226,7 +230,10 @@ def cmd_zeta_sweep(args) -> int:
     Each step is one `train`, `enroll` and `evaluate` argv run through
     `build_parser()`, into <out-dir>/<model>/zeta_<zeta:03d>. `lcn_dvector`
     reads one map, so it runs once, at zeta 1, whatever --zetas holds.
-    sweep.txt gets one row per step.
+    sweep.txt gets one row per step. Before the first step, every
+    enrollment speaker must have as many enrollment maps as the cube
+    network's largest zeta stacks, so that no one-shot `enroll` fails after
+    its training has run; otherwise nothing is written.
     """
     zetas = _parse_list("--zetas", args.zetas, int)
     if min(zetas) < 1:
@@ -234,6 +241,15 @@ def cmd_zeta_sweep(args) -> int:
     models = _parse_list("--models", args.models, str)
     if set(models) - set(MODEL_KINDS):
         raise ConfigError(f"--models takes {','.join(MODEL_KINDS)}, got {args.models!r}")
+    if "cnn3d" in models:
+        enroll_maps, _ = _evaluation_maps(args, _resolve_config(args).seed)
+        largest = zetas[-1]
+        short = {speaker: len(maps) for speaker, maps in sorted(enroll_maps.items()) if len(maps) < largest}
+        if short:
+            raise ConfigError(
+                f"one-shot enrollment at zeta {largest} stacks {largest} maps per speaker; enrollment maps at "
+                f"--max-slices {args.max_slices}: {short}"
+            )
     common = _flags(args, ("manifest", "seed", "max_slices"))
     train = _flags(args, _TRAINING_OPTIONS)
     parser, out_dir = build_parser(), Path(args.out_dir)

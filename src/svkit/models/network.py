@@ -69,15 +69,20 @@ class Network:
 
         A train pass appends each layer's backward cache to `caches`, and
         batchnorm normalizes with the batch statistics and folds them into
-        its running averages; every layer writes a fresh output. An
-        inference pass keeps no cache, normalizes with the running
-        statistics, and changes no layer. It owns every activation it makes,
-        so PReLU writes its output over its input; the caller passes an
-        `xb` the pass may overwrite.
+        its running averages. An inference pass keeps no cache, normalizes
+        with the running statistics, and changes no layer. Either pass owns
+        every activation it makes, and a layer writes over a full-size array
+        the pass made when nothing reads that array again: in a train pass,
+        batchnorm writes over its input (a conv output) and a PReLU whose
+        cache keeps no copy of its input writes over it; in an inference
+        pass every PReLU does. The caller passes an `xb` an inference pass
+        may overwrite; forward_with_cache passes a read-only view, so that a
+        train pass leaves the caller's input alone.
 
         A layer that reads its input keeps it as cache["x"], unless the layer
-        before it can recompute its output (`_Kind.output`): then it keeps
-        cache["from"] = (that kind, layer, cache entry) and no array.
+        before it can recompute its output (`_Kind.output`) from a cache that
+        keeps no copy of its own input: then it keeps cache["from"] = (that
+        kind, layer, cache entry) and no array.
         """
         source = None  # (kind, layer, cache entry) of the layer just run, if it can recompute its output
         for layer in layers:
@@ -91,7 +96,7 @@ class Network:
                 else:
                     entry = {"x": xb}
                 caches.append(entry)
-                source = (kind, layer, entry) if kind.output else None
+                source = (kind, layer, entry) if kind.output and "x" not in entry else None
             xb = kind.forward(layer, xb, entry)
         return xb
 
@@ -103,15 +108,19 @@ class Network:
         for conv, PReLU, dense and locally-connected layers; the normalized
         input and 1/sqrt(var + eps) (not the input) for batchnorm; the window
         argmaxes and input width for the frequency pool; the input shape for
-        flatten. The layer after a batchnorm (in `cnn3d`, always a PReLU)
-        holds no array: its cache refers to the batchnorm's layer and cache,
-        and its backward recomputes its input, the batchnorm output, from
-        them. `backward` consumes the list and computes the first layer's
-        input gradient only on request.
+        flatten. The PReLU after a batchnorm holds no array: its cache refers
+        to the batchnorm's layer and cache, and it writes its output over the
+        batchnorm's. The conv after that PReLU holds no array either: its
+        cache refers to the PReLU's, and its backward recomputes its input
+        from the batchnorm's normalized input. `backward` consumes the list
+        and computes the first layer's input gradient only on request. `x` is
+        left unchanged.
         """
         xb = np.asarray(x, dtype=np.float64)
         if xb.shape[1:] != self.spec.input_shape:
             raise DimensionError(f"input shape {xb.shape} is not a batch of network inputs {self.spec.input_shape}")
+        xb = xb.view()
+        xb.flags.writeable = False  # the caller's: a layer that wrote over it would raise
         caches: list[dict] = []
         return self._run(xb, self.layers, caches), caches
 
@@ -123,10 +132,14 @@ class Network:
         Consumes `caches` from forward_with_cache: each layer's entry is taken
         off the list and released once that layer's backward has run, so the
         list is empty afterwards and a step holds only what is still to be
-        read; a second backward over it raises ConfigError. The first layer's
-        input gradient is computed only on request: with `input_grad` off
-        (training, which discards it) the input gradient is None, and a conv
-        first layer skips its products.
+        read; a second backward over it raises ConfigError. Every gradient
+        between layers is an array this call made, so PReLU and batchnorm
+        write their input gradient over their grad_out, and a conv
+        accumulates its input gradient in its input when the pass made that
+        input (see _conv_backward). The first layer's input gradient is
+        computed only on request: with `input_grad` off (training, which
+        discards it) the input gradient is None, and a conv first layer
+        skips its products. `grad_logits` is left unchanged.
         """
         if len(caches) != len(self.layers):
             raise ConfigError(
@@ -272,14 +285,16 @@ class _Kind:
     """What Network needs to know about one layer kind.
 
     forward(layer, x, cache) -> y: a train pass with a cache dict to fill
-        for backward, an inference pass with None; an inference forward may
-        write y over x (PReLU does)
-    backward(layer, grad_out, cache, input_grad) -> (grad_in, parameter gradients)
+        for backward, an inference pass with None; y may be written over x
+        (see Network._run)
+    backward(layer, grad_out, cache, input_grad) -> (grad_in, parameter
+        gradients); grad_in may be written over grad_out
     shape(layer, per-example input shape) -> per-example output shape
     reads_input: whether backward reads the layer input (see _layer_input)
     output(layer, cache) -> the train-mode output, recomputed from the
-        layer's own cache; when set, the layer after it keeps no copy of
-        its input
+        layer's own cache into an array of this call's own; when the cache
+        keeps no copy of the layer's input, the layer after it keeps no
+        copy of its input either
 
     `input_grad` off allows, but does not require, grad_in to be skipped.
     The recomputed output must be byte-equal to what forward returned;
@@ -298,11 +313,41 @@ class _Kind:
 
 
 def _layer_input(cache):
-    """The layer input a backward reads: cache["x"], or recomputed by the layer before it."""
+    """The layer input a backward reads: cache["x"], or recomputed by the layer before it into a fresh array."""
     if "x" in cache:
         return cache["x"]
     kind, layer, entry = cache["from"]
     return kind.output(layer, entry)
+
+
+def _conv_backward(layer, g, cache, input_grad):
+    """conv3d_backward, accumulating the input gradient in the input when the pass made it.
+
+    That input is recomputed (cache["from"]) or an earlier layer's output,
+    which nothing reads again; only the caller's network input, which
+    forward_with_cache passes read-only, gets a fresh array.
+    """
+    x = _layer_input(cache)
+    return conv3d_backward(x, layer, g, input_grad=input_grad, out=x if x.flags.writeable else None)
+
+
+def _prelu_forward(layer, x, cache):
+    """prelu_forward, written over x unless the cache keeps x for backward."""
+    return prelu_forward(x, layer.prelu_slope, out=None if cache is not None and "x" in cache else x)
+
+
+def _prelu_backward(layer, g, cache, input_grad):
+    """prelu_backward over grad_out; after a batchnorm, the input is formed from its x_hat one slice at a time."""
+    if "x" not in cache:
+        _, source, entry = cache["from"]
+        if source.kind == "batchnorm":
+            return prelu_backward(entry["bn_xh"], layer.prelu_slope, g, out=g, bn=source)
+    return prelu_backward(_layer_input(cache), layer.prelu_slope, g, out=g)
+
+
+def _prelu_output(layer, cache):
+    x = _layer_input(cache)  # recomputed by the layer before: this call's own array
+    return prelu_forward(x, layer.prelu_slope, out=x)
 
 
 def _maxpool_forward(layer, x, cache):
@@ -327,7 +372,7 @@ _DENSE = _Kind(
 _KINDS = {
     "conv3d": _Kind(
         lambda layer, x, cache: conv3d_forward(x, layer),
-        lambda layer, g, cache, input_grad: conv3d_backward(_layer_input(cache), layer, g, input_grad=input_grad),
+        _conv_backward,
         lambda layer, shape: conv3d_output_shape(shape, layer),
     ),
     "maxpool_freq": _Kind(
@@ -337,13 +382,14 @@ _KINDS = {
         reads_input=False,
     ),
     "prelu": _Kind(
-        lambda layer, x, cache: prelu_forward(x, layer.prelu_slope, out=x if cache is None else None),
-        lambda layer, g, cache, input_grad: prelu_backward(_layer_input(cache), layer.prelu_slope, g),
+        _prelu_forward,
+        _prelu_backward,
         lambda layer, shape: shape,
+        output=_prelu_output,
     ),
     "batchnorm": _Kind(
-        lambda layer, x, cache: batchnorm_forward(x, layer, cache),
-        lambda layer, g, cache, input_grad: batchnorm_backward(layer, g, cache),
+        lambda layer, x, cache: batchnorm_forward(x, layer, cache, out=None if cache is None else x),
+        lambda layer, g, cache, input_grad: batchnorm_backward(layer, g, cache, out=g),
         lambda layer, shape: shape,
         reads_input=False,
         output=lambda layer, cache: batchnorm_output(cache["bn_xh"], layer),

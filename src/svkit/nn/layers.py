@@ -8,12 +8,25 @@ finite differences in the test suite. Batchnorm is the one op that acts
 differently in training: it trains when its caller passes a cache to fill
 for the backward pass, and infers when it passes none.
 
-The conv, PReLU, batchnorm and pool-forward passes split their
+By default every op writes fresh buffers and leaves its inputs alone. The
+ops a training pass runs on full-size arrays also take `out=`, an array the
+caller owns and nothing reads again: batchnorm forward writes its squared
+deviations and then its output there, PReLU forward its output, PReLU and
+batchnorm backward their input gradient, and conv backward accumulates its
+input gradient there. Each may be the op's own input (or grad_out), and the
+bytes are those of the fresh-buffer call.
+
+The conv, batchnorm and pool-forward passes and PReLU forward split their
 per-example work into contiguous runs, one per CPU this process may run
-on, at most _MAX_WORKERS (_in_parallel). Each run computes exactly what the
-serial loop computed for its examples, and every sum across examples stays
-one whole-array call or is added in the serial order, so no output depends
-on the CPU count.
+on, at most _MAX_WORKERS, and a single run when numpy's BLAS runs threads
+of its own (_in_parallel). Each run computes exactly what the serial
+loop computed for its examples, and every sum across examples stays one
+whole-array call or is added in the serial order, so no output depends on
+the CPU count. The PReLU slope sums and batchnorm's sum of grad_out *
+x_hat are running sums (_channel_sum): their terms are formed one slice at
+a time and added row by row in the order numpy's whole-array sum adds
+them, so no full-size array of terms is built; PReLU backward runs serially
+for that reason.
 
 PReLU and the frequency pool only select: each output entry is an input
 entry, the input times a slope or 1.0, or +0.0. They select without
@@ -25,6 +38,7 @@ keeps its bytes, signed zeros, infinities and NaNs included.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -42,12 +56,30 @@ _CONV_AXES = ("depth", "time", "freq")
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.99  # weight of the old running statistics in each update
 _WGRAD_CHUNK_BYTES = 4 << 20  # patches copied per weight-gradient product in conv3d_backward (at least one depth slice)
+
+
+def _blas_threads() -> int | None:
+    """The thread count of numpy's bundled OpenBLAS, or None for a numpy built without it."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        count = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    count.restype = ctypes.c_int
+    return count()
+
+
 # Per-example work runs on one thread per CPU in the affinity mask, at most _MAX_WORKERS: the
 # split was measured on 2 CPUs with the BLAS at 1 thread, and each worker holds its own scratch,
-# so the cap also bounds one call's scratch on any host. The pool runs all runs but the caller's.
+# so the cap also bounds one call's scratch on any host. A BLAS that runs threads of its own
+# already uses the CPUs for the conv products, and a split beside it was slower, so then there is
+# one worker. The pool runs all runs but the caller's.
 _MAX_WORKERS = 2
-_WORKERS = min(
-    _MAX_WORKERS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_WORKERS = (
+    1
+    if (_blas_threads() or 1) > 1
+    else min(_MAX_WORKERS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 )
 
 
@@ -282,7 +314,7 @@ def _conv_weight_grad(xb, w, stride, gb):
     return gw.reshape(w.shape)
 
 
-def conv3d_backward(x, params: LayerParams, grad_out, input_grad: bool = True):
+def conv3d_backward(x, params: LayerParams, grad_out, input_grad: bool = True, out=None):
     """Exact gradients of conv3d_forward w.r.t. input, weights, and bias.
 
     The weight gradient is accumulated over each example's output depth
@@ -302,20 +334,35 @@ def conv3d_backward(x, params: LayerParams, grad_out, input_grad: bool = True):
     the conv biases, whose exact gradient is 0 under train-mode batchnorm,
     hold only their rounding noise. With `input_grad` off the input
     gradient is not computed and is None.
+
+    The input gradient is accumulated from zeros after the weight gradient
+    has read the input: in `out`, a float64 array of x's shape, which may be
+    x itself, or else in a fresh array. A same-pad conv accumulates it in
+    its own zero-padded copy of x either way and returns the view without
+    the padding. `x` and `grad_out` are left unchanged unless passed as
+    `out`.
     """
-    xb, p, out = _conv_prepare(x, params)
+    xb, p, extent = _conv_prepare(x, params)
     w = params.weights
     kd, kh, kw, cin, cout = w.shape
     gb = _require_batch(grad_out, 4, "conv3d grad_out")
-    expected = (xb.shape[0],) + out + (cout,)
+    expected = (xb.shape[0],) + extent + (cout,)
     if gb.shape != expected:
         raise DimensionError(f"grad_out shape {gb.shape} does not match output {expected}")
     gb = np.ascontiguousarray(gb)
     grads = {"weights": _conv_weight_grad(xb, w, params.stride, gb), "bias": gb.reshape(-1, cout).sum(axis=0)}
     if not input_grad:
         return None, grads
-    tap = np.empty((_workers(xb.shape[0]), int(np.prod(out)), cin))  # one tap's product for one example, per worker
-    gxp = np.zeros_like(xb)
+    tap = np.empty((_workers(xb.shape[0]), int(np.prod(extent)), cin))  # one tap's product for one example, per worker
+    if p:
+        gxp = xb  # this call's own padded copy
+    elif out is None:
+        gxp = np.empty(xb.shape)
+    elif out.shape == xb.shape:
+        gxp = out
+    else:
+        raise DimensionError(f"out shape {out.shape} does not match input {xb.shape}")
+    gxp.fill(0.0)
 
     def run(t, lo, hi):
         for b in range(lo, hi):
@@ -324,7 +371,7 @@ def conv3d_backward(x, params: LayerParams, grad_out, input_grad: bool = True):
                 for j in range(kh):
                     for k in range(kw):
                         np.matmul(go2, w[i, j, k].T, out=tap[t])
-                        xs = _offset_slice(gxp[b], i, j, k, out, params.stride)
+                        xs = _offset_slice(gxp[b], i, j, k, extent, params.stride)
                         xs += tap[t].reshape(xs.shape)
 
     _in_parallel(xb.shape[0], run)
@@ -404,6 +451,34 @@ def maxpool_freq_backward(grad_out, indices, width):
 _ONE_BITS = np.float64(1.0).view(np.int64)
 
 
+def _lead(ndim: int) -> int:
+    """How many leading axes an op loops over: an index is one depth slice of one example of a cube, or one example."""
+    return max(1, ndim - 3)
+
+
+def _channel_sum(shape, form) -> np.ndarray:
+    """Per-channel sum over all leading axes of an array of `shape` that is never built whole.
+
+    form(j, buf) writes the array's slice j into `buf`, for every index j of
+    the leading axes _lead loops over, in order. Each slice lands in one
+    buffer below a row holding the running sum, and the buffer is summed
+    over its rows: numpy's sum over the first axis of a C-ordered (rows,
+    channels) array starts from 0.0 and adds the rows one after another, so
+    the result keeps the bytes of the whole array's
+    `.reshape(-1, channels).sum(axis=0)` when there are two channels or more
+    (a single column is summed pairwise).
+    """
+    lead = _lead(len(shape))
+    buf = np.empty((1 + int(np.prod(shape[lead:-1])), shape[-1]))
+    rows = buf[1:].reshape(shape[lead:])
+    total = np.zeros(shape[-1])
+    for j in np.ndindex(shape[:lead]):
+        form(j, rows)
+        buf[0] = total
+        buf.sum(axis=0, out=total)
+    return total
+
+
 def _prelu_slope(slope, channels: int) -> np.ndarray:
     """`slope` as a contiguous float64 vector of one entry per channel, so that it has an int64 view."""
     s = np.ascontiguousarray(slope, dtype=np.float64)
@@ -412,76 +487,85 @@ def _prelu_slope(slope, channels: int) -> np.ndarray:
     return s
 
 
-def _prelu_scaled(x, slope, src, out) -> None:
-    """out = src * f, f the PReLU factor of x: exactly slope[c] where x < 0, else exactly 1.0.
+def _prelu_factor(x, slope, f) -> None:
+    """f = the int64 bits of x's PReLU factor: exactly slope[c] where x < 0, else exactly 1.0.
 
-    f is selected on int64 views, 1.0 ^ ((1.0 ^ slope) * (x < 0)), so it is
-    one of the two for every x and slope, a NaN x taking 1.0, and each
-    output entry is one rounding or none. The work goes one index of all but
-    the last three axes at a time (one depth slice of one example for a
-    cube; one example for an input of under four axes), the examples split
-    across workers, f in each worker's small buffer.
+    Selected as 1.0 ^ ((1.0 ^ slope) * (x < 0)), so it is one of the two for
+    every x and slope, a NaN x taking 1.0.
     """
-    diff = _ONE_BITS ^ slope.view(np.int64)
-    lead = max(1, x.ndim - 3)  # leading axes looped over, the example axis at least
-    f = np.empty((_workers(len(x)),) + x.shape[lead:], dtype=np.int64)
-
-    def run(i, lo, hi):
-        x_r, src_r, out_r = x[lo:hi], src[lo:hi], out[lo:hi]
-        for j in np.ndindex(x_r.shape[:lead]):
-            np.less(x_r[j], 0.0, out=f[i])
-            f[i] *= diff
-            f[i] ^= _ONE_BITS
-            np.multiply(src_r[j], f[i].view(np.float64), out=out_r[j])
-
-    _in_parallel(len(x), run)
+    np.less(x, 0.0, out=f)
+    f *= _ONE_BITS ^ slope.view(np.int64)
+    f ^= _ONE_BITS
 
 
 def prelu_forward(x, slope, out=None) -> np.ndarray:
     """y = x for x >= 0, y = slope[c] * x for x < 0 (per-channel slope).
 
-    Computed as x times its PReLU factor (_prelu_scaled): x * 1.0 is x, so
-    every entry has the bytes of the formula, -0.0 included. y goes into
-    `out`, a float64 array of x's shape, which may be x itself (each slice's
-    factor is taken before the slice is written); without one it goes into
-    one fresh buffer and `x` is left unchanged.
+    Computed as x times its PReLU factor (_prelu_factor): x * 1.0 is x, so
+    every entry has the bytes of the formula, -0.0 included, and each is one
+    rounding or none. The work goes one _lead index at a time, the examples
+    split across workers, the factor in each worker's small buffer. y goes
+    into `out`, a float64 array of x's shape, which may be x itself (each
+    slice's factor is taken before the slice is written); without one it
+    goes into one fresh buffer and `x` is left unchanged.
     """
     x = _require_channel_batch(x, "prelu input")
+    s = _prelu_slope(slope, x.shape[-1])
     y = np.empty(x.shape) if out is None else out
-    _prelu_scaled(x, _prelu_slope(slope, x.shape[-1]), x, y)
+    lead = _lead(x.ndim)
+    f = np.empty((_workers(len(x)),) + x.shape[lead:], dtype=np.int64)
+
+    def run(i, lo, hi):
+        x_r, y_r = x[lo:hi], y[lo:hi]
+        for j in np.ndindex(x_r.shape[:lead]):
+            _prelu_factor(x_r[j], s, f[i])
+            np.multiply(x_r[j], f[i].view(np.float64), out=y_r[j])
+
+    _in_parallel(len(x), run)
     return y
 
 
-def prelu_backward(x, slope, grad_out):
+def prelu_backward(x, slope, grad_out, out=None, bn: LayerParams | None = None):
     """Gradients of prelu_forward w.r.t. input and slope.
 
-    The input gradient is grad_out times x's PReLU factor (_prelu_scaled):
+    The input gradient is grad_out times x's PReLU factor (_prelu_factor):
     grad_out where x >= 0 and grad_out * slope where x < 0, each a single
     rounding or none, so its bytes do not depend on how the pass is
-    arranged. The slope gradient sums min(x, 0) * grad_out per channel in
-    one whole-array call; it can differ from a sum that skips the x >= 0
-    terms only in the sign of an all-zero channel's 0.
+    arranged. The slope gradient sums min(x, 0) * grad_out per channel as a
+    running sum (_channel_sum), with the bytes of one whole-array sum; it
+    can differ from a sum that skips the x >= 0 terms only in the sign of
+    an all-zero channel's 0.
 
-    One fresh buffer serves both: it holds min(x, 0) * grad_out until the
-    slope sums are taken, then the input gradient. Both elementwise passes
-    are split by example across workers. `x` and `grad_out` are left
-    unchanged.
+    With `bn`, `x` is that train-mode batchnorm's normalized input x_hat,
+    and the PReLU input is the batchnorm's output, formed one slice at a
+    time with the two roundings of _batchnorm_affine, so byte for byte what
+    batchnorm_forward returned.
+
+    The pass runs serially, one _lead index at a time: it forms the slice's
+    input, its slope terms and its factor in small buffers and then writes
+    its input gradient, so no full-size scratch array is built. The input
+    gradient goes into `out`, a float64 array of x's shape, which may be
+    grad_out itself; without one it goes into a fresh buffer, and `x` and
+    `grad_out` are left unchanged.
     """
     x = _require_channel_batch(x, "prelu input")
     s = _prelu_slope(slope, x.shape[-1])
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != x.shape:
         raise DimensionError(f"grad_out shape {g.shape} does not match input {x.shape}")
-    buf = np.empty(x.shape)
+    gx = np.empty(x.shape) if out is None else out
+    lead = _lead(x.ndim)
+    f = np.empty(x.shape[lead:], dtype=np.int64)
+    xs = None if bn is None else np.empty(x.shape[lead:])
 
-    def slope_terms(i, lo, hi):
-        np.minimum(x[lo:hi], 0.0, out=buf[lo:hi])
-        buf[lo:hi] *= g[lo:hi]
+    def one_slice(j, terms):
+        x_j = x[j] if bn is None else _batchnorm_affine(x[j], bn, xs)
+        np.minimum(x_j, 0.0, out=terms)
+        terms *= g[j]
+        _prelu_factor(x_j, s, f)
+        np.multiply(g[j], f.view(np.float64), out=gx[j])
 
-    _in_parallel(len(x), slope_terms)
-    gs = buf.reshape(-1, x.shape[-1]).sum(axis=0)
-    _prelu_scaled(x, s, g, buf)
-    return buf, {"prelu_slope": gs}
+    return gx, {"prelu_slope": _channel_sum(x.shape, one_slice)}
 
 
 def batchnorm_output(xh, params: LayerParams) -> np.ndarray:
@@ -497,10 +581,11 @@ def batchnorm_output(xh, params: LayerParams) -> np.ndarray:
     return y
 
 
-def _batchnorm_affine(xh, params: LayerParams, y) -> None:
-    """y = (xh * scale) + shift: the one place that knows these two roundings."""
+def _batchnorm_affine(xh, params: LayerParams, y) -> np.ndarray:
+    """y = (xh * scale) + shift: the one place that knows these two roundings. Returns y."""
     np.multiply(xh, params.bn_scale, out=y)
     y += params.bn_shift
+    return y
 
 
 def batchnorm_running_inv(params: LayerParams) -> np.ndarray:
@@ -508,7 +593,7 @@ def batchnorm_running_inv(params: LayerParams) -> np.ndarray:
     return 1.0 / np.sqrt(params.bn_running_var + BN_EPS)
 
 
-def batchnorm_forward(x, params: LayerParams, cache: dict | None = None) -> np.ndarray:
+def batchnorm_forward(x, params: LayerParams, cache: dict | None = None, out=None) -> np.ndarray:
     """Per-channel normalization over all leading axes, then affine scale/shift.
 
     A caller that keeps a `cache` dict trains: the input is normalized with
@@ -522,65 +607,73 @@ def batchnorm_forward(x, params: LayerParams, cache: dict | None = None) -> np.n
 
     The train-mode variance is `np.var`'s own arithmetic (the mean of the
     squared deviations), written out so that the deviations become the
-    normalized input in place and the squares' buffer then takes the
-    output: two fresh full-size buffers in all. The mean and the sum of
-    squares are single whole-array reductions; the elementwise passes
-    around them are split by example across workers, and one pass both
-    normalizes a run and writes its output (_batchnorm_affine). The
-    inference output is the one expression ((x - mean) * scale) * inv +
-    shift, rounded in that order, with inv from batchnorm_running_inv. Its
-    one production input is a conv's (1, C) bias row: `Network.embed_vectors`
-    folds this map into the conv before it (_bn_folded) and calls this
-    function only on that bias. `x` is left unchanged.
+    normalized input in place, and the output buffer holds the squares
+    before it takes the output: one fresh full-size buffer, the normalized
+    input, besides the output. The mean and the sum of squares are single
+    whole-array reductions; the elementwise passes around them are split by
+    example across workers, and one pass both normalizes a run and writes
+    its output (_batchnorm_affine). The inference output is the one
+    expression ((x - mean) * scale) * inv + shift, rounded in that order,
+    with inv from batchnorm_running_inv. Its one production input is a
+    conv's (1, C) bias row: `Network.embed_vectors` folds this map into the
+    conv before it (_bn_folded) and calls this function only on that bias.
+
+    The output goes into `out`, a float64 array of x's shape, which may be
+    x itself (each run's deviations are taken before its squares are
+    written); without one it goes into a fresh buffer and `x` is left
+    unchanged.
     """
     x = _require_channel_batch(x, "batchnorm input")
     c = x.shape[-1]
     if params.bn_scale.shape != (c,):
         raise DimensionError(f"channel axis: batchnorm params sized for {params.bn_scale.shape}, input has {c} channels")
     if cache is None:
-        return ((x - params.bn_running_mean) * params.bn_scale) * batchnorm_running_inv(params) + params.bn_shift
+        normalized = ((x - params.bn_running_mean) * params.bn_scale) * batchnorm_running_inv(params)
+        return np.add(normalized, params.bn_shift, out=out)
     axes = tuple(range(x.ndim - 1))
     mu = x.mean(axis=axes)
     xh = np.empty(x.shape)
-    sq = np.empty(x.shape)
+    y = np.empty(x.shape) if out is None else out
 
     def deviations(i, lo, hi):
         np.subtract(x[lo:hi], mu, out=xh[lo:hi])
-        np.multiply(xh[lo:hi], xh[lo:hi], out=sq[lo:hi])
+        np.multiply(xh[lo:hi], xh[lo:hi], out=y[lo:hi])
 
     _in_parallel(len(x), deviations)
-    var = sq.sum(axis=axes) / (x.size // c)
+    var = y.sum(axis=axes) / (x.size // c)
     inv = 1.0 / np.sqrt(var + BN_EPS)
 
     def normalize(i, lo, hi):
         xh[lo:hi] *= inv
-        _batchnorm_affine(xh[lo:hi], params, sq[lo:hi])
+        _batchnorm_affine(xh[lo:hi], params, y[lo:hi])
 
     _in_parallel(len(x), normalize)
     params.bn_running_mean = BN_MOMENTUM * params.bn_running_mean + (1 - BN_MOMENTUM) * mu
     params.bn_running_var = BN_MOMENTUM * params.bn_running_var + (1 - BN_MOMENTUM) * var
     cache["bn_xh"] = xh
     cache["bn_inv"] = inv
-    return sq
+    return y
 
 
-def batchnorm_backward(params: LayerParams, grad_out, cache: dict):
+def batchnorm_backward(params: LayerParams, grad_out, cache: dict, out=None):
     """Gradients of train-mode batchnorm_forward w.r.t. input, scale, and shift.
 
     Reads the normalized input and 1/sqrt(var + eps) from the `cache` that
     batchnorm_forward filled. The scale and shift gradients are the
     per-channel sums of grad_out * x_hat and grad_out that the input
-    gradient also uses, each one whole-array reduction; the input gradient
-    is (scale * inv / n) * (n * g - sum(g) - x_hat * sum(g * x_hat)),
-    rounded in that order, so all three keep their bytes however the passes
-    are arranged.
+    gradient also uses: the shift sums are one whole-array reduction, the
+    scale sums a running sum of the products formed one slice at a time
+    (_channel_sum), with that reduction's bytes. The input gradient is
+    (scale * inv / n) * (n * g - sum(g) - x_hat * sum(g * x_hat)), rounded
+    in that order, so all three keep their bytes however the passes are
+    arranged.
 
-    One fresh full-size buffer holds g * x_hat for the scale sums, then the
-    input gradient; both passes are split by example across workers. The
+    The input gradient pass is split by example across workers; its
     x_hat * sum(g * x_hat) term is formed in each worker's small buffer one
-    index of all but the last three axes at a time (one depth slice of one
-    example for a cube; one example for an input of under four axes).
-    `grad_out` and the cache are left unchanged.
+    _lead index at a time. The input gradient goes into `out`, a float64
+    array of grad_out's shape, which may be grad_out itself; without one it
+    goes into a fresh buffer, and `grad_out` is left unchanged. The cache
+    is left unchanged.
     """
     g = np.asarray(grad_out, dtype=np.float64)
     xh = cache["bn_xh"]
@@ -590,11 +683,10 @@ def batchnorm_backward(params: LayerParams, grad_out, cache: dict):
     axes = tuple(range(g.ndim - 1))
     n = g.size // g.shape[-1]
     gsum = g.sum(axis=axes)
-    gx = np.empty(g.shape)
-    _in_parallel(len(g), lambda i, lo, hi: np.multiply(g[lo:hi], xh[lo:hi], out=gx[lo:hi]))
-    gxh_sum = gx.sum(axis=axes)
+    gxh_sum = _channel_sum(g.shape, lambda j, terms: np.multiply(g[j], xh[j], out=terms))
     factor = params.bn_scale * inv / n
-    lead = max(1, g.ndim - 3)  # leading axes looped over, the example axis at least
+    gx = np.empty(g.shape) if out is None else out
+    lead = _lead(g.ndim)
     tmp = np.empty((_workers(len(g)),) + g.shape[lead:])
 
     def input_grad(i, lo, hi):

@@ -16,6 +16,7 @@ import pytest
 import svkit
 from svkit.cli import main
 from svkit.models.checkpoint import load_checkpoint, save_checkpoint
+from svkit.nn import layers
 from svkit.protocol.enrollment import load_speaker_models
 
 SEED = "33"
@@ -61,10 +62,10 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
-def _train_in_child(corpus, out, affinity):
-    """`svkit train` on the micro corpus in a fresh process at 1 BLAS thread; returns svkit's worker count."""
+def _train_in_child(corpus, out, affinity, blas_threads=1):
+    """`svkit train` on the micro corpus in a fresh process at `blas_threads` BLAS threads; returns svkit's worker count."""
     env = dict(os.environ, PYTHONPATH=str(Path(svkit.__file__).parents[1]))
-    env.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    env.update({var: str(blas_threads) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
     argv = ["train", "--manifest", str(corpus / "data" / "manifest.csv"), "--model", "cnn3d", "--zeta", "2",
             "--epochs", "2", "--lr", "0.003", "--batch", "4", "--seed", SEED, "--max-slices", "6",
             "--out", str(out)]  # fmt: skip
@@ -86,6 +87,12 @@ def test_train_bytes_do_not_depend_on_the_cpu_count(micro_corpus, tmp_path):
     assert _train_in_child(micro_corpus, every, "every-cpu") >= 2
     assert one.read_bytes() == every.read_bytes()
     assert one.with_suffix(".loss.log").read_bytes() == every.with_suffix(".loss.log").read_bytes()
+
+
+@pytest.mark.skipif(layers._blas_threads() is None, reason="numpy's BLAS reports no thread count")
+def test_a_threaded_blas_gets_one_worker(micro_corpus, tmp_path):
+    """With the BLAS at 2 threads, svkit splits no work beside it, on any CPU count."""
+    assert _train_in_child(micro_corpus, tmp_path / "checkpoint.svck", "every-cpu", blas_threads=2) == 1
 
 
 def test_import_leaves_scipy_signal_unloaded():
@@ -868,6 +875,17 @@ class TestZetaSweep:
                    "--out-dir", str(tmp_path)])  # fmt: skip
         assert rc == 2
         assert not list(tmp_path.iterdir())
+
+    def test_too_few_enrollment_maps_exit_2_before_training(self, micro_corpus, tmp_path, capsys):
+        """At --max-slices 6 each enrollment speaker has 3 maps: zeta 4 cannot enroll, so not even zeta 2 trains."""
+        out_dir = tmp_path / "sweep"
+        rc = main(["zeta-sweep", "--manifest", str(micro_corpus / "data" / "manifest.csv"), "--zetas", "2,4",
+                   "--models", "cnn3d,lcn_dvector", "--epochs", "1", "--seed", SEED, "--max-slices", "6",
+                   "--out-dir", str(out_dir)])  # fmt: skip
+        assert rc == 2
+        assert "zeta 4" in capsys.readouterr().err
+        assert not list(tmp_path.glob("**/*.svck"))
+        assert not out_dir.exists()
 
     def test_rejected_run_leaves_no_step_directory(self, micro_corpus, tmp_path):
         out_dir = tmp_path / "sweep"

@@ -245,6 +245,84 @@ def test_cnn3d_batchnorm_prelu_match_reference(cnn3d_convs, zeta, name):
     assert np.array_equal(grads["bn_shift"], want_gshift)
 
 
+def _cnn3d_sum_shapes(zeta, batch):
+    """The shapes whose per-channel sums a cnn3d training step takes: each conv's output and the embedding."""
+    net = build_network("cnn3d", zeta, 4, Rng(zeta))
+    shapes = dict(net.layer_output_shapes())
+    return [(name, (batch, *shapes[name])) for name in (*CNN3D_CONVS, "fc5")]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 8])
+@pytest.mark.parametrize("zeta", [20, 10])
+def test_running_channel_sum_keeps_the_whole_array_sum_bytes(zeta, batch):
+    """Slice by slice below the running total, the sum adds the rows in numpy's whole-array order.
+
+    The terms span several orders of magnitude, so a sum in another order,
+    such as numpy's pairwise sum along one contiguous channel, gives other
+    bytes (checked on conv1_1's shape). A numpy that reorders its
+    reductions fails here first.
+    """
+    for name, shape in _cnn3d_sum_shapes(zeta, batch):
+        r = Rng(batch)
+        a = r.normal(shape) * np.exp(3 * r.normal(shape))
+        rows = a.reshape(-1, shape[-1])
+        want = rows.sum(axis=0)
+        got = layers_module._channel_sum(shape, lambda j, buf: np.copyto(buf, a[j]))
+        assert got.tobytes() == want.tobytes(), (name, shape)
+        if name == "conv1_1":
+            assert rows.T.copy().sum(axis=1).tobytes() != want.tobytes()
+
+
+@pytest.mark.parametrize("name", CNN3D_CONVS)
+@pytest.mark.parametrize("zeta", [20, 10])
+def test_out_paths_keep_the_fresh_buffer_bytes(cnn3d_convs, zeta, name):
+    """Each op written over its own input or grad_out returns the bytes of its fresh-buffer call, batch 2.
+
+    Batchnorm forward over its input, batchnorm and PReLU backward over
+    grad_out, PReLU backward from the batchnorm's x_hat, and the conv input
+    gradient over the conv input, same-pad (zeta=10) included.
+    """
+    layer, shape = cnn3d_convs[zeta, name]
+    r = Rng(zeta + 7)
+    x = r.normal((2, *shape))
+    g = r.normal((2, *conv3d_output_shape(shape, layer)))
+    want_gx, want = conv3d_backward(x, layer, g)
+    got_gx, got = conv3d_backward(x, layer, g, out=x)
+    assert got_gx.tobytes() == want_gx.tobytes()
+    assert got_gx is x or layer.pad_depth
+    assert all(got[field].tobytes() == want[field].tobytes() for field in ("weights", "bias"))
+
+    c = g.shape[-1]
+    bn = LayerParams(
+        kind="batchnorm",
+        bn_scale=r.uniform(0.5, 1.5, (c,)),
+        bn_shift=r.normal((c,)),
+        bn_running_mean=r.normal((c,)),
+        bn_running_var=r.uniform(0.5, 2.0, (c,)),
+    )
+    y = r.normal(g.shape, mean=0.5, std=2.0)
+    fresh_bn, fresh_cache = replace(bn), {}
+    want_y = batchnorm_forward(y, fresh_bn, fresh_cache)
+    cache = {}
+    got_y = batchnorm_forward(y, bn, cache, out=y)
+    assert got_y is y and y.tobytes() == want_y.tobytes()
+    assert cache["bn_xh"].tobytes() == fresh_cache["bn_xh"].tobytes()
+    assert all(getattr(bn, f).tobytes() == getattr(fresh_bn, f).tobytes() for f in ("bn_running_mean", "bn_running_var"))
+
+    slope = r.uniform(0.05, 0.5, (c,))
+    want_gy, want_gs = prelu_backward(want_y, slope, g)
+    for given in ({}, {"bn": bn}):
+        gp = g.copy()
+        got_gy, got_gs = prelu_backward(cache["bn_xh"] if given else want_y, slope, gp, out=gp, **given)
+        assert got_gy is gp and gp.tobytes() == want_gy.tobytes(), given
+        assert got_gs["prelu_slope"].tobytes() == want_gs["prelu_slope"].tobytes(), given
+
+    want_gx, want = batchnorm_backward(bn, want_gy, cache)
+    got_gx, got = batchnorm_backward(bn, gp, cache, out=gp)
+    assert got_gx is gp and gp.tobytes() == want_gx.tobytes()
+    assert all(got[field].tobytes() == want[field].tobytes() for field in ("bn_scale", "bn_shift"))
+
+
 # Signed zeros, infinities, a NaN and repeats: drawn often enough that pool windows tie exactly.
 _SPECIALS = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1.5, -1.5, 0.25])
 
