@@ -28,7 +28,7 @@ from .config import MODEL_KINDS, RunConfig
 from .corpus.manifest import load_manifest
 from .corpus.slicing import slice_utterances, split_enroll_eval
 from .dsp.audio import load_wav, require_sample_rate
-from .dsp.features import FeatureMap, mel_filterbank, signal_to_feature_map, write_feature_file
+from .dsp.features import FeatureMap, mel_filterbank, signal_to_feature_map
 from .dsp.vad import detect_voice
 from .errors import ConfigError, SvkitError
 from .models.checkpoint import load_checkpoint, save_checkpoint
@@ -158,16 +158,7 @@ def cmd_train(args) -> int:
     dev_entries, _ = _phase_entries(entries)
     if not dev_entries:
         raise ConfigError("manifest has no development entries")
-    root = Path(args.manifest).parent.resolve()
-    if args.dump_features and not all(e.path.is_relative_to(root) for e in dev_entries):
-        raise ConfigError("--dump-features mirrors the manifest's directory; a development file lies outside it")
-    maps = _feature_maps(dev_entries, args.max_slices, root)
-    if args.dump_features:
-        for speaker in sorted(maps):
-            for m in maps[speaker]:
-                path = Path(args.dump_features) / f"{m.utterance_id.replace('#', '_')}.mfec"
-                path.parent.mkdir(parents=True, exist_ok=True)
-                write_feature_file(m, path)
+    maps = _feature_maps(dev_entries, args.max_slices, Path(args.manifest).parent.resolve())
     network = build_network(cfg.model, cfg.zeta, len(maps), Rng(cfg.seed).child(3))
     ckpt, history = train_development(network, maps, cfg)
     out = Path(args.out)
@@ -336,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=int, default=None, help="utterance maps stacked per cube")
     _add_training(p)
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--dump-features", default=None, help="also dump each training feature map here")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("enroll", help="build one speaker model per enrollment speaker")

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DimensionError, FileFormatError, ProvenanceError, SignalTooShortError
+from ..errors import ConfigError, DimensionError, ProvenanceError, SignalTooShortError
 from ..corpus.slicing import SLICE_SECONDS
-from ..models.framing import Framing, typed
 from .audio import CANONICAL_RATE, AudioSignal
 
 N_FRAMES = 80
@@ -26,7 +25,6 @@ N_FFT = 512
 WINDOW_MS = 20.0
 HOP_MS = 10.0
 LOG_FLOOR = 1e-10
-_FRAMING = Framing(b"MFEC", 2, "feature file", FileFormatError)
 
 
 def hz_to_mel(f):
@@ -148,19 +146,3 @@ def replicate_for_eval(fmap: FeatureMap, depth: int) -> np.ndarray:
     if depth < 1:
         raise ConfigError(f"replication depth must be >= 1, got {depth}")
     return np.broadcast_to(fmap.values[None, :, :, None], (depth, N_FRAMES, N_COEFFS, 1))
-
-
-def write_feature_file(fmap: FeatureMap, path) -> None:
-    """Dump one map (`.mfec` v2, in the `models.framing` framing): its ids in the header, its 80x40 floats as payload."""
-    _FRAMING.write(path, {"speaker_id": fmap.speaker_id, "utterance_id": fmap.utterance_id}, [fmap.values])
-
-
-def _parse_header(header):
-    """((speaker id, utterance id), the payload's byte count)."""
-    return (typed(header["speaker_id"], str), typed(header["utterance_id"], str)), N_FRAMES * N_COEFFS * 8
-
-
-def read_feature_file(path) -> FeatureMap:
-    (speaker_id, utterance_id), payload, _ = _FRAMING.read(path, _parse_header)
-    values = np.frombuffer(payload, dtype="<f8").reshape(N_FRAMES, N_COEFFS)
-    return FeatureMap(values.copy(), speaker_id, utterance_id)

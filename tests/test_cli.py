@@ -328,45 +328,6 @@ class TestTrain:
         )
         assert rc == 2
 
-    def test_feature_dump(self, micro_corpus, tmp_path):
-        manifest = str(micro_corpus / "data" / "manifest.csv")
-        dump = tmp_path / "features"
-        rc = main(
-            ["train", "--manifest", manifest, "--model", "lcn_dvector", "--zeta", "2",
-             "--epochs", "0", "--seed", SEED, "--max-slices", "2", "--out", str(tmp_path / "x.svck"),
-             "--dump-features", str(dump)]
-        )
-        assert rc == 0
-        from svkit.dsp.features import read_feature_file
-
-        files = sorted(dump.glob("*.mfec"))
-        assert len(files) == 4  # 2 dev speakers * 2 maps
-        assert read_feature_file(files[0]).values.shape == (80, 40)
-
-    def test_dumped_features_match_per_slice_framing(self, micro_corpus, tmp_path):
-        """Every dumped map, with a cap that reaches into each speaker's second file, equals its slice framed alone."""
-        from oracles import feature_maps_per_slice
-        from svkit.corpus.manifest import load_manifest
-        from svkit.dsp.features import mel_filterbank, read_feature_file
-
-        manifest = micro_corpus / "data" / "manifest.csv"
-        dump = tmp_path / "features"
-        rc = main(
-            ["train", "--manifest", str(manifest), "--model", "lcn_dvector", "--epochs", "0", "--seed", SEED,
-             "--max-slices", "10", "--out", str(tmp_path / "x.svck"), "--dump-features", str(dump)]
-        )
-        assert rc == 0
-        dev = [e for e in load_manifest(manifest) if e.split == "development"]
-        want = {
-            uid.replace("#", "_") + ".mfec": values
-            for maps in feature_maps_per_slice(dev, mel_filterbank(), 10).values()
-            for uid, values in maps
-        }
-        assert len(want) == 20 and {name.rsplit("_", 1)[0] for name in want} == {e.path.stem for e in dev}
-        assert sorted(p.name for p in dump.glob("*.mfec")) == sorted(want)
-        for name, values in want.items():
-            assert read_feature_file(dump / name).values.tobytes() == values.tobytes(), name
-
 
 @pytest.fixture(scope="module")
 def nested_corpus(micro_corpus, tmp_path_factory):
@@ -385,28 +346,26 @@ def nested_corpus(micro_corpus, tmp_path_factory):
 
 
 class TestUtteranceIds:
-    def test_dumps_mirror_the_speaker_directories(self, nested_corpus, tmp_path):
-        """Each speaker's take0 and take1 keep their own dumps, each its slice framed alone."""
+    def test_dumps_mirror_the_speaker_directories(self, nested_corpus):
+        """Each speaker's take0 and take1 keep their own ids, each map its slice framed alone."""
         from oracles import feature_maps_per_slice
+        from svkit.cli import _feature_maps
         from svkit.corpus.manifest import load_manifest
-        from svkit.dsp.features import mel_filterbank, read_feature_file
+        from svkit.dsp.features import mel_filterbank
 
-        dump = tmp_path / "features"
-        rc = main(
-            ["train", "--manifest", str(nested_corpus / "manifest.csv"), "--model", "lcn_dvector", "--epochs", "0",
-             "--seed", SEED, "--max-slices", "10", "--out", str(tmp_path / "x.svck"), "--dump-features", str(dump)]
-        )  # fmt: skip
-        assert rc == 0
         dev = [e for e in load_manifest(nested_corpus / "manifest.csv") if e.split == "development"]
+        ours = _feature_maps(dev, 10, nested_corpus.resolve())
+        got = {m.utterance_id: m.values for maps in ours.values() for m in maps}
         want = {
-            f"{speaker}/{uid.replace('#', '_')}.mfec": values
+            f"{speaker}/{uid}": values
             for speaker, maps in feature_maps_per_slice(dev, mel_filterbank(), 10).items()
             for uid, values in maps
         }
-        assert len(want) == 20
-        assert sorted(p.relative_to(dump).as_posix() for p in dump.rglob("*.mfec")) == sorted(want)
-        for name, values in want.items():
-            assert read_feature_file(dump / name).values.tobytes() == values.tobytes(), name
+        assert len(want) == 20  # the cap of 10 reaches into each speaker's take1
+        assert {uid.rsplit("#", 1)[0] for uid in want} == {f"{e.speaker_id}/{e.path.stem}" for e in dev}
+        assert sorted(got) == sorted(want)
+        for uid, values in want.items():
+            assert got[uid].tobytes() == values.tobytes(), uid
 
     def test_scores_name_the_speaker_directory(self, nested_corpus, trained, tmp_path):
         _, ckpts = trained
@@ -418,18 +377,6 @@ class TestUtteranceIds:
         genuine = [(uid, claimed) for uid, claimed, label, _ in rows if label == "genuine"]
         assert len(genuine) == 6 and all(uid.startswith(f"{claimed}/take") for uid, claimed in genuine)
         assert len({uid for uid, *_ in rows}) == len(genuine)
-
-    def test_dump_of_a_file_outside_the_manifest_directory_exits_2(self, nested_corpus, tmp_path, capsys):
-        manifest = tmp_path / "manifest.csv"
-        lines = (nested_corpus / "manifest.csv").read_text().splitlines()
-        manifest.write_text("\n".join([lines[0], *(line.replace(",spk", f",{nested_corpus}/spk") for line in lines[1:])]))
-        rc = main(
-            ["train", "--manifest", str(manifest), "--model", "lcn_dvector", "--epochs", "0", "--seed", SEED,
-             "--out", str(tmp_path / "x.svck"), "--dump-features", str(tmp_path / "features")]
-        )  # fmt: skip
-        assert rc == 2
-        assert "outside" in capsys.readouterr().err
-        assert not (tmp_path / "features").exists()
 
 
 class TestEnroll:
@@ -816,7 +763,7 @@ class TestModelBinding:
         assert not (tmp_path / "out").exists()
 
 
-class TestConfigFile:
+class TestRunSettings:
     """A run's settings come from its flags and RunConfig's defaults: no file, no environment variable."""
 
     def test_seed_environment_variable_is_ignored(self, micro_corpus, tmp_path, monkeypatch):
@@ -828,8 +775,7 @@ class TestConfigFile:
         assert (tmp_path / "set.svck").read_bytes() == (tmp_path / "unset.svck").read_bytes()
         assert load_checkpoint(tmp_path / "set.svck").seed == 0
 
-    @pytest.mark.parametrize("source", ["flag"])
-    def test_negative_seed_exits_2(self, tmp_path, capsys, source):
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
         rc = main(
             ["synth", "--speakers", "2", "--utterances", "1", "--seed", "-1", "--out", str(tmp_path / "d"),
              "--dev-speakers", "1"]

@@ -26,23 +26,19 @@ from svkit.dsp.features import (
     build_feature_cube,
     hz_to_mel,
     mel_to_hz,
-    read_feature_file,
     replicate_for_eval,
     signal_to_feature_map,
-    write_feature_file,
 )
 from svkit.dsp.vad import detect_voice
 from svkit.errors import (
     ConfigError,
     DimensionError,
     EmptyAudioError,
-    FileFormatError,
     MalformedRiffError,
     NoSpeechError,
     ProvenanceError,
     SignalTooShortError,
     UnsupportedEncodingError,
-    VersionMismatchError,
 )
 from svkit.rng import Rng
 
@@ -444,35 +440,6 @@ class TestFeatureCubes:
 
     def test_network_input_has_channel_axis(self):
         assert build_feature_cube(self._maps(3)).shape == (3, 80, 40, 1)
-
-
-def test_feature_file_round_trip(tmp_path, mel_bank):
-    values = signal_to_feature_map(AudioSignal(tone(600.0, 0.8, 0.4), SR), mel_bank, [0])[0]
-    fmap = FeatureMap(values, speaker_id="spk007", utterance_id="spk007/u1.wav#3")
-    write_feature_file(fmap, tmp_path / "x.mfec")
-    back = read_feature_file(tmp_path / "x.mfec")
-    np.testing.assert_array_equal(back.values, fmap.values)
-    assert (back.speaker_id, back.utterance_id) == ("spk007", "spk007/u1.wav#3")
-    raw = (tmp_path / "x.mfec").read_bytes()
-    assert raw[:4] == b"MFEC"
-    assert struct.unpack_from("<I", raw, 4) == (2,)
-
-
-def test_version_1_feature_file_exits_3(tmp_path):
-    """A dump in the layout that version 1 wrote (magic, version, rows, cols, floats; no ids, no CRC)."""
-    path = tmp_path / "v1.mfec"
-    path.write_bytes(b"MFEC" + struct.pack("<III", 1, 80, 40) + np.zeros((80, 40)).astype("<f8").tobytes())
-    with pytest.raises(VersionMismatchError, match="feature file version 1, expected 2") as info:
-        read_feature_file(path)
-    assert info.value.exit_code == 3
-
-
-def test_feature_file_trailing_bytes_rejected(tmp_path):
-    write_feature_file(FeatureMap(np.zeros((80, 40))), tmp_path / "x.mfec")
-    with open(tmp_path / "x.mfec", "ab") as fh:
-        fh.write(b"\x00" * 4)
-    with pytest.raises(FileFormatError, match="after"):
-        read_feature_file(tmp_path / "x.mfec")
 
 
 def test_pipeline_contract_voiced_slice(mel_bank):

@@ -1,6 +1,6 @@
-"""Byte-mutation property tests for the four file parsers.
+"""Byte-mutation property tests for the three file parsers.
 
-A corrupt WAV, `.mfec`, `.svck` or `.svsm` file must either load or raise a
+A corrupt WAV, `.svck` or `.svsm` file must either load or raise a
 typed `SvkitError` (CLI exit 2 or 3), never a raw exception. Files that can
 tell they are damaged must raise: any flip of a CRC-protected file, any
 truncation, and junk after a file whose header fixes its length. Examples are
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from conftest import tone
 from svkit.dsp.audio import AudioSignal, load_wav, write_wav
-from svkit.dsp.features import FeatureMap, read_feature_file, write_feature_file
 from svkit.errors import SvkitError
 from svkit.models.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from svkit.models.zoo import build_network
@@ -27,11 +26,10 @@ from svkit.rng import Rng
 LOADERS = {
     "wav_pcm16": load_wav,
     "wav_float32": load_wav,
-    "mfec": read_feature_file,
     "svck": load_checkpoint,
     "svsm": load_speaker_models,
 }
-CRC_FORMATS = ("mfec", "svck", "svsm")
+CRC_FORMATS = ("svck", "svsm")
 MUTATE = settings(max_examples=100, derandomize=True, deadline=None)
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in a mutated payload
 
@@ -43,7 +41,6 @@ def files(tmp_path_factory):
     signal = AudioSignal(tone(440.0, 0.05, amplitude=0.5), 16000)
     write_wav(root / "wav_pcm16", signal)
     write_wav(root / "wav_float32", signal, encoding="float32")
-    write_feature_file(FeatureMap(Rng(0).normal((80, 40))), root / "mfec")
     net = build_network("lcn_dvector", 1, 2, Rng(1), widths=(2, 6))
     save_checkpoint(Checkpoint.of(net, epoch=0, seed=1), root / "svck")
     vecs = Rng(2).normal((2, 8))
